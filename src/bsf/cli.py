@@ -46,7 +46,7 @@ from .oracle import (
     generate_gaussian,
     generate_spd,
 )
-from .posterior import BsfConfig, exact_posterior, iter_class_weights
+from .posterior import BlockWeights, BsfConfig, exact_posterior, iter_class_weights
 from .sampler import run_chain
 from .theory import DEFAULT_TRIALS, run_all
 
@@ -278,10 +278,11 @@ def cmd_exact(args) -> int:
     if max_k is not None and max_k < 1:
         raise ConfigError("--max-k must be at least 1")
     out = _ensure_out(args.out)
-    table = exact_posterior(data, model, max_K=max_k, retain=False)
+    weights = BlockWeights(data, model)
+    table = exact_posterior(data, model, max_K=max_k, retain=False, weights=weights)
 
     def entry_rows():
-        for part, lw in iter_class_weights(data, model, max_K=max_k):
+        for part, lw in iter_class_weights(data, model, max_K=max_k, weights=weights):
             yield (part.to_string(), part.K, lw, math.exp(lw - table.log_normalizer))
 
     write_csv(os.path.join(out, "posterior_table.csv"),

@@ -3,15 +3,25 @@
 The clustering posterior is a product of determinants ``|L_V + J/|V||``
 over cluster blocks, where ``L_V`` is the Laplacian of the complete graph
 on the block with kernel edge weights.  Under bandwidth schedules the raw
-weights span hundreds of orders of magnitude, so every Laplacian here is
-built from weights rescaled by the block maximum (entries in ``(0, 1]``)
-and the exact scale is restored additively in the log domain: multiplying
-all weights by ``c`` multiplies any spanning-tree sum, and hence
-``|L[i]|`` and ``|L + J/n|``, by ``c^(n-1)``.
+weights span hundreds of orders of magnitude, so weights are rescaled by
+the block maximum (entries in ``(0, 1]``) and the exact scale is restored
+additively in the log domain: multiplying all weights by ``c`` multiplies
+any spanning-tree sum, and hence ``|L[i]|`` and ``|L + J/n|``, by
+``c^(n-1)``.
+
+Every block log-det the model uses comes from one kernel over a stack of
+blocks: node elimination in linear arithmetic whose pivots are sums of
+positive weights (GTH elimination), so it never subtracts and is accurate
+to rounding at any weight range.  ``subset_log_det`` runs it on a stack of
+one, ``all_block_log_dets`` on one stack per block size.  Blocks whose
+scaled weights would fall below the smallest normal float (about 708 nats
+of in-block range) are handed to the same elimination done in the log
+domain.
 
 The matrix-tree identity ``|L + J/n| = n |L[i]| = n * (sum over spanning
-trees of edge-weight products)`` is the correctness anchor; a vectorized
-Prufer-sequence enumerator provides the brute-force leg for small n.
+trees of edge-weight products)`` is the correctness anchor.  The dense
+Cholesky determinants and a vectorized Prufer-sequence enumerator of all
+spanning trees are independent legs that check the kernel.
 """
 
 from __future__ import annotations
@@ -62,24 +72,13 @@ def laplacian_from_log_weights(logw: np.ndarray) -> WeightedLaplacian:
     m = logw.shape[0]
     if m == 1:
         return WeightedLaplacian(np.zeros((1, 1)), 0.0)
-    iu = np.triu_indices(m, 1)
-    scale = float(logw[iu].max())
-    w = np.exp(logw - scale)
-    np.fill_diagonal(w, 0.0)
+    off = ~np.eye(m, dtype=bool)
+    scale = float(logw[off].max())
+    w = np.zeros((m, m))
+    w[off] = np.exp(logw[off] - scale)
     lap = -w
     np.fill_diagonal(lap, w.sum(axis=1))
     return WeightedLaplacian(lap, scale)
-
-
-def build_laplacian(data, subset, kernel) -> WeightedLaplacian:
-    """Laplacian of the complete weighted graph on ``subset`` of the dataset."""
-    from .kernels import log_weight_matrix
-
-    subset = list(subset)
-    if not subset:
-        raise ValueError("empty subset")
-    sub = data.subset(subset)
-    return laplacian_from_log_weights(log_weight_matrix(sub, kernel))
 
 
 def log_det_L_plus_J(lap: WeightedLaplacian) -> float:
@@ -204,15 +203,13 @@ def coarsened_laplacian(logw: np.ndarray, partition) -> WeightedLaplacian:
     return laplacian_from_log_weights(log_tau)
 
 
-# Weight ranges (in nats) beyond this make the smallest eigenvalue of the
-# scaled L + J/m invisible to float Cholesky: the factorization can fail or,
-# worse, succeed on rounding noise and overstate the determinant by many
-# orders of magnitude.  Such blocks take the star-mesh route instead.
-CHOLESKY_RANGE_NATS = 30.0
+# scaled weights below the smallest normal float (e^-708) lose precision
+_LOG_TINY = math.log(np.finfo(float).tiny)
 
 
 def _star_mesh_batch(sub: np.ndarray) -> np.ndarray:
-    """``log |L[last]|`` for a stack of log-weight matrices ``(B, m, m)``."""
+    """``log |L[last]|`` for a stack of log-weight matrices ``(B, m, m)``,
+    by node elimination entirely in the log domain."""
     b, m, _ = sub.shape
     cur = np.array(sub, dtype=float)
     idx = np.arange(m)
@@ -231,53 +228,61 @@ def _star_mesh_batch(sub: np.ndarray) -> np.ndarray:
     return total
 
 
-def log_minor_star_mesh(logw: np.ndarray) -> float:
-    """``log |L[last]|`` by node elimination, entirely in the log domain.
+def _gth_batch(w: np.ndarray) -> np.ndarray:
+    """``log |L[last]|`` for a stack of positive weight matrices ``(B, m, m)``.
 
-    Eliminating a node from a graph Laplacian is a star-mesh transform: the
-    pivot is the node's current degree and every remaining weight gains
-    ``w_ik * w_jk / d_k``.  All updates accumulate positive quantities, so
-    unlike a Cholesky of the assembled matrix this never cancels and stays
-    exact-to-rounding even when weights span thousands of nats.
+    Eliminating a node is a star-mesh transform: its pivot is its current
+    degree, taken as a sum of its weights, and every remaining weight gains
+    ``w_ik * w_jk / d_k``.  Nothing is ever subtracted, so each entry stays
+    accurate to rounding whatever the weights' range (Grassmann, Taksar and
+    Heyman 1985; O'Cinneide 1993).  The diagonal is never read.
     """
-    logw = np.asarray(logw, dtype=float)
-    m = logw.shape[0]
-    if m == 1:
-        return 0.0
-    cur = logw.copy()
-    np.fill_diagonal(cur, -np.inf)
-    total = 0.0
-    for _ in range(m - 1):
-        row = cur[0, 1:]
-        peak = row.max()
-        pivot = peak + math.log(float(np.exp(row - peak).sum()))
-        total += pivot
-        cur = np.logaddexp(cur[1:, 1:], row[:, None] + row[None, :] - pivot)
-        np.fill_diagonal(cur, -np.inf)
-    return total
+    b, m, _ = w.shape
+    pivots = np.empty((b, m - 1))
+    for k in range(m - 1):
+        row = w[:, 0, 1:]
+        pivots[:, k] = d = row.sum(axis=1)
+        w = w[:, 1:, 1:] + (row / d[:, None])[:, :, None] * row[:, None, :]
+    return np.log(pivots).sum(axis=1)
+
+
+def _block_log_dets(sub: np.ndarray) -> np.ndarray:
+    """``log |L + J/m|`` for a stack of log-weight matrices ``(B, m, m)``.
+
+    Each block is scaled by its largest off-diagonal weight, which is
+    restored as ``(m - 1) * peak``; ``log m`` turns the minor ``|L[last]|``
+    into ``|L + J/m|`` by the matrix-tree theorem.  The diagonal is ignored
+    and ``sub`` is overwritten.
+    """
+    b, m, _ = sub.shape
+    diag = np.arange(m)
+    sub[:, diag, diag] = -np.inf
+    peak = sub.max(axis=(1, 2))
+    sub -= peak[:, None, None]
+    sub[:, diag, diag] = 0.0  # not below any off-diagonal entry, so the min ignores it
+    deep = sub.min(axis=(1, 2)) < _LOG_TINY
+    if deep.any():
+        minors = np.empty(b)
+        minors[deep] = _star_mesh_batch(sub[deep])
+        minors[~deep] = _gth_batch(np.exp(sub[~deep]))
+    else:
+        minors = _gth_batch(np.exp(sub))
+    return math.log(m) + minors + (m - 1) * peak
 
 
 def subset_log_det(logw: np.ndarray, indices) -> float:
     """``log |L_T + J/|T||`` for the block on ``indices`` (original weights).
 
-    Well-conditioned blocks go through Cholesky; blocks whose weights span
-    more than ``CHOLESKY_RANGE_NATS`` take the star-mesh elimination, which
-    stays accurate for any range."""
+    A stack of one for the block log-det kernel: elimination in linear
+    arithmetic on max-scaled weights, handed to the log domain when the
+    block's weights span more than float64 can hold (about 708 nats)."""
     indices = list(indices)
     if not indices:
         raise ValueError("empty subset")
-    m = len(indices)
-    if m == 1:
+    if len(indices) == 1:
         return 0.0
-    sub = logw[np.ix_(indices, indices)]
-    iu = np.triu_indices(m, 1)
-    pair_vals = sub[iu]
-    if float(pair_vals.max() - pair_vals.min()) > CHOLESKY_RANGE_NATS:
-        return math.log(m) + log_minor_star_mesh(sub)
-    try:
-        return log_det_L_plus_J(laplacian_from_log_weights(sub))
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
-        return math.log(m) + log_minor_star_mesh(sub)
+    sub = np.asarray(logw, dtype=float)[np.ix_(indices, indices)]
+    return float(_block_log_dets(sub[None])[0])
 
 
 def _masks_by_size(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -291,38 +296,20 @@ def _masks_by_size(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def all_block_log_dets(logw: np.ndarray) -> np.ndarray:
-    """``log |L_T + J/|T||`` for every subset mask T of [n], batched by size.
+    """``log |L_T + J/|T||`` for every subset mask T of [n], one stack per size.
 
-    Entry 0 and all singleton masks are 0 (the one-point Laplacian is the
-    1x1 zero matrix and ``|0 + 1| = 1``).  Intended for n up to ~13.
+    Each size is one call of the block log-det kernel that
+    ``subset_log_det`` uses, so table entries and single blocks agree to
+    rounding.  Entry 0 and all singleton masks are 0 (the one-point
+    Laplacian is the 1x1 zero matrix and ``|0 + 1| = 1``).  Intended for n
+    up to ~13.
     """
     logw = np.asarray(logw, dtype=float)
     n = logw.shape[0]
     out = np.zeros(1 << n)
     for m in range(2, n + 1):
         masks, idx = _masks_by_size(n, m)
-        sub = logw[idx[:, :, None], idx[:, None, :]]
-        diag = np.arange(m)
-        sub[:, diag, diag] = -np.inf  # diagonal is unused
-        iu = np.triu_indices(m, 1)
-        pair_vals = sub[:, iu[0], iu[1]]
-        scale = pair_vals.max(axis=1)
-        wide = (scale - pair_vals.min(axis=1)) > CHOLESKY_RANGE_NATS
-        if wide.any():
-            out[masks[wide]] = math.log(m) + _star_mesh_batch(sub[wide])
-        narrow = ~wide
-        if not narrow.any():
-            continue
-        w = np.exp(sub[narrow] - scale[narrow, None, None])
-        w[:, diag, diag] = 0.0
-        lap = -w
-        lap[:, diag, diag] = w.sum(axis=2)
-        try:
-            chol = np.linalg.cholesky(lap + 1.0 / m)
-            logdets = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-            out[masks[narrow]] = logdets + (m - 1) * scale[narrow]
-        except np.linalg.LinAlgError:
-            out[masks[narrow]] = math.log(m) + _star_mesh_batch(sub[narrow])
+        out[masks] = _block_log_dets(logw[idx[:, :, None], idx[:, None, :]])
     return out
 
 
@@ -331,18 +318,20 @@ class LogDetCache:
 
     Shared by the exact-posterior machinery and the MCMC sampler so both
     price blocks identically.  ``precompute_all`` fills the full table for
-    small n in one batched pass.
+    small n in one batched pass, once per cache.
     """
 
     def __init__(self, logw: np.ndarray):
         self.logw = np.asarray(logw, dtype=float)
         self.n = self.logw.shape[0]
         self._cache: dict[int, float] = {0: 0.0}
+        self._table: np.ndarray | None = None
 
     def precompute_all(self) -> np.ndarray:
-        table = all_block_log_dets(self.logw)
-        self._cache = {mask: float(table[mask]) for mask in range(1 << self.n)}
-        return table
+        if self._table is None:
+            self._table = all_block_log_dets(self.logw)
+            self._cache = {mask: float(self._table[mask]) for mask in range(1 << self.n)}
+        return self._table
 
     def get(self, mask: int) -> float:
         val = self._cache.get(mask)

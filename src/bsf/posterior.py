@@ -330,10 +330,13 @@ def exact_posterior(data: Dataset, cfg: BsfConfig, max_K: int | None = None,
 
 
 def iter_class_weights(data: Dataset, cfg: BsfConfig, max_K: int | None = None,
-                       only_K: int | None = None):
+                       only_K: int | None = None, weights: BlockWeights | None = None):
     """Stream ``(partition, log_class_weight)`` in RGS order without
-    retaining anything; pair with a precomputed normalizer for big tables."""
-    weights = BlockWeights(data, cfg)
+    retaining anything; pair with a precomputed normalizer for big tables.
+    Passing the ``weights`` an ``exact_posterior`` call used reuses its
+    block table."""
+    if weights is None:
+        weights = BlockWeights(data, cfg)
     block_table = weights.precompute()
     k_cap = data.n if max_K is None else min(max_K, data.n)
     if only_K is not None:

@@ -26,6 +26,7 @@ from .linalg import (
     shifted_spectrum,
     spanning_tree_log_weights,
     spanning_tree_weight_bruteforce,
+    subset_log_det,
 )
 from .partitions import canonicalize
 
@@ -161,7 +162,7 @@ def verify_ratio_bound_coarse(trials: int = DEFAULT_TRIALS, seed: int = 0) -> Le
             np.fill_diagonal(logw, 0.0)
             part = canonicalize(_random_partition_labels(rng, n, k))
             lhs = sum(
-                _block_log_det(logw, block) for block in part.blocks()
+                subset_log_det(logw, block) for block in part.blocks()
             ) - log_det_L_plus_J(laplacian_from_log_weights(logw))
             rhs = -(part.K - 1) * math.log(n * gamma)
             yield t, float(lhs - rhs)
@@ -191,7 +192,7 @@ def verify_ratio_bound_fine(trials: int = DEFAULT_TRIALS, seed: int = 0) -> Lemm
             logw = np.log(w + np.eye(n))
             np.fill_diagonal(logw, 0.0)
             lhs = log_det_L_plus_J(laplacian_from_log_weights(logw)) - sum(
-                _block_log_det(logw, block) for block in part.blocks()
+                subset_log_det(logw, block) for block in part.blocks()
             )
             rhs = (part.K - 1) * math.log(n * eps)
             for block in part.blocks():
@@ -207,13 +208,6 @@ def verify_ratio_bound_fine(trials: int = DEFAULT_TRIALS, seed: int = 0) -> Lemm
             yield t, float(lhs - rhs)
 
     return _report("ratio-fine", trials, LOG_TOL, violations())
-
-
-def _block_log_det(logw: np.ndarray, block) -> float:
-    if len(block) == 1:
-        return 0.0
-    sub = logw[np.ix_(block, block)]
-    return log_det_L_plus_J(laplacian_from_log_weights(sub))
 
 
 def verify_forest_factorization(trials: int = DEFAULT_TRIALS, seed: int = 0,
@@ -244,18 +238,11 @@ def verify_forest_factorization(trials: int = DEFAULT_TRIALS, seed: int = 0,
 def _concat_forest_log_weight(logw: np.ndarray, part) -> float:
     total = 0.0
     for block in part.blocks():
-        total += _minor_or_zero(logw, block)
+        total += subset_log_det(logw, block) - math.log(len(block))
     coarse = coarsened_laplacian(logw, part)
     if coarse.n >= 2:
         total += log_det_minor(coarse)
     return total
-
-
-def _minor_or_zero(logw: np.ndarray, block) -> float:
-    if len(block) == 1:
-        return 0.0
-    sub = logw[np.ix_(block, block)]
-    return log_det_minor(laplacian_from_log_weights(sub))
 
 
 def _concat_forest_bruteforce(logw: np.ndarray, part) -> float | None:

@@ -100,6 +100,20 @@ def test_zero_snr_has_near_maximal_misclassification():
     assert medians[20.0] == 0.0
 
 
+def test_inapplicable_bound_aggregates_as_satisfied():
+    # at SNR 0 the bound never drops below n, so no replicate applies; the
+    # aggregate must still be a number, or identical runs compare unequal
+    first, second = (
+        misclassification_experiment(
+            TWO_CLUSTERS, BandwidthRule(0.2), [0.0], n=6, replicates=2, master_seed=0
+        )
+        for _ in range(2)
+    )
+    assert first == second
+    agg = first[1][0]
+    assert agg["bound_below_n_rate"] == 0.0 and agg["within_bound_rate"] == 1.0
+
+
 def test_posterior_odds_respect_concentration_bound():
     # separated two-cluster data: wherever the surrogate bound is finite
     # (n eps <= gamma under the true clustering), the exact posterior odds

@@ -1,19 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from bsf.data import dataset_from_euclidean
-from bsf.kernels import EUCLIDEAN_GAUSSIAN, KernelSpec
 from bsf.linalg import (
     all_block_log_dets,
     all_spanning_tree_edges,
-    build_laplacian,
     coarsened_laplacian,
     laplacian_from_log_weights,
     log_det_L_plus_J,
     log_det_minor,
-    log_minor_star_mesh,
     shifted_spectrum,
     spanning_tree_weight_bruteforce,
     subset_log_det,
@@ -30,12 +29,23 @@ def random_logw(rng, n, low=0.1, high=2.0):
 
 
 def test_singleton_laplacian():
-    data = dataset_from_euclidean([[0.0], [1.0]])
-    lap = build_laplacian(data, [0], KernelSpec(EUCLIDEAN_GAUSSIAN, sigma=1.0))
+    lap = laplacian_from_log_weights(np.zeros((1, 1)))
     assert lap.n == 1 and lap.log_scale == 0.0
     assert np.array_equal(lap.scaled, np.zeros((1, 1)))
+    assert subset_log_det(np.zeros((2, 2)), [1]) == 0.0
     with pytest.raises(ValueError):
-        build_laplacian(data, [], KernelSpec(EUCLIDEAN_GAUSSIAN, sigma=1.0))
+        subset_log_det(np.zeros((2, 2)), [])
+
+
+def test_laplacian_of_vanishing_weights_has_no_overflow():
+    # every weight below e^-709: the unused diagonal must not reach exp
+    logw = np.full((3, 3), -800.0)
+    np.fill_diagonal(logw, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        lap = laplacian_from_log_weights(logw)
+    assert lap.log_scale == -800.0
+    assert np.array_equal(lap.scaled, 3.0 * np.eye(3) - 1.0)
 
 
 def test_two_point_laplacian_unscales_to_weight():
@@ -156,15 +166,36 @@ def test_coarsened_laplacian():
     assert quad.dense()[0, 1] == pytest.approx(-4.0, abs=1e-12)
 
 
-def test_star_mesh_matches_cholesky_and_trees(rng):
-    for _ in range(30):
-        n = int(rng.integers(2, 9))
-        logw = random_logw(rng, n)
-        sm = log_minor_star_mesh(logw)
-        assert sm == pytest.approx(spanning_tree_weight_bruteforce(logw), abs=1e-9)
-        assert math.log(n) + sm == pytest.approx(
-            subset_log_det(logw, range(n)), abs=1e-9
-        )
+@given(
+    m=st.integers(2, 8),
+    span=st.floats(0.0, 1500.0),
+    bridged=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=6, span=29.0, bridged=True, seed=0)  # dense float Cholesky is off by 1.5e-6 here
+@example(m=8, span=1500.0, bridged=True, seed=1)  # past float underflow: the log-domain hand-off
+@example(m=7, span=1500.0, bridged=False, seed=2)
+def test_block_log_dets_match_spanning_trees_at_any_range(m, span, bridged, seed):
+    # log weights in [-span, 0]; bridged blocks are two tight groups whose
+    # cross weights sit at the bottom of that range
+    rng = np.random.default_rng(seed)
+    if bridged:
+        group = rng.integers(0, 2, size=m)
+        cross = group[:, None] != group[None, :]
+        depth = np.where(cross, rng.uniform(0.9, 1.0, (m, m)), rng.uniform(0.0, 0.1, (m, m)))
+    else:
+        depth = rng.uniform(0.0, 1.0, (m, m))
+    depth = np.triu(depth, 1)
+    logw = -span * (depth + depth.T)
+    expect = math.log(m) + spanning_tree_weight_bruteforce(logw)
+    assert subset_log_det(logw, range(m)) == pytest.approx(expect, abs=1e-9)
+    table = all_block_log_dets(logw)
+    for mask in range(1, 1 << m):
+        members = [i for i in range(m) if mask >> i & 1]
+        k = len(members)
+        block = logw[np.ix_(members, members)]
+        expect = 0.0 if k == 1 else math.log(k) + spanning_tree_weight_bruteforce(block)
+        assert table[mask] == pytest.approx(expect, abs=1e-9)
 
 
 def test_extreme_weight_ranges_stay_finite_and_factorized():
