@@ -19,7 +19,6 @@ from .posterior import (
     log_class_weight,
     log_labeled_weight,
     log_posterior_ratio,
-    map_partition,
 )
 from .sampler import ChainSummary, run_chain
 
@@ -40,7 +39,6 @@ __all__ = [
     "log_class_weight",
     "log_labeled_weight",
     "log_posterior_ratio",
-    "map_partition",
     "ChainSummary",
     "run_chain",
 ]

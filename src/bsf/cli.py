@@ -15,10 +15,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
 import sys
+
+import numpy as np
 
 from .data import (
     EUCLIDEAN,
@@ -46,7 +49,7 @@ from .oracle import (
     generate_gaussian,
     generate_spd,
 )
-from .posterior import BlockWeights, BsfConfig, exact_posterior, iter_class_weights
+from .posterior import BlockWeights, BsfConfig, class_weight_chunks, exact_posterior
 from .sampler import run_chain
 from .theory import DEFAULT_TRIALS, run_all
 
@@ -73,7 +76,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: str, columns, rows) -> None:
+def write_csv(path: str, columns, rows=(), chunks=()) -> None:
+    """Write ``rows`` (sequences or dicts keyed by column), formatting each
+    value, then ``chunks``: iterables of rows whose fields are already
+    strings.  Each chunk is dropped before the next one is made."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
@@ -82,6 +88,27 @@ def write_csv(path: str, columns, rows) -> None:
                 writer.writerow([_fmt(row[c]) for c in columns])
             else:
                 writer.writerow([_fmt(v) for v in row])
+        writer.writerows(itertools.chain.from_iterable(chunks))
+
+
+def _table_chunks(chunks, n: int, log_normalizer: float):
+    """Posterior table rows, formatted as :func:`write_csv` formats them, one
+    iterable per chunk of :func:`class_weight_chunks`."""
+    fmt = "{:.17g}".format
+    # A row's text is "0" followed by ",label" per later point.  Column 0,
+    # always label 0, is overwritten with a row separator, so one
+    # str.translate over the chunk's bytes builds every row's string.
+    sep = 0xFF
+    label_text = {lab: f",{lab}" for lab in range(n)}
+    label_text[sep] = "\n0"
+    for labels, ks, lws in chunks:
+        text = labels.astype(np.uint8)
+        text[:, 0] = sep
+        # only the zip holds the chunk's strings, so they are freed before
+        # the next chunk is made
+        yield zip(text.tobytes().decode("latin-1").translate(label_text).split("\n")[1:],
+                  map(str, ks.tolist()), map(fmt, lws.tolist()),
+                  map(fmt, map(math.exp, (lws - log_normalizer).tolist())))
 
 
 def _load_config(path: str) -> dict:
@@ -280,13 +307,10 @@ def cmd_exact(args) -> int:
     out = _ensure_out(args.out)
     weights = BlockWeights(data, model)
     table = exact_posterior(data, model, max_K=max_k, retain=False, weights=weights)
-
-    def entry_rows():
-        for part, lw in iter_class_weights(data, model, max_K=max_k, weights=weights):
-            yield (part.to_string(), part.K, lw, math.exp(lw - table.log_normalizer))
-
+    chunks = class_weight_chunks(weights.precompute(), data.n, max_K=max_k)
     write_csv(os.path.join(out, "posterior_table.csv"),
-              ("partition_rgs", "K", "log_weight", "probability"), entry_rows())
+              ("partition_rgs", "K", "log_weight", "probability"),
+              chunks=_table_chunks(chunks, data.n, table.log_normalizer))
     write_csv(os.path.join(out, "k_marginals.csv"), ("K", "probability"),
               sorted(table.k_marginals().items()))
     write_csv(os.path.join(out, "map_partition.csv"),

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 ENUM_CAP = 13  # Bell(13) ~ 2.8e7
+RGS_CHUNK_ROWS = 1 << 11  # bounds the memory of one label chunk and its weights
 
 
 @dataclass(frozen=True)
@@ -94,34 +95,62 @@ def one_block(n: int) -> Partition:
     return Partition((0,) * n)
 
 
-def enumerate_partitions(n: int, max_K: int | None = None) -> Iterator[Partition]:
-    """Yield every equivalence class exactly once, in RGS lexicographic order.
+def rgs_chunks(n: int, k_cap: int | None = None) -> Iterator[np.ndarray]:
+    """Yield every restricted growth string of length ``n`` with at most
+    ``k_cap`` blocks, in lexicographic order, as ``(rows, n)`` label arrays
+    of at most ``RGS_CHUNK_ROWS`` rows (or ``k_cap`` rows, if larger).
 
-    With ``max_K`` the stream is restricted to partitions with at most that
-    many blocks (Stirling counts summed up to the bound).
+    Prefixes grow one position at a time: a prefix whose labels span
+    ``0..p-1`` is repeated once per admissible next label ``0..min(p,
+    k_cap - 1)``, in increasing order, so the rows stay sorted.  When a step
+    would exceed the chunk bound the prefixes are split into runs whose
+    children fit, and each run is grown on its own, first to last.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if n > ENUM_CAP:
         raise ValueError(f"enumeration capped at n <= {ENUM_CAP}")
-    cap = n if max_K is None else min(max_K, n)
+    cap = n if k_cap is None else min(k_cap, n)
     if cap < 1:
-        raise ValueError("max_K must be at least 1")
-    labels = [0] * n
-    peaks = [1] * n  # peaks[i] = 1 + max(labels[:i+1])
-    while True:
-        yield Partition(tuple(labels))
-        # find rightmost position that can still be incremented
-        i = n - 1
-        while i > 0 and not (labels[i] < peaks[i - 1] and labels[i] + 1 < cap):
-            i -= 1
-        if i == 0:
+        raise ValueError("k_cap must be at least 1")
+    labels = np.zeros((1, n), dtype=np.int8)
+    peaks = np.ones(1, dtype=np.int64)  # number of blocks in each prefix
+    yield from _grow(labels, peaks, 1, cap)
+
+
+def _grow(labels: np.ndarray, peaks: np.ndarray, pos: int, cap: int) -> Iterator[np.ndarray]:
+    n = labels.shape[1]
+    while pos < n:
+        counts = np.minimum(peaks + 1, cap)
+        ends = np.cumsum(counts)
+        if ends[-1] > RGS_CHUNK_ROWS and len(labels) > 1:
+            start = 0
+            while start < len(labels):
+                base = ends[start - 1] if start else 0
+                stop = max(int(np.searchsorted(ends, base + RGS_CHUNK_ROWS, side="right")),
+                           start + 1)
+                yield from _grow(labels[start:stop], peaks[start:stop], pos, cap)
+                start = stop
             return
-        labels[i] += 1
-        peaks[i] = max(peaks[i - 1], labels[i] + 1)
-        for j in range(i + 1, n):
-            labels[j] = 0
-            peaks[j] = peaks[i]
+        # child j of a prefix takes label j: the offset of each row in its run
+        child = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+        labels = np.repeat(labels, counts, axis=0)
+        labels[:, pos] = child
+        peaks = np.maximum(np.repeat(peaks, counts), child + 1)
+        pos += 1
+    yield labels
+
+
+def enumerate_partitions(n: int, max_K: int | None = None) -> Iterator[Partition]:
+    """Yield every equivalence class exactly once, in RGS lexicographic order.
+
+    With ``max_K`` the stream is restricted to partitions with at most that
+    many blocks (Stirling counts summed up to the bound).  One ``Partition``
+    per row of :func:`rgs_chunks`; bulk consumers read the label chunks.
+    """
+    for chunk in rgs_chunks(n, max_K):
+        for row in chunk.tolist():
+            yield Partition(tuple(row))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,14 @@ equivalence classes.
 Exact normalizers, K-marginals, and MAP partitions are computed with a
 set-partition dynamic program over subset bitmasks (O(3^n) terms), which
 stays exact far beyond the point where enumerating Bell(n) classes is
-practical; full per-class tables are materialized on request.
+practical.  The MAP is the max-DP walk-back, which breaks ties to the
+lexicographically smallest restricted growth string.
+
+Per-class tables come from one enumeration core, :func:`class_weight_chunks`:
+bounded chunks of RGS label rows from :func:`bsf.partitions.rgs_chunks`,
+weighed by gathering block masks from the dense block table.  It feeds both
+the retained entries of :func:`exact_posterior` and the streamed table of
+``bsf exact``.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import numpy as np
 from .data import Dataset
 from .kernels import KernelSpec, RootKernel, log_weight_matrix
 from .linalg import LogDetCache, anchored_subset_pairs
-from .partitions import Partition, enumerate_partitions
+from .partitions import Partition, rgs_chunks
 
 DEFAULT_ENUM_CAP = 12
 
@@ -102,7 +109,12 @@ class BlockWeights:
         return self.dets.fresh(mask) + self._const
 
     def labeled(self, partition: Partition) -> float:
-        return sum(self.block(mask) for mask in partition.block_masks())
+        # left to right on purpose: sum() compensates floats on Python >= 3.12
+        masks = partition.block_masks()
+        total = self.block(masks[0])
+        for mask in masks[1:]:
+            total += self.block(mask)
+        return total
 
     def class_weight(self, partition: Partition) -> float:
         return math.lgamma(partition.K + 1) + self.labeled(partition)
@@ -176,7 +188,13 @@ def _partition_dp(block_table: np.ndarray, n: int, k_max: int,
 def _reconstruct_map(block_table: np.ndarray, max_table: np.ndarray,
                      n: int, k: int) -> Partition:
     """Walk the max-DP back pointers; blocks come out in order of their
-    minima, which yields the restricted-growth labeling directly."""
+    minima, which yields the restricted-growth labeling directly.
+
+    Among tied first blocks, the one holding the lowest point of their
+    symmetric difference wins: that point takes the current label there and
+    a larger one otherwise, so the walk returns the lexicographically
+    smallest RGS among the K-block maximizers.
+    """
     labels = [0] * n
     s_mask = (1 << n) - 1
     for depth in range(k, 0, -1):
@@ -188,7 +206,9 @@ def _reconstruct_map(block_table: np.ndarray, max_table: np.ndarray,
         while True:
             t_mask = anchor | sub
             if block_table[t_mask] + max_table[depth - 1, s_mask ^ t_mask] == target:
-                chosen = t_mask if chosen is None else min(chosen, t_mask)
+                diff = t_mask if chosen is None else chosen ^ t_mask
+                if t_mask & diff & -diff:
+                    chosen = t_mask
             if sub == 0:
                 break
             sub = (sub - 1) & rest
@@ -198,6 +218,55 @@ def _reconstruct_map(block_table: np.ndarray, max_table: np.ndarray,
                 labels[i] = label
         s_mask ^= chosen
     return Partition(tuple(labels))
+
+
+def _map_partition(block_table: np.ndarray, n: int, allowed: list[int]) -> tuple[Partition, float]:
+    """Highest-weight class over the allowed block counts and its log class
+    weight; ties break to the lexicographically smallest RGS."""
+    max_table = _partition_dp(block_table, n, max(allowed), "max")
+    full = (1 << n) - 1
+    lws = {k: math.lgamma(k + 1) + max_table[k, full] for k in allowed}
+    best = max(lws.values())
+    tied = (_reconstruct_map(block_table, max_table, n, k) for k, lw in lws.items() if lw == best)
+    return min(tied, key=lambda part: part.labels), best
+
+
+def _class_log_weights(labels: np.ndarray, block_table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Block counts and log class weights of a chunk of RGS rows.
+
+    Blocks are summed left to right in order of their minima and ``log K!``
+    is added last, the order of :meth:`BlockWeights.class_weight`, so both
+    give the same floats.
+    """
+    rows, n = labels.shape
+    K = labels.max(axis=1).astype(np.int64) + 1
+    masks = np.zeros((rows, int(K.max())), dtype=np.int64)
+    at = np.arange(rows)
+    for i in range(n):
+        masks[at, labels[:, i]] |= 1 << i
+    lw = block_table[masks[:, 0]]
+    for b in range(1, masks.shape[1]):
+        np.add(lw, block_table[masks[:, b]], out=lw, where=K > b)
+    log_k_factorial = np.array([math.lgamma(k + 1) for k in range(masks.shape[1] + 1)])
+    return K, log_k_factorial[K] + lw
+
+
+def _k_cap(n: int, max_K: int | None, only_K: int | None) -> int:
+    if only_K is not None:
+        return min(only_K, n)
+    return n if max_K is None else min(max_K, n)
+
+
+def class_weight_chunks(block_table: np.ndarray, n: int, max_K: int | None = None,
+                        only_K: int | None = None):
+    """Yield ``(labels, K, log_class_weight)`` arrays for every allowed class,
+    in RGS order, one bounded chunk of :func:`rgs_chunks` at a time."""
+    for labels in rgs_chunks(n, _k_cap(n, max_K, only_K)):
+        K, lw = _class_log_weights(labels, block_table)
+        if only_K is not None:
+            keep = K == only_K
+            labels, K, lw = labels[keep], K[keep], lw[keep]
+        yield labels, K, lw
 
 
 @dataclass
@@ -245,16 +314,11 @@ class PosteriorTable:
         return self.entries[idx].probability if idx is not None else 0.0
 
 
-def map_partition(table: PosteriorTable) -> Partition:
-    """Highest-probability class; ties break to the lexicographically
-    smallest restricted growth string."""
-    return table.map_partition
-
-
 def exact_posterior(data: Dataset, cfg: BsfConfig, max_K: int | None = None,
                     only_K: int | None = None, retain: bool | None = None,
                     weights: BlockWeights | None = None) -> PosteriorTable:
-    """Normalize class weights over every equivalence class by enumeration.
+    """Normalizer, K-marginals and MAP over every equivalence class, from the
+    subset DPs; per-class entries come from the enumeration core.
 
     ``max_K`` restricts to classes with at most that many blocks; ``only_K``
     to exactly that many (the known-cluster-count regime).  Entries are
@@ -266,11 +330,9 @@ def exact_posterior(data: Dataset, cfg: BsfConfig, max_K: int | None = None,
     if only_K is not None:
         if max_K is not None and max_K < only_K:
             raise ValueError("max_K is below only_K")
-        k_cap = min(only_K, n)
-        allowed = [k_cap] if only_K <= n else []
+        allowed = [only_K] if only_K <= n else []
     else:
-        k_cap = n if max_K is None else min(max_K, n)
-        allowed = list(range(1, k_cap + 1))
+        allowed = list(range(1, _k_cap(n, max_K, None) + 1))
     if not allowed:
         raise ValueError("no admissible number of blocks")
     if retain is None:
@@ -280,7 +342,7 @@ def exact_posterior(data: Dataset, cfg: BsfConfig, max_K: int | None = None,
         weights = BlockWeights(data, cfg)
     block_table = weights.precompute()
 
-    sum_table = _partition_dp(block_table, n, k_cap, "sum")
+    sum_table = _partition_dp(block_table, n, max(allowed), "sum")
     full = (1 << n) - 1
     k_log_weights = {
         k: math.lgamma(k + 1) + sum_table[k, full]
@@ -288,34 +350,15 @@ def exact_posterior(data: Dataset, cfg: BsfConfig, max_K: int | None = None,
         if sum_table[k, full] > NEG_INF
     }
     log_normalizer = _logsumexp(np.array(list(k_log_weights.values())))
-
-    max_table = _partition_dp(block_table, n, k_cap, "max")
-    best_lw = NEG_INF
-    best_k = None
-    for k in allowed:
-        lw = math.lgamma(k + 1) + max_table[k, full]
-        if lw > best_lw:
-            best_lw = lw
-            best_k = k
-    map_part = _reconstruct_map(block_table, max_table, n, best_k)
-    map_lw = best_lw
+    map_part, map_lw = _map_partition(block_table, n, allowed)
 
     entries = None
     if retain:
-        entries = []
-        best_seen = NEG_INF
-        for part in enumerate_partitions(n, max_K=k_cap):
-            if only_K is not None and part.K != only_K:
-                continue
-            lw = math.lgamma(part.K + 1) + sum(
-                block_table[mask] for mask in part.block_masks()
-            )
-            entries.append(PosteriorEntry(part, lw, math.exp(lw - log_normalizer)))
-            # lexicographic tie rule: strict improvement only
-            if lw > best_seen:
-                best_seen = lw
-                map_part = part
-                map_lw = lw
+        entries = [
+            PosteriorEntry(Partition(tuple(row)), lw, math.exp(lw - log_normalizer))
+            for labels, _, lws in class_weight_chunks(block_table, n, max_K, only_K)
+            for row, lw in zip(labels.tolist(), lws.tolist())
+        ]
 
     return PosteriorTable(
         n=n,
@@ -327,25 +370,6 @@ def exact_posterior(data: Dataset, cfg: BsfConfig, max_K: int | None = None,
         max_K=max_K,
         only_K=only_K,
     )
-
-
-def iter_class_weights(data: Dataset, cfg: BsfConfig, max_K: int | None = None,
-                       only_K: int | None = None, weights: BlockWeights | None = None):
-    """Stream ``(partition, log_class_weight)`` in RGS order without
-    retaining anything; pair with a precomputed normalizer for big tables.
-    Passing the ``weights`` an ``exact_posterior`` call used reuses its
-    block table."""
-    if weights is None:
-        weights = BlockWeights(data, cfg)
-    block_table = weights.precompute()
-    k_cap = data.n if max_K is None else min(max_K, data.n)
-    if only_K is not None:
-        k_cap = min(only_K, data.n)
-    for part in enumerate_partitions(data.n, max_K=k_cap):
-        if only_K is not None and part.K != only_K:
-            continue
-        lw = math.lgamma(part.K + 1) + sum(block_table[mask] for mask in part.block_masks())
-        yield part, lw
 
 
 def expected_hamming(table: PosteriorTable, truth: Partition) -> float:

@@ -288,7 +288,7 @@ def run_chain(data: Dataset, cfg: BsfConfig, iters: int, burnin: int, thin: int,
 # the exact transition law against the enumerated posterior.
 
 
-def _class_index(n: int, max_n: int = 8):
+def _class_index(n: int):
     classes = list(enumerate_partitions(n))
     index = {p.labels: i for i, p in enumerate(classes)}
     return classes, index

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -5,9 +7,12 @@ import os
 import numpy as np
 import pytest
 
+from bsf import partitions
 from bsf.cli import main
 from bsf.data import read_euclidean_csv, read_matrix_stack, write_matrix_stack
 from bsf.kernels import EUCLIDEAN_GAUSSIAN, KernelSpec, log_gaussian_kernel
+from bsf.partitions import Partition
+from bsf.posterior import BlockWeights, BsfConfig, exact_posterior
 
 
 def write_json(path, payload):
@@ -59,6 +64,60 @@ def test_exact_max_k_restriction(tmp_path, toy_csv):
     rows = (out / "posterior_table.csv").read_text().splitlines()
     assert len(rows) == 2
     assert float(rows[1].rsplit(",", 1)[1]) == pytest.approx(1.0, abs=1e-12)
+
+
+def _rgs_recursive(n, cap, prefix=(0,)):
+    if len(prefix) == n:
+        yield prefix
+        return
+    for lab in range(min(max(prefix) + 2, cap)):
+        yield from _rgs_recursive(n, cap, prefix + (lab,))
+
+
+def _reference_table(data, cfg, max_k):
+    """posterior_table.csv rebuilt one partition at a time."""
+    weights = BlockWeights(data, cfg)
+    weights.precompute()  # the reference reads the block table the CLI reads
+    log_norm = exact_posterior(data, cfg, max_K=max_k, retain=False,
+                               weights=weights).log_normalizer
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("partition_rgs", "K", "log_weight", "probability"))
+    for labels in _rgs_recursive(data.n, data.n if max_k is None else max_k):
+        part = Partition(labels)
+        masks = part.block_masks()
+        total = weights.block(masks[0])
+        for mask in masks[1:]:  # left to right, as Python 3.11's sum() adds
+            total += weights.block(mask)
+        lw = math.lgamma(part.K + 1) + total
+        assert lw == weights.class_weight(part)
+        writer.writerow((",".join(map(str, labels)), str(part.K), format(lw, ".17g"),
+                         format(math.exp(lw - log_norm), ".17g")))
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("n, max_k", [(1, None), (2, None), (7, None), (7, 2)])
+def test_exact_table_bytes_match_reference(tmp_path, monkeypatch, n, max_k):
+    # a tiny chunk bound makes the table cross many chunk boundaries
+    monkeypatch.setattr(partitions, "RGS_CHUNK_ROWS", 5)
+    points = tmp_path / "points.csv"
+    rows = np.random.default_rng(n).normal(size=(n, 2))
+    points.write_text("".join(",".join(format(x, ".17g") for x in r) + "\n" for r in rows))
+    cfg_path = tmp_path / "exact.json"
+    write_json(cfg_path, {"data": str(points),
+                          "kernel": {"family": "euclidean-gaussian", "sigma": 1.0},
+                          "log_delta_lambda": -1.5})
+    out = tmp_path / "out"
+    argv = ["exact", "--config", str(cfg_path), "--out", str(out)]
+    if max_k is not None:
+        argv += ["--max-k", str(max_k)]
+    assert main(argv) == 0
+    data = read_euclidean_csv(points)
+    cfg = BsfConfig(kernel=KernelSpec(EUCLIDEAN_GAUSSIAN, sigma=1.0), log_lambda=-1.5)
+    got = (out / "posterior_table.csv").read_bytes()
+    assert got == _reference_table(data, cfg, max_k)
+    if n == 1:
+        assert got.splitlines()[1].startswith(b"0,1,")  # a one-label RGS is not quoted
 
 
 def test_exit_codes(tmp_path, toy_csv, capsys):

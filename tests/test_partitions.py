@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bsf import partitions
 from bsf.partitions import (
     Partition,
     canonicalize,
@@ -14,6 +15,7 @@ from bsf.partitions import (
     is_refinement,
     one_block,
     refinement_cells,
+    rgs_chunks,
     singletons,
 )
 
@@ -76,6 +78,45 @@ def test_enumeration_is_lexicographic_and_unique():
     labels = [p.labels for p in seen]
     assert labels == sorted(labels)
     assert len(set(labels)) == len(labels)
+
+
+def _successor_rgs(n, cap):
+    """Restricted growth strings by the classic successor rule: bump the
+    rightmost label that may grow, reset everything after it to 0."""
+    labels = [0] * n
+    peaks = [1] * n  # peaks[i] = 1 + max(labels[:i+1])
+    while True:
+        yield tuple(labels)
+        i = n - 1
+        while i > 0 and not (labels[i] < peaks[i - 1] and labels[i] + 1 < cap):
+            i -= 1
+        if i == 0:
+            return
+        labels[i] += 1
+        peaks[i] = max(peaks[i - 1], labels[i] + 1)
+        for j in range(i + 1, n):
+            labels[j] = 0
+            peaks[j] = peaks[i]
+
+
+@pytest.mark.parametrize("chunk_rows", [3, 50])
+def test_rgs_chunks_match_successor_order(monkeypatch, chunk_rows):
+    monkeypatch.setattr(partitions, "RGS_CHUNK_ROWS", chunk_rows)
+    for n in range(1, 10):
+        caps = range(1, n + 1) if n < 9 else (1, 2, 5, 9)
+        for cap in caps:
+            chunks = list(rgs_chunks(n, cap))
+            assert all(0 < len(c) <= max(chunk_rows, cap) for c in chunks)
+            labels = np.concatenate(chunks)
+            assert labels.shape[1] == n
+            assert [tuple(r) for r in labels.tolist()] == list(_successor_rgs(n, cap)), (n, cap)
+            # every row is a restricted growth string
+            peak = np.maximum.accumulate(labels, axis=1)
+            assert (labels[:, 0] == 0).all()
+            assert (labels[:, 1:] <= peak[:, :-1] + 1).all()
+            ks = np.bincount(peak[:, -1] + 1, minlength=n + 1)
+            for k in range(1, n + 1):
+                assert ks[k] == (stirling2(n, k) if k <= cap else 0), (n, cap, k)
 
 
 def test_refinement_cells_examples():

@@ -10,13 +10,12 @@ from bsf.partitions import Partition, canonicalize, enumerate_partitions, single
 from bsf.posterior import (
     BlockWeights,
     BsfConfig,
+    class_weight_chunks,
     exact_posterior,
     expected_hamming,
-    iter_class_weights,
     log_class_weight,
     log_labeled_weight,
     log_posterior_ratio,
-    map_partition,
 )
 
 SPEC = KernelSpec(EUCLIDEAN_GAUSSIAN, sigma=1.0)
@@ -46,7 +45,7 @@ def test_two_point_class_ratio_and_posterior():
     probs = {e.partition.labels: e.probability for e in table.entries}
     assert probs[(0, 0)] == pytest.approx(0.9, abs=1e-12)
     assert probs[(0, 1)] == pytest.approx(0.1, abs=1e-12)
-    assert map_partition(table).labels == (0, 0)
+    assert table.map_partition.labels == (0, 0)
 
 
 def test_all_singletons_weight():
@@ -111,7 +110,7 @@ def test_map_tie_breaks_to_lexicographic_smallest():
     data = dataset_from_euclidean(pts)
     cfg = BsfConfig.from_values(SPEC, lam=0.5)
     table = exact_posterior(data, cfg, only_K=2)
-    assert map_partition(table).labels == (0, 0, 1)
+    assert table.map_partition.labels == (0, 0, 1)
 
 
 def test_posterior_ratio_properties():
@@ -204,14 +203,74 @@ def test_streaming_weights_match_table():
     rng = np.random.default_rng(12)
     data = dataset_from_euclidean(rng.normal(size=(6, 1)))
     cfg = BsfConfig.from_values(SPEC, lam=0.5)
-    table = exact_posterior(data, cfg)
-    streamed = dict()
-    for part, lw in iter_class_weights(data, cfg):
-        streamed[part.labels] = lw
-    for entry in table.entries:
-        assert streamed[entry.partition.labels] == pytest.approx(
-            entry.log_class_weight, abs=1e-12
-        )
+    weights = BlockWeights(data, cfg)
+    table = exact_posterior(data, cfg, weights=weights)
+    block_table = weights.precompute()
+    streamed = [
+        (tuple(row), k, lw)
+        for labels, ks, lws in class_weight_chunks(block_table, 6)
+        for row, k, lw in zip(labels.tolist(), ks.tolist(), lws.tolist())
+    ]
+    assert [row for row, _, _ in streamed] == [e.partition.labels for e in table.entries]
+    for (row, k, lw), entry in zip(streamed, table.entries):
+        # the vectorized core reproduces the per-partition floats exactly
+        assert k == entry.partition.K
+        assert lw == entry.log_class_weight == weights.class_weight(entry.partition)
+    only = [tuple(row) for labels, _, _ in class_weight_chunks(block_table, 6, only_K=3)
+            for row in labels.tolist()]
+    assert only == [row for row, k, _ in streamed if k == 3]
+    capped = [tuple(row) for labels, _, _ in class_weight_chunks(block_table, 6, max_K=2)
+              for row in labels.tolist()]
+    assert capped == [row for row, k, _ in streamed if k <= 2]
+
+
+class _FixedTable:
+    """Stands in for BlockWeights with a given block table."""
+
+    def __init__(self, table):
+        self.table = np.asarray(table, dtype=float)
+
+    def precompute(self):
+        return self.table
+
+
+def _first_rgs_maximum(table, n):
+    """Brute force: the first maximum of the class weight in RGS order."""
+    best = None
+    for part in enumerate_partitions(n):
+        lw = math.lgamma(part.K + 1) + sum(int(table[m]) for m in part.block_masks())
+        if best is None or lw > best[1]:
+            best = (part.labels, lw)
+    return best
+
+
+def test_map_ties_follow_rgs_order_on_integer_tables():
+    # integer block weights sum exactly in any order, so ties are exact
+    rng = np.random.default_rng(14)
+    for n in range(3, 7):
+        data = dataset_from_euclidean(np.arange(float(n))[:, None])
+        cfg = BsfConfig.from_values(SPEC)
+        for _ in range(40):
+            table = rng.integers(-3, 4, size=1 << n)
+            labels, lw = _first_rgs_maximum(table, n)
+            for retain in (False, True):
+                post = exact_posterior(data, cfg, retain=retain, weights=_FixedTable(table))
+                assert post.map_partition.labels == labels, (n, table.tolist())
+                assert post.map_log_weight == lw
+
+
+def test_map_ties_across_block_counts_follow_rgs_order():
+    # {0}|{1,2,3} (K = 2) and {0,1}|{2}|{3} (K = 3) tie exactly; the K = 3
+    # class has the smaller restricted growth string
+    table = np.full(16, -100.0)
+    table[0b0001] = table[0b1110] = table[0b0100] = table[0b1000] = 0.0
+    table[0b0011] = math.lgamma(3) - math.lgamma(4)
+    assert math.lgamma(4) + table[0b0011] == math.lgamma(3)
+    data = dataset_from_euclidean(np.arange(4.0)[:, None])
+    post = exact_posterior(data, BsfConfig.from_values(SPEC), retain=False,
+                           weights=_FixedTable(table))
+    assert post.map_partition.labels == (0, 0, 1, 2)
+    assert post.map_log_weight == math.lgamma(3)
 
 
 def test_expected_hamming_and_block_weights_consistency():
