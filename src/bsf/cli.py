@@ -91,23 +91,37 @@ def write_csv(path: str, columns, rows=(), chunks=()) -> None:
         writer.writerows(itertools.chain.from_iterable(chunks))
 
 
-def _table_chunks(chunks, n: int, log_normalizer: float):
+def _rgs_strings(labels: np.ndarray) -> list[str]:
+    """Comma-joined text of each row of a chunk of RGS label rows.
+
+    Each label is stored in one byte, and one ``str.translate`` over the
+    chunk's text maps every label to ",label".  Column 0 always holds label
+    0; it is overwritten with a separator byte that maps to "\n0", and the
+    translated text is split at the newlines.  This needs every label below
+    the separator (n <= 255, far beyond any n whose Bell(n) rows can be
+    written), and the translate must come before the split: label 10 is the
+    byte of "\n".  On ``bsf exact`` at n = 10 it writes the table faster
+    than a ``",".join`` per row.
+    """
+    n = labels.shape[1]
+    sep = 0xFF
+    if n > sep:
+        raise ValueError(f"RGS text supports at most {sep} points, got {n}")
+    label_text = {lab: f",{lab}" for lab in range(n)}
+    label_text[sep] = "\n0"
+    text = labels.astype(np.uint8)
+    text[:, 0] = sep
+    return text.tobytes().decode("latin-1").translate(label_text).split("\n")[1:]
+
+
+def _table_chunks(chunks, log_normalizer: float):
     """Posterior table rows, formatted as :func:`write_csv` formats them, one
     iterable per chunk of :func:`class_weight_chunks`."""
     fmt = "{:.17g}".format
-    # A row's text is "0" followed by ",label" per later point.  Column 0,
-    # always label 0, is overwritten with a row separator, so one
-    # str.translate over the chunk's bytes builds every row's string.
-    sep = 0xFF
-    label_text = {lab: f",{lab}" for lab in range(n)}
-    label_text[sep] = "\n0"
     for labels, ks, lws in chunks:
-        text = labels.astype(np.uint8)
-        text[:, 0] = sep
         # only the zip holds the chunk's strings, so they are freed before
         # the next chunk is made
-        yield zip(text.tobytes().decode("latin-1").translate(label_text).split("\n")[1:],
-                  map(str, ks.tolist()), map(fmt, lws.tolist()),
+        yield zip(_rgs_strings(labels), map(str, ks.tolist()), map(fmt, lws.tolist()),
                   map(fmt, map(math.exp, (lws - log_normalizer).tolist())))
 
 
@@ -310,7 +324,7 @@ def cmd_exact(args) -> int:
     chunks = class_weight_chunks(weights.precompute(), data.n, max_K=max_k)
     write_csv(os.path.join(out, "posterior_table.csv"),
               ("partition_rgs", "K", "log_weight", "probability"),
-              chunks=_table_chunks(chunks, data.n, table.log_normalizer))
+              chunks=_table_chunks(chunks, table.log_normalizer))
     write_csv(os.path.join(out, "k_marginals.csv"), ("K", "probability"),
               sorted(table.k_marginals().items()))
     write_csv(os.path.join(out, "map_partition.csv"),

@@ -185,39 +185,41 @@ def _partition_dp(block_table: np.ndarray, n: int, k_max: int,
     return table
 
 
-def _reconstruct_map(block_table: np.ndarray, max_table: np.ndarray,
-                     n: int, k: int) -> Partition:
-    """Walk the max-DP back pointers; blocks come out in order of their
-    minima, which yields the restricted-growth labeling directly.
+def _smallest_map_labels(block_table: np.ndarray, max_table: np.ndarray, depth: int,
+                         s_mask: int, memo: dict) -> tuple[int, ...]:
+    """Walk the max-DP back pointers to the lexicographically smallest RGS
+    among the maximizing partitions of ``S`` into ``depth`` blocks.
 
-    Among tied first blocks, the one holding the lowest point of their
-    symmetric difference wins: that point takes the current label there and
-    a larger one otherwise, so the walk returns the lexicographically
-    smallest RGS among the K-block maximizers.
+    The result labels the points of ``S``, in increasing order, by blocks
+    numbered from 0 in order of their minima.  Two labelings that agree
+    outside ``S`` compare as these labels of ``S``, so each step keeps the
+    smallest over the tied first blocks, memoized per ``(depth, S)`` in
+    ``memo``.  Only tied branches are explored.
     """
-    labels = [0] * n
-    s_mask = (1 << n) - 1
-    for depth in range(k, 0, -1):
-        target = max_table[depth, s_mask]
-        anchor = s_mask & -s_mask
-        rest = s_mask ^ anchor
-        sub = rest
-        chosen = None
-        while True:
-            t_mask = anchor | sub
-            if block_table[t_mask] + max_table[depth - 1, s_mask ^ t_mask] == target:
-                diff = t_mask if chosen is None else chosen ^ t_mask
-                if t_mask & diff & -diff:
-                    chosen = t_mask
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        label = k - depth
-        for i in range(n):
-            if chosen >> i & 1:
-                labels[i] = label
-        s_mask ^= chosen
-    return Partition(tuple(labels))
+    if depth == 1:
+        return (0,) * s_mask.bit_count()
+    key = (depth, s_mask)
+    if key in memo:
+        return memo[key]
+    points = [i for i in range(s_mask.bit_length()) if s_mask >> i & 1]
+    target = max_table[depth, s_mask]
+    anchor = s_mask & -s_mask
+    rest = s_mask ^ anchor
+    sub = rest
+    best = None
+    while True:
+        t_mask = anchor | sub
+        r_mask = s_mask ^ t_mask
+        if block_table[t_mask] + max_table[depth - 1, r_mask] == target:
+            tail = iter(_smallest_map_labels(block_table, max_table, depth - 1, r_mask, memo))
+            labels = tuple(0 if t_mask >> i & 1 else 1 + next(tail) for i in points)
+            if best is None or labels < best:
+                best = labels
+        if sub == 0:
+            break
+        sub = (sub - 1) & rest
+    memo[key] = best
+    return best
 
 
 def _map_partition(block_table: np.ndarray, n: int, allowed: list[int]) -> tuple[Partition, float]:
@@ -227,8 +229,9 @@ def _map_partition(block_table: np.ndarray, n: int, allowed: list[int]) -> tuple
     full = (1 << n) - 1
     lws = {k: math.lgamma(k + 1) + max_table[k, full] for k in allowed}
     best = max(lws.values())
-    tied = (_reconstruct_map(block_table, max_table, n, k) for k, lw in lws.items() if lw == best)
-    return min(tied, key=lambda part: part.labels), best
+    tied = (_smallest_map_labels(block_table, max_table, k, full, {})
+             for k, lw in lws.items() if lw == best)
+    return Partition(min(tied)), best
 
 
 def _class_log_weights(labels: np.ndarray, block_table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -283,6 +286,12 @@ class PosteriorTable:
     ``entries`` covers every class in the allowed set when retained
     (RGS-lexicographic order) and is None otherwise; normalizer and
     K-marginals are always available from the dynamic program.
+
+    ``map_partition`` is the max-DP maximizer, ties broken to the
+    lexicographically smallest RGS.  The DP adds a class's blocks right to
+    left and the entries left to right, so two classes whose weights lie
+    within rounding of each other may rank differently in the two.  When
+    entries are retained, ``map_log_weight`` is the MAP entry's own weight.
     """
 
     n: int
@@ -359,6 +368,7 @@ def exact_posterior(data: Dataset, cfg: BsfConfig, max_K: int | None = None,
             for labels, _, lws in class_weight_chunks(block_table, n, max_K, only_K)
             for row, lw in zip(labels.tolist(), lws.tolist())
         ]
+        map_lw = next(e.log_class_weight for e in entries if e.partition.labels == map_part.labels)
 
     return PosteriorTable(
         n=n,

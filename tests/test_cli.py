@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bsf import partitions
-from bsf.cli import main
+from bsf.cli import _rgs_strings, main
 from bsf.data import read_euclidean_csv, read_matrix_stack, write_matrix_stack
 from bsf.kernels import EUCLIDEAN_GAUSSIAN, KernelSpec, log_gaussian_kernel
 from bsf.partitions import Partition
@@ -118,6 +118,13 @@ def test_exact_table_bytes_match_reference(tmp_path, monkeypatch, n, max_k):
     assert got == _reference_table(data, cfg, max_k)
     if n == 1:
         assert got.splitlines()[1].startswith(b"0,1,")  # a one-label RGS is not quoted
+
+
+def test_rgs_strings_with_two_digit_labels():
+    # label 10 is the byte of a newline; labels above 9 take two digits
+    rows = [list(range(12)), [0] * 12, [0, 1, 0, 2, 3, 4, 5, 6, 7, 8, 9, 10]]
+    assert _rgs_strings(np.array(rows, dtype=np.int64)) == [
+        ",".join(map(str, row)) for row in rows]
 
 
 def test_exit_codes(tmp_path, toy_csv, capsys):

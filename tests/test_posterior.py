@@ -142,16 +142,30 @@ def test_normalization_and_k_marginals():
     assert table.log_normalizer == pytest.approx(enumerated, abs=1e-10)
 
 
-def test_map_from_dp_matches_enumeration():
+def _map_test_problems():
     rng = np.random.default_rng(9)
-    for trial in range(10):
+    for _ in range(10):
         data = dataset_from_euclidean(rng.normal(size=(6, 2)))
-        cfg = BsfConfig.from_values(SPEC, lam=float(rng.uniform(0.05, 2.0)))
+        yield data, BsfConfig.from_values(SPEC, lam=float(rng.uniform(0.05, 2.0)))
+    # points around four centres: some MAPs have three or more mixed blocks,
+    # whose weight the DP (right to left) and the entries (left to right)
+    # round apart
+    for _ in range(30):
+        centres = rng.integers(0, 4, size=7) * 5.0
+        points = np.c_[centres + rng.normal(scale=0.4, size=7), rng.normal(scale=0.4, size=7)]
+        yield dataset_from_euclidean(points), BsfConfig.from_values(
+            SPEC, lam=float(rng.uniform(0.01, 0.5)))
+
+
+def test_map_from_dp_matches_enumeration():
+    for data, cfg in _map_test_problems():
         retained = exact_posterior(data, cfg, retain=True)
         bare = exact_posterior(data, cfg, retain=False)
         best = max(retained.entries, key=lambda e: e.log_class_weight)
         assert bare.map_partition == best.partition
         assert retained.map_partition == best.partition
+        assert retained.map_log_weight == best.log_class_weight
+        assert bare.map_log_weight == pytest.approx(best.log_class_weight, rel=1e-15, abs=1e-13)
 
 
 def test_refinement_cell_decomposition_of_ratio():
@@ -244,19 +258,45 @@ def _first_rgs_maximum(table, n):
     return best
 
 
+def _integer_tables(rng, n, count):
+    """Dense tables in -3..3, and sparse ones: a few favoured blocks, all
+    equal, and every other block far below, so that many classes tie
+    through different first blocks."""
+    for _ in range(count):
+        yield rng.integers(-3, 4, size=1 << n)
+        sparse = np.full(1 << n, -100)
+        sparse[rng.integers(1, 1 << n, size=2 * n)] = 0
+        sparse[[1 << i for i in rng.permutation(n)[: n // 2]]] = 0
+        yield sparse
+
+
 def test_map_ties_follow_rgs_order_on_integer_tables():
     # integer block weights sum exactly in any order, so ties are exact
     rng = np.random.default_rng(14)
-    for n in range(3, 7):
+    for n in range(3, 8):
         data = dataset_from_euclidean(np.arange(float(n))[:, None])
         cfg = BsfConfig.from_values(SPEC)
-        for _ in range(40):
-            table = rng.integers(-3, 4, size=1 << n)
+        for table in _integer_tables(rng, n, 40):
             labels, lw = _first_rgs_maximum(table, n)
             for retain in (False, True):
                 post = exact_posterior(data, cfg, retain=retain, weights=_FixedTable(table))
                 assert post.map_partition.labels == labels, (n, table.tolist())
                 assert post.map_log_weight == lw
+
+
+def test_map_tie_compares_whole_completions():
+    # {0,3}|{1}|{2,4} = (0,1,2,0,2) and {0}|{1,2}|{3,4} = (0,1,1,2,2) tie
+    # exactly.  The lowest point where the first blocks differ, 3, lies in
+    # {0,3}, yet point 2 below it decides for (0,1,1,2,2).
+    table = np.full(32, -100.0)
+    for block in (0b01001, 0b00010, 0b10100, 0b00001, 0b00110, 0b11000):
+        table[block] = 0.0
+    data = dataset_from_euclidean(np.arange(5.0)[:, None])
+    for retain in (False, True):
+        post = exact_posterior(data, BsfConfig.from_values(SPEC), retain=retain,
+                               weights=_FixedTable(table))
+        assert post.map_partition.labels == (0, 1, 1, 2, 2)
+        assert post.map_log_weight == math.lgamma(4)
 
 
 def test_map_ties_across_block_counts_follow_rgs_order():
