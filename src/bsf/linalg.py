@@ -30,14 +30,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 BRUTE_FORCE_CAP = 9  # n^(n-2) labeled trees; 9 -> 4.8e6
 
 # all-spanning-trees edge tables, keyed by node count (data independent)
 _TREE_CACHE: dict[int, np.ndarray] = {}
-# anchored submask-pair tables for subset DPs, keyed by n
-_SUBSET_PAIR_CACHE: dict[int, list] = {}
+# per-size subset masks and their members for the block table, keyed by n
+_MASK_CACHE: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
 
 
 @dataclass(frozen=True)
@@ -91,8 +90,7 @@ def log_det_L_plus_J(lap: WeightedLaplacian) -> float:
     m = lap.n
     if m == 1:
         return 0.0
-    a = lap.scaled + 1.0 / m
-    chol, _ = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
+    chol = np.linalg.cholesky(lap.scaled + 1.0 / m)
     return 2.0 * float(np.log(np.diag(chol)).sum()) + (m - 1) * lap.log_scale
 
 
@@ -104,8 +102,7 @@ def log_det_minor(lap: WeightedLaplacian, drop: int = 0) -> float:
     if not 0 <= drop < m:
         raise ValueError(f"drop index {drop} out of range for n={m}")
     keep = [i for i in range(m) if i != drop]
-    minor = lap.scaled[np.ix_(keep, keep)]
-    chol, _ = scipy.linalg.cho_factor(minor, lower=True, check_finite=False)
+    chol = np.linalg.cholesky(lap.scaled[np.ix_(keep, keep)])
     return 2.0 * float(np.log(np.diag(chol)).sum()) + (m - 1) * lap.log_scale
 
 
@@ -285,14 +282,18 @@ def subset_log_det(logw: np.ndarray, indices) -> float:
     return float(_block_log_dets(sub[None])[0])
 
 
-def _masks_by_size(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """All bitmasks of popcount m over n bits, plus their member indices."""
-    from itertools import combinations
+def _masks_by_size(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each popcount m in 2..n, all bitmasks of m of n bits and their
+    member indices; cached per n."""
+    if n not in _MASK_CACHE:
+        from itertools import combinations
 
-    combos = list(combinations(range(n), m))
-    masks = np.array([sum(1 << i for i in combo) for combo in combos], dtype=np.int64)
-    idx = np.array(combos, dtype=np.intp)
-    return masks, idx
+        tables = []
+        for m in range(2, n + 1):
+            idx = np.array(list(combinations(range(n), m)), dtype=np.intp)
+            tables.append(((1 << idx).sum(axis=1), idx))
+        _MASK_CACHE[n] = tables
+    return _MASK_CACHE[n]
 
 
 def all_block_log_dets(logw: np.ndarray) -> np.ndarray:
@@ -307,8 +308,7 @@ def all_block_log_dets(logw: np.ndarray) -> np.ndarray:
     logw = np.asarray(logw, dtype=float)
     n = logw.shape[0]
     out = np.zeros(1 << n)
-    for m in range(2, n + 1):
-        masks, idx = _masks_by_size(n, m)
+    for masks, idx in _masks_by_size(n):
         out[masks] = _block_log_dets(logw[idx[:, :, None], idx[:, None, :]])
     return out
 
@@ -345,49 +345,3 @@ class LogDetCache:
         """Recompute without the cache (self-audit hook)."""
         indices = [i for i in range(self.n) if mask >> i & 1]
         return subset_log_det(self.logw, indices)
-
-
-def anchored_subset_pairs(n: int) -> list:
-    """Per-popcount tables of (S, T, S \\ T) with min(S) in T.
-
-    Used by set-partition dynamic programs: for every non-empty mask S the
-    candidate first blocks T are exactly the submasks containing S's lowest
-    bit, which visits every unordered partition once.  Layer c holds flat
-    arrays (segment starts, S per segment, T array, remainder array) for
-    all S of popcount c, in increasing mask order.
-    """
-    if n in _SUBSET_PAIR_CACHE:
-        return _SUBSET_PAIR_CACHE[n]
-    by_size: list[list] = [[] for _ in range(n + 1)]
-    for s_mask in range(1, 1 << n):
-        c = s_mask.bit_count()
-        anchor = s_mask & -s_mask
-        rest = s_mask ^ anchor
-        t_list = []
-        sub = rest
-        while True:
-            t_list.append(anchor | sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        by_size[c].append((s_mask, t_list))
-    layers = []
-    for c in range(n + 1):
-        entries = by_size[c]
-        if not entries:
-            layers.append(None)
-            continue
-        starts = np.empty(len(entries), dtype=np.intp)
-        s_arr = np.empty(len(entries), dtype=np.int64)
-        t_flat: list[int] = []
-        pos = 0
-        for row, (s_mask, t_list) in enumerate(entries):
-            starts[row] = pos
-            s_arr[row] = s_mask
-            t_flat.extend(t_list)
-            pos += len(t_list)
-        t_arr = np.array(t_flat, dtype=np.int64)
-        r_arr = s_arr.repeat(np.diff(np.append(starts, pos))) ^ t_arr
-        layers.append((starts, s_arr, t_arr, r_arr))
-    _SUBSET_PAIR_CACHE[n] = layers
-    return layers

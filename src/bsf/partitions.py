@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 ENUM_CAP = 13  # Bell(13) ~ 2.8e7
 RGS_CHUNK_ROWS = 1 << 11  # bounds the memory of one label chunk and its weights
@@ -149,8 +148,30 @@ def enumerate_partitions(n: int, max_K: int | None = None) -> Iterator[Partition
     per row of :func:`rgs_chunks`; bulk consumers read the label chunks.
     """
     for chunk in rgs_chunks(n, max_K):
-        for row in chunk.tolist():
-            yield Partition(tuple(row))
+        yield from rgs_partitions(chunk)
+
+
+def rgs_partitions(labels: np.ndarray) -> list[Partition]:
+    """One ``Partition`` per row of a ``(rows, n)`` label array.
+
+    The rows are checked once, as a whole array: every label is at least 0
+    and at most one more than the largest label before it.  Each
+    ``Partition`` is then built without checking its row again.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.ndim != 2 or labels.shape[1] == 0:
+        raise ValueError(f"label rows of shape {labels.shape} are not (rows, n >= 1)")
+    peaks = np.maximum.accumulate(labels, axis=1)
+    bound = np.concatenate([np.zeros((len(labels), 1), dtype=np.int64), peaks[:, :-1] + 1], axis=1)
+    bad = np.flatnonzero(((labels < 0) | (labels > bound)).any(axis=1))
+    if bad.size:
+        raise ValueError(f"labels {tuple(labels[bad[0]].tolist())} are not a restricted growth string")
+    out = []
+    for row in labels.tolist():
+        part = object.__new__(Partition)
+        object.__setattr__(part, "labels", tuple(row))
+        out.append(part)
+    return out
 
 
 @dataclass(frozen=True)
@@ -195,6 +216,54 @@ def confusion_matrix(p1: Partition, p2: Partition) -> np.ndarray:
     return mat
 
 
+def _max_assignment(mat: np.ndarray) -> int:
+    """Largest total of a square integer matrix over permutations of its
+    columns, by shortest augmenting paths with dual potentials (the
+    Hungarian method): O(k^3) for k rows.
+
+    Rows join one at a time.  Each grows a tree of tight columns until it
+    reaches a free one, then flips the assignments along that path; the
+    potentials ``u`` and ``v`` keep every reduced cost ``-mat - u - v``
+    non-negative and zero on assigned pairs.
+    """
+    cost = (-np.asarray(mat, dtype=np.int64)).tolist()
+    k = len(cost)
+    inf = float("inf")
+    u = [0] * (k + 1)
+    v = [0] * (k + 1)
+    owner = [0] * (k + 1)  # owner[j]: row (1-based) assigned to column j; column 0 is the root
+    for row in range(1, k + 1):
+        owner[0] = row
+        col = 0
+        slack = [inf] * (k + 1)
+        via = [0] * (k + 1)
+        used = [False] * (k + 1)
+        while owner[col]:
+            used[col] = True
+            i = owner[col]
+            costs = cost[i - 1]
+            delta, nxt = inf, 0
+            for j in range(1, k + 1):
+                if not used[j]:
+                    reduced = costs[j - 1] - u[i] - v[j]
+                    if reduced < slack[j]:
+                        slack[j], via[j] = reduced, col
+                    if slack[j] < delta:
+                        delta, nxt = slack[j], j
+            for j in range(k + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            col = nxt
+        while col:
+            prev = via[col]
+            owner[col] = owner[prev]
+            col = prev
+    return int(sum(mat[owner[j] - 1, j - 1] for j in range(1, k + 1)))
+
+
 def hamming_distance(p1: Partition, p2: Partition) -> int:
     """Minimum label disagreements over bijections of cluster labels.
 
@@ -208,5 +277,4 @@ def hamming_distance(p1: Partition, p2: Partition) -> int:
         padded = np.zeros((k, k), dtype=np.int64)
         padded[: mat.shape[0], : mat.shape[1]] = mat
         mat = padded
-    rows, cols = linear_sum_assignment(mat, maximize=True)
-    return int(p1.n - mat[rows, cols].sum())
+    return p1.n - _max_assignment(mat)

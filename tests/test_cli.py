@@ -3,10 +3,13 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import bsf
 from bsf import partitions
 from bsf.cli import _rgs_strings, main
 from bsf.data import read_euclidean_csv, read_matrix_stack, write_matrix_stack
@@ -241,3 +244,11 @@ def test_float_serialization_roundtrips(tmp_path, toy_csv):
     line = (out / "posterior_table.csv").read_text().splitlines()[1]
     prob = line.rsplit(",", 1)[1]
     assert float(prob) == 0.8999999999999996  # 17 digits: round-trip exact
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bsf.__file__)))
+    code = "import sys, bsf.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -16,6 +16,7 @@ from bsf.partitions import (
     one_block,
     refinement_cells,
     rgs_chunks,
+    rgs_partitions,
     singletons,
 )
 
@@ -119,6 +120,21 @@ def test_rgs_chunks_match_successor_order(monkeypatch, chunk_rows):
                 assert ks[k] == (stirling2(n, k) if k <= cap else 0), (n, cap, k)
 
 
+def test_rgs_partitions_check_the_chunk_once():
+    labels = np.concatenate(list(rgs_chunks(6)))
+    parts = rgs_partitions(labels)
+    assert [p.labels for p in parts] == [tuple(r) for r in labels.tolist()]
+    assert parts == [Partition(tuple(r)) for r in labels.tolist()]
+    assert all(type(x) is int for x in parts[-1].labels)
+    for bad_row in ([1, 0, 0, 0, 0, 0], [0, 2, 1, 0, 0, 0], [0, 1, 1, 3, 2, 0], [0, 0, -1, 0, 0, 0]):
+        corrupt = labels.copy()
+        corrupt[100] = bad_row
+        with pytest.raises(ValueError, match="restricted growth"):
+            rgs_partitions(corrupt)
+    with pytest.raises(ValueError):
+        rgs_partitions(np.zeros((2, 0), dtype=np.int8))
+
+
 def test_refinement_cells_examples():
     n = 5
     cells = refinement_cells(singletons(n), one_block(n))
@@ -195,3 +211,19 @@ def test_hamming_zero_iff_equivalent(raw):
     part = canonicalize(raw)
     relabeled = canonicalize([10 - lab for lab in raw])
     assert hamming_distance(part, relabeled) == 0
+
+
+def test_assignment_solver_matches_scipy(rng):
+    from scipy.optimize import linear_sum_assignment
+
+    for _ in range(300):
+        n = int(rng.integers(1, 60))
+        p1 = canonicalize(rng.integers(0, int(rng.integers(1, 16)), size=n).tolist())
+        p2 = canonicalize(rng.integers(0, int(rng.integers(1, 16)), size=n).tolist())
+        mat = partitions.confusion_matrix(p1, p2)
+        rows, cols = linear_sum_assignment(mat, maximize=True)
+        assert hamming_distance(p1, p2) == n - mat[rows, cols].sum(), (p1, p2)
+    for k in range(1, 16):
+        mat = rng.integers(0, 4, size=(k, k))  # small values: many tied optima
+        rows, cols = linear_sum_assignment(mat, maximize=True)
+        assert partitions._max_assignment(mat) == mat[rows, cols].sum()

@@ -7,6 +7,7 @@ from bsf.data import dataset_from_euclidean
 from bsf.kernels import EUCLIDEAN_GAUSSIAN, KernelSpec, log_gaussian_kernel
 from bsf.linalg import subset_log_det
 from bsf.partitions import Partition, canonicalize, enumerate_partitions, singletons
+from bsf import posterior
 from bsf.posterior import (
     BlockWeights,
     BsfConfig,
@@ -165,7 +166,7 @@ def test_map_from_dp_matches_enumeration():
         assert bare.map_partition == best.partition
         assert retained.map_partition == best.partition
         assert retained.map_log_weight == best.log_class_weight
-        assert bare.map_log_weight == pytest.approx(best.log_class_weight, rel=1e-15, abs=1e-13)
+        assert bare.map_log_weight == best.log_class_weight
 
 
 def test_refinement_cell_decomposition_of_ratio():
@@ -336,3 +337,93 @@ def test_expected_hamming_and_block_weights_consistency():
             assert weights.block(mask) == pytest.approx(
                 cfg.log_delta_lambda + expected_det, abs=1e-12
             )
+
+
+def _logsumexp(values):
+    peak = max(values)
+    return peak + math.log(sum(math.exp(v - peak) for v in values))
+
+
+def test_forward_dp_matches_enumeration():
+    rng = np.random.default_rng(15)
+    for n in range(1, 9):
+        data = dataset_from_euclidean(rng.normal(size=(n, 2)))
+        weights = BlockWeights(data, BsfConfig.from_values(SPEC, lam=float(rng.uniform(0.1, 2.0))))
+        block_table = weights.precompute()
+        labeled = {}
+        for part in enumerate_partitions(n):
+            labeled.setdefault(part.K, []).append(weights.labeled(part))
+        g_sum, g_max = posterior._forward_dp(block_table, n, n)
+        for k, lws in labeled.items():
+            assert g_sum[k][0] == pytest.approx(_logsumexp(lws), rel=1e-13, abs=1e-13)
+            # the max DP adds blocks in the same order as BlockWeights.labeled
+            assert g_max[k][0] == max(lws)
+        for max_K in range(1, n + 1):
+            table = exact_posterior(data, weights.cfg, max_K=max_K, retain=False, weights=weights)
+            assert table.k_log_weights == pytest.approx(
+                {k: math.lgamma(k + 1) + _logsumexp(labeled[k]) for k in range(1, max_K + 1)},
+                rel=1e-13, abs=1e-13)
+            only = exact_posterior(data, weights.cfg, only_K=max_K, retain=False, weights=weights)
+            assert only.k_log_weights == {max_K: table.k_log_weights[max_K]}
+            assert only.map_log_weight == math.lgamma(max_K + 1) + max(labeled[max_K])
+
+
+def _backward_dp(block_table, n, reduce):
+    """Reference: the backward DP ``table[k, S]`` over partitions of S into k
+    blocks, with the block holding ``min(S)`` as the first block."""
+    s_arr, t_arr = [], []
+    for s_mask in range(1, 1 << n):
+        anchor = s_mask & -s_mask
+        rest = s_mask ^ anchor
+        sub = rest
+        while True:
+            s_arr.append(s_mask)
+            t_arr.append(anchor | sub)
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+    s_arr, t_arr = np.array(s_arr), np.array(t_arr)
+    starts = np.flatnonzero(np.diff(s_arr, prepend=0))
+    table = np.full((n + 1, 1 << n), -np.inf)
+    table[0, 0] = 0.0
+    for k in range(1, n + 1):
+        vals = block_table[t_arr] + table[k - 1][s_arr ^ t_arr]
+        peak = np.maximum.reduceat(vals, starts)
+        if reduce == "max":
+            table[k, 1:] = peak
+            continue
+        finite = peak > -np.inf
+        shifted = np.exp(vals - np.where(finite, peak, 0.0)[s_arr - 1])
+        sums = np.add.reduceat(shifted, starts)
+        table[k, 1:] = np.where(finite, peak + np.log(np.where(finite, sums, 1.0)), -np.inf)
+    return table[:, -1]
+
+
+@pytest.mark.parametrize("n", [11, 12, 13])
+def test_forward_dp_matches_backward_dp(n):
+    rng = np.random.default_rng(16 + n)
+    centres = rng.integers(0, 3, size=n) * 4.0
+    data = dataset_from_euclidean(np.c_[centres + rng.normal(size=n), rng.normal(size=n)])
+    block_table = BlockWeights(data, BsfConfig.from_values(SPEC, lam=0.2)).precompute()
+    g_sum, g_max = posterior._forward_dp(block_table, n, n)
+    # log weights to 1e-12 absolute: the weights to 1e-12 relative
+    for reduce, forward in (("sum", g_sum), ("max", g_max)):
+        backward = _backward_dp(block_table, n, reduce)
+        for k in range(1, n + 1):
+            assert forward[k][0] == pytest.approx(backward[k], rel=0, abs=1e-12), (reduce, k)
+
+
+def test_pull_table_structure():
+    for m in range(1, 9):
+        starts, seg, r_arr, t_arr = posterior._pull_table(m)
+        assert len(r_arr) == (3 ** m - 1) // 2
+        pairs = sorted(zip(r_arr.tolist(), t_arr.tolist()))
+        expected = sorted(
+            (r, t) for r in range(1, 1 << m) for t in range(1, 1 << m)
+            if t & r == t and t & r & -r
+        )
+        assert pairs == expected  # each anchored pair exactly once
+        q_arr = r_arr ^ t_arr
+        assert (q_arr == 2 * seg).all()
+        assert (np.diff(seg) >= 0).all()
+        assert starts.tolist() == [int(np.searchsorted(seg, i)) for i in range(1 << (m - 1))]
