@@ -117,6 +117,30 @@ def rgs_chunks(n: int, k_cap: int | None = None) -> Iterator[np.ndarray]:
     yield from _grow(labels, peaks, 1, cap)
 
 
+def _rgs_partitions(labels: np.ndarray) -> list[Partition]:
+    """One ``Partition`` per row of a :func:`rgs_chunks` label array.
+
+    The rows are checked once, as a whole array, for the invariant
+    ``Partition.__post_init__`` checks row by row: every label is at least 0
+    and at most one more than the largest label before it.  Each
+    ``Partition`` is then built without checking its row again.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.ndim != 2 or labels.shape[1] == 0:
+        raise ValueError(f"label rows of shape {labels.shape} are not (rows, n >= 1)")
+    peaks = np.maximum.accumulate(labels, axis=1)
+    bound = np.concatenate([np.zeros((len(labels), 1), dtype=np.int64), peaks[:, :-1] + 1], axis=1)
+    bad = np.flatnonzero(((labels < 0) | (labels > bound)).any(axis=1))
+    if bad.size:
+        raise ValueError(f"labels {tuple(labels[bad[0]].tolist())} are not a restricted growth string")
+    out = []
+    for row in labels.tolist():
+        part = object.__new__(Partition)
+        object.__setattr__(part, "labels", tuple(row))
+        out.append(part)
+    return out
+
+
 def _grow(labels: np.ndarray, peaks: np.ndarray, pos: int, cap: int) -> Iterator[np.ndarray]:
     n = labels.shape[1]
     while pos < n:
@@ -148,30 +172,7 @@ def enumerate_partitions(n: int, max_K: int | None = None) -> Iterator[Partition
     per row of :func:`rgs_chunks`; bulk consumers read the label chunks.
     """
     for chunk in rgs_chunks(n, max_K):
-        yield from rgs_partitions(chunk)
-
-
-def rgs_partitions(labels: np.ndarray) -> list[Partition]:
-    """One ``Partition`` per row of a ``(rows, n)`` label array.
-
-    The rows are checked once, as a whole array: every label is at least 0
-    and at most one more than the largest label before it.  Each
-    ``Partition`` is then built without checking its row again.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 2 or labels.shape[1] == 0:
-        raise ValueError(f"label rows of shape {labels.shape} are not (rows, n >= 1)")
-    peaks = np.maximum.accumulate(labels, axis=1)
-    bound = np.concatenate([np.zeros((len(labels), 1), dtype=np.int64), peaks[:, :-1] + 1], axis=1)
-    bad = np.flatnonzero(((labels < 0) | (labels > bound)).any(axis=1))
-    if bad.size:
-        raise ValueError(f"labels {tuple(labels[bad[0]].tolist())} are not a restricted growth string")
-    out = []
-    for row in labels.tolist():
-        part = object.__new__(Partition)
-        object.__setattr__(part, "labels", tuple(row))
-        out.append(part)
-    return out
+        yield from _rgs_partitions(chunk)
 
 
 @dataclass(frozen=True)
@@ -207,61 +208,76 @@ def is_refinement(p1: Partition, p2: Partition) -> bool:
     return refinement_cells(p1, p2).nonempty_count == p1.K
 
 
-def confusion_matrix(p1: Partition, p2: Partition) -> np.ndarray:
-    if p1.n != p2.n:
-        raise ValueError(f"length mismatch {p1.n} vs {p2.n}")
-    mat = np.zeros((p1.K, p2.K), dtype=np.int64)
-    for a, b in zip(p1.labels, p2.labels):
-        mat[a, b] += 1
-    return mat
-
-
-def _max_assignment(mat: np.ndarray) -> int:
-    """Largest total of a square integer matrix over permutations of its
-    columns, by shortest augmenting paths with dual potentials (the
-    Hungarian method): O(k^3) for k rows.
+def _max_assignments(mats: np.ndarray) -> np.ndarray:
+    """Largest total of each square integer matrix in a ``(B, k, k)`` stack
+    over permutations of its columns, by shortest augmenting paths with dual
+    potentials (the Hungarian method): O(k^3) per matrix, all B in step.
 
     Rows join one at a time.  Each grows a tree of tight columns until it
     reaches a free one, then flips the assignments along that path; the
     potentials ``u`` and ``v`` keep every reduced cost ``-mat - u - v``
-    non-negative and zero on assigned pairs.
+    non-negative and zero on assigned pairs.  A matrix whose path is
+    complete sits out the rest of the steps of that row.
     """
-    cost = (-np.asarray(mat, dtype=np.int64)).tolist()
-    k = len(cost)
-    inf = float("inf")
-    u = [0] * (k + 1)
-    v = [0] * (k + 1)
-    owner = [0] * (k + 1)  # owner[j]: row (1-based) assigned to column j; column 0 is the root
+    mats = np.asarray(mats, dtype=np.int64)
+    B, k = mats.shape[:2]
+    cost = np.zeros((B, k + 1, k + 1))  # 1-based; column 0 is the root
+    cost[:, 1:, 1:] = -mats
+    u = np.zeros((B, k + 1))
+    v = np.zeros((B, k + 1))
+    owner = np.zeros((B, k + 1), dtype=np.int64)  # owner[b, j]: row assigned to column j
+    every = np.arange(B)
     for row in range(1, k + 1):
-        owner[0] = row
-        col = 0
-        slack = [inf] * (k + 1)
-        via = [0] * (k + 1)
-        used = [False] * (k + 1)
-        while owner[col]:
-            used[col] = True
-            i = owner[col]
-            costs = cost[i - 1]
-            delta, nxt = inf, 0
-            for j in range(1, k + 1):
-                if not used[j]:
-                    reduced = costs[j - 1] - u[i] - v[j]
-                    if reduced < slack[j]:
-                        slack[j], via[j] = reduced, col
-                    if slack[j] < delta:
-                        delta, nxt = slack[j], j
-            for j in range(k + 1):
-                if used[j]:
-                    u[owner[j]] += delta
-                    v[j] -= delta
-                else:
-                    slack[j] -= delta
-            col = nxt
-        while col:
-            prev = via[col]
-            owner[col] = owner[prev]
-            col = prev
-    return int(sum(mat[owner[j] - 1, j - 1] for j in range(1, k + 1)))
+        owner[:, 0] = row
+        col = np.zeros(B, dtype=np.int64)
+        slack = np.full((B, k + 1), np.inf)
+        via = np.zeros((B, k + 1), dtype=np.int64)
+        used = np.zeros((B, k + 1), dtype=bool)
+        while (growing := owner[every, col] != 0).any():
+            b, c = every[growing], col[growing]
+            used[b, c] = True
+            i = owner[b, c]
+            reduced = cost[b, i] - u[b, i][:, None] - v[b]
+            free = ~used[b]
+            closer = free & (reduced < slack[b])
+            slack[b] = np.where(closer, reduced, slack[b])
+            via[b] = np.where(closer, c[:, None], via[b])
+            reach = np.where(free, slack[b], np.inf)
+            nxt = reach.argmin(axis=1)
+            delta = reach[np.arange(len(b)), nxt][:, None]
+            # the owners of one matrix's used columns are distinct rows
+            tree_b, tree_j = np.nonzero(~free)
+            u[b[tree_b], owner[b[tree_b], tree_j]] += delta[tree_b, 0]
+            v[b] -= np.where(free, 0.0, delta)
+            slack[b] -= np.where(free, delta, 0.0)
+            col[growing] = nxt
+        while (flipping := col != 0).any():
+            b, c = every[flipping], col[flipping]
+            prev = via[b, c]
+            owner[b, c] = owner[b, prev]
+            col[flipping] = prev
+    return mats[every[:, None], owner[:, 1:] - 1, np.arange(k)].sum(axis=1)
+
+
+def hamming_distances(labels: np.ndarray, truth: Partition) -> np.ndarray:
+    """Hamming distance to ``truth`` of each row of a ``(rows, n)`` array of
+    non-negative labels, as in :func:`hamming_distance`.
+
+    The confusion counts of a run of rows are taken in one ``bincount`` and
+    their assignments solved together, ``RGS_CHUNK_ROWS`` rows at a time.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.ndim != 2 or labels.shape[1] != truth.n:
+        raise ValueError(f"label rows of shape {labels.shape} do not match n = {truth.n}")
+    n = truth.n
+    out = np.empty(len(labels), dtype=np.int64)
+    for start in range(0, len(labels), RGS_CHUNK_ROWS):
+        chunk = labels[start:start + RGS_CHUNK_ROWS]
+        k = max(int(chunk.max()) + 1, truth.K)  # pad the smaller label set with empty blocks
+        cells = (np.arange(len(chunk))[:, None] * k + chunk) * k + np.asarray(truth.labels)
+        counts = np.bincount(cells.ravel(), minlength=len(chunk) * k * k)
+        out[start:start + len(chunk)] = n - _max_assignments(counts.reshape(-1, k, k))
+    return out
 
 
 def hamming_distance(p1: Partition, p2: Partition) -> int:
@@ -271,10 +287,6 @@ def hamming_distance(p1: Partition, p2: Partition) -> int:
     confusion matrix; when the block counts differ the smaller label set is
     padded with empty blocks so the distance stays well defined.
     """
-    mat = confusion_matrix(p1, p2)
-    k = max(mat.shape)
-    if mat.shape != (k, k):
-        padded = np.zeros((k, k), dtype=np.int64)
-        padded[: mat.shape[0], : mat.shape[1]] = mat
-        mat = padded
-    return p1.n - _max_assignment(mat)
+    if p1.n != p2.n:
+        raise ValueError(f"length mismatch {p1.n} vs {p2.n}")
+    return int(hamming_distances(np.array([p1.labels]), p2)[0])

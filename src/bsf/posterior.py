@@ -20,8 +20,8 @@ is (blocks carved ``j``, points left ``R``); each block is carved at the
 lowest point left, so ``R`` lies in ``{j..n-1}`` and depth ``j`` has
 (3^(n-j) - 1)/2 transitions, 402,670 over all depths at n = 13.  One pass
 gives the sum and the max tables; the K-sums are the sum table at ``(K,
-{})``.  The MAP is the max-DP walk-back, which breaks ties to the
-lexicographically smallest restricted growth string.
+{})``.  The MAP is the max-DP walk-back, which breaks exact ties in the
+max DP to the lexicographically smallest restricted growth string.
 
 Per-class tables come from one enumeration core, :func:`class_weight_chunks`:
 bounded chunks of RGS label rows from :func:`bsf.partitions.rgs_chunks`,
@@ -40,7 +40,7 @@ import numpy as np
 from .data import Dataset
 from .kernels import KernelSpec, RootKernel, log_weight_matrix
 from .linalg import LogDetCache
-from .partitions import Partition, rgs_chunks, rgs_partitions
+from .partitions import Partition, _rgs_partitions, hamming_distances, rgs_chunks
 
 DEFAULT_ENUM_CAP = 12
 
@@ -294,7 +294,9 @@ class PosteriorTable:
     ``map_partition`` is the max-DP maximizer, ties broken to the
     lexicographically smallest RGS.  The max DP adds a class's blocks in
     the order of the entries, so ``map_log_weight`` is the MAP entry's own
-    weight.
+    weight.  Ties are exact ties in the max DP: a class whose partial sum is
+    lower than the best one, but whose final weight rounds to the same
+    float, is not walked, so such rounding ties may not follow the RGS rule.
     """
 
     n: int
@@ -368,7 +370,7 @@ def exact_posterior(data: Dataset, cfg: BsfConfig, max_K: int | None = None,
         entries = [
             PosteriorEntry(part, lw, math.exp(lw - log_normalizer))
             for labels, _, lws in class_weight_chunks(block_table, n, max_K, only_K)
-            for part, lw in zip(rgs_partitions(labels), lws.tolist())
+            for part, lw in zip(_rgs_partitions(labels), lws.tolist())
         ]
 
     return PosteriorTable(
@@ -386,8 +388,7 @@ def exact_posterior(data: Dataset, cfg: BsfConfig, max_K: int | None = None,
 def expected_hamming(table: PosteriorTable, truth: Partition) -> float:
     """Posterior expectation of the Hamming distance to ``truth`` over the
     table's classes (requires retained entries)."""
-    from .partitions import hamming_distance
-
     if table.entries is None:
         raise ValueError("expected_hamming needs retained entries")
-    return sum(e.probability * hamming_distance(e.partition, truth) for e in table.entries)
+    dists = hamming_distances(np.array([e.partition.labels for e in table.entries]), truth)
+    return sum(e.probability * d for e, d in zip(table.entries, dists.tolist()))

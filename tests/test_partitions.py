@@ -16,7 +16,6 @@ from bsf.partitions import (
     one_block,
     refinement_cells,
     rgs_chunks,
-    rgs_partitions,
     singletons,
 )
 
@@ -122,7 +121,7 @@ def test_rgs_chunks_match_successor_order(monkeypatch, chunk_rows):
 
 def test_rgs_partitions_check_the_chunk_once():
     labels = np.concatenate(list(rgs_chunks(6)))
-    parts = rgs_partitions(labels)
+    parts = partitions._rgs_partitions(labels)
     assert [p.labels for p in parts] == [tuple(r) for r in labels.tolist()]
     assert parts == [Partition(tuple(r)) for r in labels.tolist()]
     assert all(type(x) is int for x in parts[-1].labels)
@@ -130,9 +129,9 @@ def test_rgs_partitions_check_the_chunk_once():
         corrupt = labels.copy()
         corrupt[100] = bad_row
         with pytest.raises(ValueError, match="restricted growth"):
-            rgs_partitions(corrupt)
+            partitions._rgs_partitions(corrupt)
     with pytest.raises(ValueError):
-        rgs_partitions(np.zeros((2, 0), dtype=np.int8))
+        partitions._rgs_partitions(np.zeros((2, 0), dtype=np.int8))
 
 
 def test_refinement_cells_examples():
@@ -220,10 +219,25 @@ def test_assignment_solver_matches_scipy(rng):
         n = int(rng.integers(1, 60))
         p1 = canonicalize(rng.integers(0, int(rng.integers(1, 16)), size=n).tolist())
         p2 = canonicalize(rng.integers(0, int(rng.integers(1, 16)), size=n).tolist())
-        mat = partitions.confusion_matrix(p1, p2)
+        mat = np.zeros((p1.K, p2.K), dtype=np.int64)
+        np.add.at(mat, (list(p1.labels), list(p2.labels)), 1)
         rows, cols = linear_sum_assignment(mat, maximize=True)
         assert hamming_distance(p1, p2) == n - mat[rows, cols].sum(), (p1, p2)
     for k in range(1, 16):
-        mat = rng.integers(0, 4, size=(k, k))  # small values: many tied optima
-        rows, cols = linear_sum_assignment(mat, maximize=True)
-        assert partitions._max_assignment(mat) == mat[rows, cols].sum()
+        # one stack, solved in step; small values give many tied optima
+        mats = rng.integers(0, 4, size=(40, k, k))
+        best = [mat[linear_sum_assignment(mat, maximize=True)].sum() for mat in mats]
+        assert partitions._max_assignments(mats).tolist() == best
+
+
+def test_hamming_distances_of_a_label_array_match_pairwise(rng):
+    truth = canonicalize([0, 0, 1, 1, 2, 2, 0, 1])
+    labels = np.concatenate(list(rgs_chunks(8)))  # 4140 rows: K from 1 to 8, two runs
+    dists = partitions.hamming_distances(labels, truth)
+    assert dists.tolist() == [hamming_distance(Partition(tuple(r)), truth)
+                              for r in labels.tolist()]
+    picks = rng.choice(len(labels), size=200, replace=False)
+    assert all(dists[i] == brute_force_hamming(Partition(tuple(labels[i].tolist())), truth)
+               for i in picks)
+    with pytest.raises(ValueError):
+        partitions.hamming_distances(labels[:, 1:], truth)

@@ -149,8 +149,8 @@ def _map_test_problems():
         data = dataset_from_euclidean(rng.normal(size=(6, 2)))
         yield data, BsfConfig.from_values(SPEC, lam=float(rng.uniform(0.05, 2.0)))
     # points around four centres: some MAPs have three or more mixed blocks,
-    # whose weight the DP (right to left) and the entries (left to right)
-    # round apart
+    # where a block sum in another order than the entries' would show as a
+    # last-digit difference
     for _ in range(30):
         centres = rng.integers(0, 4, size=7) * 5.0
         points = np.c_[centres + rng.normal(scale=0.4, size=7), rng.normal(scale=0.4, size=7)]
