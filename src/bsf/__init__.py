@@ -10,35 +10,23 @@ numerically verifiable through the ``verify`` suite.
 """
 
 from .data import Dataset, IngestionError
-from .kernels import KernelSpec, RootKernel, log_gaussian_kernel, spd_geodesic_distance
-from .partitions import Partition, canonicalize, enumerate_partitions, hamming_distance
-from .posterior import (
-    BsfConfig,
-    PosteriorTable,
-    exact_posterior,
-    log_class_weight,
-    log_labeled_weight,
-    log_posterior_ratio,
-)
+from .kernels import KernelSpec, log_gaussian_kernel, spd_geodesic_distance
+from .partitions import Partition, canonicalize, hamming_distance
+from .posterior import BsfConfig, PosteriorTable, exact_posterior
 from .sampler import ChainSummary, run_chain
 
 __all__ = [
     "Dataset",
     "IngestionError",
     "KernelSpec",
-    "RootKernel",
     "log_gaussian_kernel",
     "spd_geodesic_distance",
     "Partition",
     "canonicalize",
-    "enumerate_partitions",
     "hamming_distance",
     "BsfConfig",
     "PosteriorTable",
     "exact_posterior",
-    "log_class_weight",
-    "log_labeled_weight",
-    "log_posterior_ratio",
     "ChainSummary",
     "run_chain",
 ]

@@ -236,12 +236,11 @@ def _parse_spd_oracle(raw: dict) -> ObjectOracleSpec:
     sec = _Section(raw, "oracle")
     means = sec.take("means")
     noise = sec.take("noise_scales")
-    tail = float(sec.take("tail_exponent", 2.0))
     counts = sec.take("counts", None)
     sec.done()
     try:
         return ObjectOracleSpec(
-            means=tuple(means), noise_scales=tuple(noise), tail_exponent=tail,
+            means=tuple(means), noise_scales=tuple(noise),
             counts=None if counts is None else tuple(int(c) for c in counts),
         )
     except ValueError as exc:

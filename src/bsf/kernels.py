@@ -1,4 +1,4 @@
-"""Gaussian-type conditional kernels and flat root kernels.
+"""Gaussian-type conditional kernels.
 
 An edge weight between two points is a Gaussian kernel value
 ``zeta(sigma) * exp(-d(y_s, y_t)^2 / (2 sigma^2))`` where the metric ``d``
@@ -88,29 +88,6 @@ class KernelSpec:
         if self.family == EUCLIDEAN_GAUSSIAN:
             return -0.5 * dim * math.log(2.0 * math.pi) - dim * math.log(self.sigma)
         return math.log(self.zeta)
-
-
-@dataclass(frozen=True)
-class RootKernel:
-    """Flat root kernel: every point has root density ``delta``.
-
-    The max/min ratio over any dataset is exactly 1, so the bracketing
-    constants for the root level are both 1.
-    """
-
-    delta: float = 1.0
-
-    def __post_init__(self):
-        if not (self.delta > 0):
-            raise ValueError("delta must be positive")
-
-    def log_value(self, y=None) -> float:
-        return math.log(self.delta)
-
-
-def log_root_kernel(y, root: RootKernel) -> float:
-    """Log root density at ``y`` (constant for the flat kernel)."""
-    return root.log_value(y)
 
 
 def spd_geodesic_sq(p1: np.ndarray, p2: np.ndarray) -> float:

@@ -158,12 +158,10 @@ def generate_gaussian(spec: GaussianOracleSpec, n: int, seed) -> tuple[Dataset, 
 @dataclass(frozen=True)
 class ObjectOracleSpec:
     """Object-valued oracle on the SPD manifold: one Frechet mean per
-    cluster, symmetric Gaussian noise in the tangent space, and a
-    configured (not estimated) tail exponent."""
+    cluster and symmetric Gaussian noise in the tangent space."""
 
     means: tuple
     noise_scales: tuple
-    tail_exponent: float = 2.0
     counts: tuple | None = None
 
     def __post_init__(self):
@@ -175,8 +173,6 @@ class ObjectOracleSpec:
                 raise ValueError("means must be SPD")
         if min(self.noise_scales) < 0:
             raise ValueError("noise scales must be nonnegative")
-        if self.tail_exponent <= 0:
-            raise ValueError("tail exponent must be positive")
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "noise_scales", tuple(float(s) for s in self.noise_scales))
 

@@ -117,30 +117,6 @@ def rgs_chunks(n: int, k_cap: int | None = None) -> Iterator[np.ndarray]:
     yield from _grow(labels, peaks, 1, cap)
 
 
-def _rgs_partitions(labels: np.ndarray) -> list[Partition]:
-    """One ``Partition`` per row of a :func:`rgs_chunks` label array.
-
-    The rows are checked once, as a whole array, for the invariant
-    ``Partition.__post_init__`` checks row by row: every label is at least 0
-    and at most one more than the largest label before it.  Each
-    ``Partition`` is then built without checking its row again.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 2 or labels.shape[1] == 0:
-        raise ValueError(f"label rows of shape {labels.shape} are not (rows, n >= 1)")
-    peaks = np.maximum.accumulate(labels, axis=1)
-    bound = np.concatenate([np.zeros((len(labels), 1), dtype=np.int64), peaks[:, :-1] + 1], axis=1)
-    bad = np.flatnonzero(((labels < 0) | (labels > bound)).any(axis=1))
-    if bad.size:
-        raise ValueError(f"labels {tuple(labels[bad[0]].tolist())} are not a restricted growth string")
-    out = []
-    for row in labels.tolist():
-        part = object.__new__(Partition)
-        object.__setattr__(part, "labels", tuple(row))
-        out.append(part)
-    return out
-
-
 def _grow(labels: np.ndarray, peaks: np.ndarray, pos: int, cap: int) -> Iterator[np.ndarray]:
     n = labels.shape[1]
     while pos < n:
@@ -162,17 +138,6 @@ def _grow(labels: np.ndarray, peaks: np.ndarray, pos: int, cap: int) -> Iterator
         peaks = np.maximum(np.repeat(peaks, counts), child + 1)
         pos += 1
     yield labels
-
-
-def enumerate_partitions(n: int, max_K: int | None = None) -> Iterator[Partition]:
-    """Yield every equivalence class exactly once, in RGS lexicographic order.
-
-    With ``max_K`` the stream is restricted to partitions with at most that
-    many blocks (Stirling counts summed up to the bound).  One ``Partition``
-    per row of :func:`rgs_chunks`; bulk consumers read the label chunks.
-    """
-    for chunk in rgs_chunks(n, max_K):
-        yield from _rgs_partitions(chunk)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ The unnormalized posterior of a labeled partition with blocks ``V_1..V_K``
 is ``(delta * lambda)^K * prod_k |L_{V_k} + J/n_k|``: each block pays the
 root/prior factor once and contributes the matrix-tree determinant of its
 complete weighted subgraph.  Equivalently, per block,
-``lambda * |L_V[1]| * (sum of root densities over the block)``, which is
-the form used when a non-flat root kernel is configured.
+``lambda * |L_V[1]| * (sum of root densities over the block)``, where the
+root kernel is flat: every root density is ``delta``.
 
 Canonical partitions stand for whole equivalence classes.  A class of a
 K-block partition contains exactly K! labelings with identical posterior
@@ -26,21 +26,23 @@ max DP to the lexicographically smallest restricted growth string.
 Per-class tables come from one enumeration core, :func:`class_weight_chunks`:
 bounded chunks of RGS label rows from :func:`bsf.partitions.rgs_chunks`,
 weighed by gathering block masks from the dense block table.  It feeds both
-the retained entries of :func:`exact_posterior` and the streamed table of
-``bsf exact``.
+the streamed table of ``bsf exact`` and, on request, the table that
+:func:`exact_posterior` retains: the concatenated label rows and log class
+weights, two arrays that estimators such as :func:`expected_hamming` sum
+over directly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
-from .kernels import KernelSpec, RootKernel, log_weight_matrix
+from .kernels import KernelSpec, log_weight_matrix
 from .linalg import LogDetCache
-from .partitions import Partition, _rgs_partitions, hamming_distances, rgs_chunks
+from .partitions import Partition, hamming_distances, rgs_chunks
 
 DEFAULT_ENUM_CAP = 12
 
@@ -59,7 +61,6 @@ class BsfConfig:
     kernel: KernelSpec
     log_delta: float = 0.0
     log_lambda: float = 0.0
-    root: RootKernel | None = None
     enum_cap: int = DEFAULT_ENUM_CAP
 
     def __post_init__(self):
@@ -67,10 +68,6 @@ class BsfConfig:
             raise ValueError("log(delta * lambda) must be finite")
         if self.enum_cap < 1:
             raise ValueError("enum_cap must be positive")
-        if self.root is not None:
-            # keep the explicit root kernel consistent with log_delta
-            if abs(self.root.log_value() - self.log_delta) > 1e-12:
-                raise ValueError("root kernel level disagrees with log_delta")
 
     @staticmethod
     def from_values(kernel: KernelSpec, delta: float = 1.0, lam: float = 1.0,
@@ -122,25 +119,6 @@ class BlockWeights:
 
     def class_weight(self, partition: Partition) -> float:
         return math.lgamma(partition.K + 1) + self.labeled(partition)
-
-
-def log_labeled_weight(partition: Partition, data: Dataset, cfg: BsfConfig) -> float:
-    """Log unnormalized posterior of one labeled partition."""
-    if partition.n != data.n:
-        raise ValueError(f"partition is over {partition.n} points, data has {data.n}")
-    return BlockWeights(data, cfg).labeled(partition)
-
-
-def log_class_weight(partition: Partition, data: Dataset, cfg: BsfConfig) -> float:
-    """Log unnormalized posterior of the whole equivalence class (adds log K!)."""
-    return math.lgamma(partition.K + 1) + log_labeled_weight(partition, data, cfg)
-
-
-def log_posterior_ratio(p1: Partition, p2: Partition, data: Dataset, cfg: BsfConfig) -> float:
-    """Log ratio of class posteriors; the normalizer cancels, so this is
-    valid at any n."""
-    weights = BlockWeights(data, cfg)
-    return weights.class_weight(p1) - weights.class_weight(p2)
 
 
 def _logsumexp(values: np.ndarray) -> float:
@@ -277,26 +255,22 @@ def class_weight_chunks(block_table: np.ndarray, n: int, max_K: int | None = Non
 
 
 @dataclass
-class PosteriorEntry:
-    partition: Partition
-    log_class_weight: float
-    probability: float
-
-
-@dataclass
 class PosteriorTable:
     """Normalized posterior over partition equivalence classes.
 
-    ``entries`` covers every class in the allowed set when retained
-    (RGS-lexicographic order) and is None otherwise; normalizer and
-    K-marginals are always available from the dynamic program.
+    Normalizer, K-marginals and MAP always come from the dynamic program.
+    Only ``exact_posterior(retain=True)`` fills ``labels``, every class in
+    the allowed set as a ``(rows, n)`` array of RGS rows in lexicographic
+    order, and ``log_weights``, their log class weights; by default both
+    are None.
 
     ``map_partition`` is the max-DP maximizer, ties broken to the
     lexicographically smallest RGS.  The max DP adds a class's blocks in
-    the order of the entries, so ``map_log_weight`` is the MAP entry's own
-    weight.  Ties are exact ties in the max DP: a class whose partial sum is
-    lower than the best one, but whose final weight rounds to the same
-    float, is not walked, so such rounding ties may not follow the RGS rule.
+    the order :func:`class_weight_chunks` does, so ``map_log_weight`` is the
+    MAP row's own weight.  Ties are exact ties in the max DP: a class whose
+    partial sum is lower than the best one, but whose final weight rounds to
+    the same float, is not walked, so such rounding ties may not follow the
+    RGS rule.
     """
 
     n: int
@@ -304,10 +278,8 @@ class PosteriorTable:
     k_log_weights: dict[int, float]
     map_partition: Partition
     map_log_weight: float
-    entries: list[PosteriorEntry] | None = None
-    max_K: int | None = None
-    only_K: int | None = None
-    _index: dict[tuple[int, ...], int] | None = field(default=None, repr=False)
+    labels: np.ndarray | None = None
+    log_weights: np.ndarray | None = None
 
     def k_marginals(self) -> dict[int, float]:
         return {k: math.exp(lw - self.log_normalizer) for k, lw in self.k_log_weights.items()}
@@ -319,24 +291,16 @@ class PosteriorTable:
     def probability_of_log_weight(self, log_class_weight: float) -> float:
         return math.exp(log_class_weight - self.log_normalizer)
 
-    def prob_of(self, partition: Partition) -> float:
-        if self.entries is None:
-            raise ValueError("table was built without retained entries")
-        if self._index is None:
-            self._index = {e.partition.labels: i for i, e in enumerate(self.entries)}
-        idx = self._index.get(partition.labels)
-        return self.entries[idx].probability if idx is not None else 0.0
-
 
 def exact_posterior(data: Dataset, cfg: BsfConfig, max_K: int | None = None,
-                    only_K: int | None = None, retain: bool | None = None,
+                    only_K: int | None = None, retain: bool = False,
                     weights: BlockWeights | None = None) -> PosteriorTable:
     """Normalizer, K-marginals and MAP over every equivalence class, from the
-    forward subset DP; per-class entries come from the enumeration core.
+    forward subset DP; with ``retain`` also every class's label row and log
+    weight, from the enumeration core.
 
     ``max_K`` restricts to classes with at most that many blocks; ``only_K``
-    to exactly that many (the known-cluster-count regime).  Entries are
-    retained for n <= 10 by default.
+    to exactly that many (the known-cluster-count regime).
     """
     n = data.n
     if n > cfg.enum_cap:
@@ -349,8 +313,6 @@ def exact_posterior(data: Dataset, cfg: BsfConfig, max_K: int | None = None,
         allowed = list(range(1, _k_cap(n, max_K, None) + 1))
     if not allowed:
         raise ValueError("no admissible number of blocks")
-    if retain is None:
-        retain = n <= 10
 
     if weights is None:
         weights = BlockWeights(data, cfg)
@@ -365,13 +327,10 @@ def exact_posterior(data: Dataset, cfg: BsfConfig, max_K: int | None = None,
     map_part = Partition(min(_smallest_map_labels(block_table, g_max, n, k, 0, memo)
                              for k, lw in map_lws.items() if lw == map_lw))
 
-    entries = None
+    labels = log_weights = None
     if retain:
-        entries = [
-            PosteriorEntry(part, lw, math.exp(lw - log_normalizer))
-            for labels, _, lws in class_weight_chunks(block_table, n, max_K, only_K)
-            for part, lw in zip(_rgs_partitions(labels), lws.tolist())
-        ]
+        label_chunks, _, weight_chunks = zip(*class_weight_chunks(block_table, n, max_K, only_K))
+        labels, log_weights = np.concatenate(label_chunks), np.concatenate(weight_chunks)
 
     return PosteriorTable(
         n=n,
@@ -379,16 +338,16 @@ def exact_posterior(data: Dataset, cfg: BsfConfig, max_K: int | None = None,
         k_log_weights=k_log_weights,
         map_partition=map_part,
         map_log_weight=map_lw,
-        entries=entries,
-        max_K=max_K,
-        only_K=only_K,
+        labels=labels,
+        log_weights=log_weights,
     )
 
 
 def expected_hamming(table: PosteriorTable, truth: Partition) -> float:
     """Posterior expectation of the Hamming distance to ``truth`` over the
-    table's classes (requires retained entries)."""
-    if table.entries is None:
-        raise ValueError("expected_hamming needs retained entries")
-    dists = hamming_distances(np.array([e.partition.labels for e in table.entries]), truth)
-    return sum(e.probability * d for e, d in zip(table.entries, dists.tolist()))
+    table's classes (requires a retained table)."""
+    if table.labels is None:
+        raise ValueError("expected_hamming needs a retained table")
+    dists = hamming_distances(table.labels, truth)
+    return sum(math.exp(lw - table.log_normalizer) * d
+               for lw, d in zip(table.log_weights.tolist(), dists.tolist()))

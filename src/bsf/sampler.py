@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .partitions import Partition, canonicalize, enumerate_partitions
+from .partitions import Partition, canonicalize, rgs_chunks
 from .posterior import BlockWeights, BsfConfig
 
 CACHE_AUDIT_PERIOD = 1000
@@ -289,7 +289,7 @@ def run_chain(data: Dataset, cfg: BsfConfig, iters: int, burnin: int, thin: int,
 
 
 def _class_index(n: int):
-    classes = list(enumerate_partitions(n))
+    classes = [Partition(tuple(row)) for chunk in rgs_chunks(n) for row in chunk.tolist()]
     index = {p.labels: i for i, p in enumerate(classes)}
     return classes, index
 
@@ -316,13 +316,7 @@ def single_site_matrix(weights: BlockWeights, point: int) -> np.ndarray:
                 blocks[choice] |= bit
             else:
                 blocks.append(bit)
-            labels = [0] * n
-            for b_id, m in enumerate(blocks):
-                for t in range(n):
-                    if m >> t & 1:
-                        labels[t] = b_id
-            col = index[canonicalize(labels).labels]
-            mat[row, col] += prob
+            mat[row, index[_labels_of(blocks, n)]] += prob
     return mat
 
 

@@ -12,6 +12,12 @@ settings.register_profile(
 settings.load_profile("ci")
 
 
+def class_probabilities(table) -> dict[tuple[int, ...], float]:
+    """``{labels: probability}`` over the classes of a retained posterior table."""
+    return {tuple(row): table.probability_of_log_weight(lw)
+            for row, lw in zip(table.labels.tolist(), table.log_weights.tolist())}
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

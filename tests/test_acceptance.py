@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import class_probabilities
 
 from bsf.cli import main
 from bsf.data import dataset_from_euclidean
@@ -97,8 +98,7 @@ def test_acceptance_03_two_point_anchor():
     data = dataset_from_euclidean([[0.0], [1.0]])
     log_f12 = log_gaussian_kernel(np.zeros(1), np.ones(1), spec)
     cfg = BsfConfig(kernel=spec, log_delta=0.0, log_lambda=log_f12 - math.log(9.0))
-    table = exact_posterior(data, cfg)
-    probs = {e.partition.labels: e.probability for e in table.entries}
+    probs = class_probabilities(exact_posterior(data, cfg, retain=True))
     assert abs(probs[(0, 0)] - 0.9) <= 1e-12
     assert abs(probs[(0, 1)] - 0.1) <= 1e-12
     report(3, "n=2 anchor: class odds f12/(delta lambda) = 9 gives (0.9, 0.1)")
@@ -121,8 +121,7 @@ def test_acceptance_04_sampler_exactness():
         kernel = KernelSpec(EUCLIDEAN_GAUSSIAN, sigma=math.sqrt(sigma2))
         cfg = BsfConfig(kernel=kernel, log_delta=0.0, log_lambda=log_dl)
         data, _ = generate_gaussian(spec, n, seed=100 + n)
-        table = exact_posterior(data, cfg)
-        exact = {e.partition.labels: e.probability for e in table.entries}
+        exact = class_probabilities(exact_posterior(data, cfg, retain=True))
         for seed in (0, 1, 2):
             summary = run_chain(data, cfg, iters=50_000, burnin=5_000, thin=1, seed=seed)
             tv = _tv(summary.class_frequencies(), exact)
@@ -134,7 +133,7 @@ def test_acceptance_04_sampler_exactness():
     cfg3 = BsfConfig.from_values(KernelSpec(EUCLIDEAN_GAUSSIAN, sigma=1.0), lam=0.7)
     weights = BlockWeights(data3, cfg3)
     weights.precompute()
-    pi = np.array([e.probability for e in exact_posterior(data3, cfg3).entries])
+    pi = np.array(list(class_probabilities(exact_posterior(data3, cfg3, retain=True)).values()))
     combined = combined_transition_matrix(weights)
     assert np.abs(pi @ combined - pi).max() <= 1e-8
     report(4, f"TV <= 0.05 for 6/6 chains (worst {worst:.4f}); n=3 stationary within 1e-8")

@@ -1,0 +1,45 @@
+"""The benchmark's contract with the program.
+
+Each workload under ``bench/`` prepares its inputs, runs one operation
+through ``bsf.cli.main`` in this process and passes its own output checks,
+so a rename or signature change that would break the benchmark fails here
+rather than in a benchmark run.
+"""
+
+import math
+import os
+import sys
+
+import pytest
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
+
+import child  # noqa: E402
+import workloads  # noqa: E402
+
+import bsf.cli  # noqa: E402
+
+SEED = 1
+
+
+def test_cli_binds_the_solvers_the_benchmark_probes():
+    # child.py times set-up up to the first call of these names in bsf.cli
+    for name in child.SOLVERS:
+        assert callable(getattr(bsf.cli, name, None)), name
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_operation_passes_its_checks(name, tmp_path):
+    workload = workloads.WORKLOADS[name]
+    in_dir = tmp_path / "inputs"
+    in_dir.mkdir()
+    prep = workload.prepare(SEED, str(in_dir))
+    argv = workload.op_argv(prep, SEED, 0)
+    out_dir = str(tmp_path / "out")
+    assert bsf.cli.main([*argv, "--out", out_dir]) == 0
+    fails, figures = workload.check(prep, argv, out_dir)
+    assert fails == []
+    if name == "mcmc-table":
+        # one chain is too few for the pooled gate; the pooled path must run
+        _, pooled = workload.pooled(prep, [figures])
+        assert math.isfinite(pooled["tv_k"])

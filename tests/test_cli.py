@@ -214,6 +214,14 @@ def test_gen_data_spd_roundtrip(tmp_path):
     assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
     data = read_matrix_stack(out / "data.mats", "spd")
     assert data.n == 4 and data.dim == 2
+    stale = tmp_path / "stale.json"
+    write_json(stale, {
+        "kind": "spd",
+        "n": 4,
+        "oracle": {"means": [[[1.0, 0.0], [0.0, 1.0]]], "noise_scales": [0.1],
+                   "tail_exponent": 2.0},
+    })
+    assert main(["gen-data", "--config", str(stale), "--out", str(tmp_path / "s")]) == 2
 
 
 def test_matrix_stack_roundtrip(tmp_path):

@@ -12,10 +12,8 @@ from bsf.kernels import (
     GRAPH_LAPLACIAN_GAUSSIAN,
     RIEMANNIAN_GAUSSIAN_SPD,
     KernelSpec,
-    RootKernel,
     graph_distance,
     log_gaussian_kernel,
-    log_root_kernel,
     log_weight_matrix,
     pairwise_sq_distances,
     spd_geodesic_distance,
@@ -111,15 +109,6 @@ def test_graph_distance_eigenvalue_oracle():
     expected = math.sqrt(float((np.log(ev) ** 2).sum()))
     got = graph_distance(_path3(), _triangle3(), eta=eta)
     assert got == pytest.approx(expected, abs=1e-10)
-
-
-def test_root_kernel():
-    assert log_root_kernel(np.zeros(1), RootKernel(1.0)) == 0.0
-    assert log_root_kernel(None, RootKernel(0.5)) == pytest.approx(math.log(0.5), abs=1e-15)
-    # flat kernel: max/min root density ratio over any dataset is exactly 1
-    root = RootKernel(0.37)
-    vals = [log_root_kernel(y, root) for y in np.random.default_rng(0).normal(size=(40, 2))]
-    assert max(vals) == min(vals)
 
 
 def test_symmetry_euclidean_exact_and_manifold_tol(rng):

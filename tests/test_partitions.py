@@ -10,7 +10,6 @@ from bsf import partitions
 from bsf.partitions import (
     Partition,
     canonicalize,
-    enumerate_partitions,
     hamming_distance,
     is_refinement,
     one_block,
@@ -60,22 +59,25 @@ def test_partition_validation():
     assert Partition.from_string(part.to_string()) == part
 
 
+def _block_counts(n, k_cap=None):
+    """Number of blocks of every row of :func:`rgs_chunks`."""
+    return np.concatenate([c.max(axis=1) + 1 for c in rgs_chunks(n, k_cap)])
+
+
 def test_enumeration_counts_match_bell_and_stirling():
     for n in range(1, 11):
-        assert sum(1 for _ in enumerate_partitions(n)) == BELL[n]
-    assert sum(1 for p in enumerate_partitions(4, max_K=2) if p.K == 2) == 7
-    assert sum(1 for _ in enumerate_partitions(1)) == 1
+        assert len(_block_counts(n)) == BELL[n]
+    assert (_block_counts(4, 2) == 2).sum() == 7
+    assert len(_block_counts(1)) == 1
     for n in range(2, 9):
         for k in range(1, n + 1):
-            count = sum(1 for p in enumerate_partitions(n, max_K=k) if p.K == k)
-            assert count == stirling2(n, k), (n, k)
+            assert (_block_counts(n, k) == k).sum() == stirling2(n, k), (n, k)
     with pytest.raises(ValueError):
-        next(enumerate_partitions(14))
+        next(rgs_chunks(14))
 
 
 def test_enumeration_is_lexicographic_and_unique():
-    seen = list(enumerate_partitions(7))
-    labels = [p.labels for p in seen]
+    labels = [tuple(row) for chunk in rgs_chunks(7) for row in chunk.tolist()]
     assert labels == sorted(labels)
     assert len(set(labels)) == len(labels)
 
@@ -117,21 +119,6 @@ def test_rgs_chunks_match_successor_order(monkeypatch, chunk_rows):
             ks = np.bincount(peak[:, -1] + 1, minlength=n + 1)
             for k in range(1, n + 1):
                 assert ks[k] == (stirling2(n, k) if k <= cap else 0), (n, cap, k)
-
-
-def test_rgs_partitions_check_the_chunk_once():
-    labels = np.concatenate(list(rgs_chunks(6)))
-    parts = partitions._rgs_partitions(labels)
-    assert [p.labels for p in parts] == [tuple(r) for r in labels.tolist()]
-    assert parts == [Partition(tuple(r)) for r in labels.tolist()]
-    assert all(type(x) is int for x in parts[-1].labels)
-    for bad_row in ([1, 0, 0, 0, 0, 0], [0, 2, 1, 0, 0, 0], [0, 1, 1, 3, 2, 0], [0, 0, -1, 0, 0, 0]):
-        corrupt = labels.copy()
-        corrupt[100] = bad_row
-        with pytest.raises(ValueError, match="restricted growth"):
-            partitions._rgs_partitions(corrupt)
-    with pytest.raises(ValueError):
-        partitions._rgs_partitions(np.zeros((2, 0), dtype=np.int8))
 
 
 def test_refinement_cells_examples():

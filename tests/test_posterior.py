@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from conftest import class_probabilities
 
 from bsf.data import dataset_from_euclidean
 from bsf.kernels import EUCLIDEAN_GAUSSIAN, KernelSpec, log_gaussian_kernel
 from bsf.linalg import subset_log_det
-from bsf.partitions import Partition, canonicalize, enumerate_partitions, singletons
+from bsf.partitions import Partition, canonicalize, hamming_distance, rgs_chunks, singletons
 from bsf import posterior
 from bsf.posterior import (
     BlockWeights,
@@ -14,12 +15,13 @@ from bsf.posterior import (
     class_weight_chunks,
     exact_posterior,
     expected_hamming,
-    log_class_weight,
-    log_labeled_weight,
-    log_posterior_ratio,
 )
 
 SPEC = KernelSpec(EUCLIDEAN_GAUSSIAN, sigma=1.0)
+
+
+def _partitions(n):
+    return [Partition(tuple(row)) for chunk in rgs_chunks(n) for row in chunk.tolist()]
 
 
 def two_point_setup(odds=9.0):
@@ -31,8 +33,9 @@ def two_point_setup(odds=9.0):
 
 def test_two_point_labeled_weights():
     data, cfg, log_f12 = two_point_setup()
-    together = log_labeled_weight(Partition((0, 0)), data, cfg)
-    split = log_labeled_weight(Partition((0, 1)), data, cfg)
+    weights = BlockWeights(data, cfg)
+    together = weights.labeled(Partition((0, 0)))
+    split = weights.labeled(Partition((0, 1)))
     log_dl = cfg.log_delta_lambda
     assert together == pytest.approx(log_dl + math.log(2) + log_f12, abs=1e-12)
     assert split == pytest.approx(2 * log_dl, abs=1e-12)
@@ -40,10 +43,11 @@ def test_two_point_labeled_weights():
 
 def test_two_point_class_ratio_and_posterior():
     data, cfg, log_f12 = two_point_setup(odds=9.0)
-    ratio = log_posterior_ratio(Partition((0, 0)), Partition((0, 1)), data, cfg)
+    weights = BlockWeights(data, cfg)
+    ratio = weights.class_weight(Partition((0, 0))) - weights.class_weight(Partition((0, 1)))
     assert ratio == pytest.approx(math.log(9.0), abs=1e-12)
-    table = exact_posterior(data, cfg)
-    probs = {e.partition.labels: e.probability for e in table.entries}
+    table = exact_posterior(data, cfg, retain=True)
+    probs = class_probabilities(table)
     assert probs[(0, 0)] == pytest.approx(0.9, abs=1e-12)
     assert probs[(0, 1)] == pytest.approx(0.1, abs=1e-12)
     assert table.map_partition.labels == (0, 0)
@@ -53,21 +57,19 @@ def test_all_singletons_weight():
     rng = np.random.default_rng(3)
     data = dataset_from_euclidean(rng.normal(size=(6, 2)))
     cfg = BsfConfig(kernel=SPEC, log_delta=math.log(0.7), log_lambda=math.log(0.2))
-    got = log_labeled_weight(singletons(6), data, cfg)
+    got = BlockWeights(data, cfg).labeled(singletons(6))
     assert got == pytest.approx(6 * cfg.log_delta_lambda, abs=1e-12)
 
 
 def test_class_weight_adds_log_k_factorial():
     rng = np.random.default_rng(4)
     data = dataset_from_euclidean(rng.normal(size=(5, 1)))
-    cfg = BsfConfig.from_values(SPEC, lam=0.5)
+    weights = BlockWeights(data, BsfConfig.from_values(SPEC, lam=0.5))
     one = canonicalize([0, 0, 0, 0, 0])
-    assert log_class_weight(one, data, cfg) == pytest.approx(
-        log_labeled_weight(one, data, cfg), abs=1e-12
-    )
+    assert weights.class_weight(one) == pytest.approx(weights.labeled(one), abs=1e-12)
     three = canonicalize([0, 1, 2, 0, 1])
-    assert log_class_weight(three, data, cfg) == pytest.approx(
-        log_labeled_weight(three, data, cfg) + math.log(6), abs=1e-12
+    assert weights.class_weight(three) == pytest.approx(
+        weights.labeled(three) + math.log(6), abs=1e-12
     )
 
 
@@ -76,23 +78,23 @@ def test_within_block_index_permutation_invariance():
     pts = rng.normal(size=(6, 2))
     cfg = BsfConfig.from_values(SPEC, lam=0.8)
     part = canonicalize([0, 0, 0, 1, 1, 1])
-    base = log_labeled_weight(part, dataset_from_euclidean(pts), cfg)
+    base = BlockWeights(dataset_from_euclidean(pts), cfg).labeled(part)
     # swap points inside each block; the partition is unchanged
     perm = [2, 0, 1, 5, 4, 3]
-    permuted = log_labeled_weight(part, dataset_from_euclidean(pts[perm]), cfg)
+    permuted = BlockWeights(dataset_from_euclidean(pts[perm]), cfg).labeled(part)
     assert permuted == pytest.approx(base, abs=1e-10)
 
 
 def test_global_label_invariance():
     rng = np.random.default_rng(6)
     data = dataset_from_euclidean(rng.normal(size=(7, 2)))
-    cfg = BsfConfig.from_values(SPEC, lam=0.4)
+    weights = BlockWeights(data, BsfConfig.from_values(SPEC, lam=0.4))
     raw = [0, 1, 2, 0, 1, 2, 1]
-    base = log_class_weight(canonicalize(raw), data, cfg)
+    base = weights.class_weight(canonicalize(raw))
     for _ in range(20):
         perm = rng.permutation(3)
         relabeled = canonicalize([int(perm[lab]) for lab in raw])
-        assert log_class_weight(relabeled, data, cfg) == base
+        assert weights.class_weight(relabeled) == base
 
 
 def test_symmetric_three_points_equal_probabilities():
@@ -100,8 +102,8 @@ def test_symmetric_three_points_equal_probabilities():
     pts = [[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]]
     data = dataset_from_euclidean(pts)
     cfg = BsfConfig.from_values(SPEC, lam=0.5)
-    table = exact_posterior(data, cfg)
-    two_cluster = [e.probability for e in table.entries if e.partition.K == 2]
+    table = exact_posterior(data, cfg, retain=True)
+    two_cluster = [p for labels, p in class_probabilities(table).items() if max(labels) == 1]
     assert len(two_cluster) == 3
     assert max(two_cluster) - min(two_cluster) < 1e-14
 
@@ -118,26 +120,29 @@ def test_posterior_ratio_properties():
     rng = np.random.default_rng(7)
     data = dataset_from_euclidean(rng.normal(size=(6, 2)))
     cfg = BsfConfig.from_values(SPEC, lam=0.6)
+    weights = BlockWeights(data, cfg)
+
+    def log_ratio(a, b):
+        return weights.class_weight(a) - weights.class_weight(b)
+
     p1 = canonicalize([0, 0, 1, 1, 2, 2])
     p2 = canonicalize([0, 1, 0, 1, 0, 1])
-    assert log_posterior_ratio(p1, p1, data, cfg) == 0.0
-    assert log_posterior_ratio(p1, p2, data, cfg) == pytest.approx(
-        -log_posterior_ratio(p2, p1, data, cfg), abs=1e-12
-    )
-    table = exact_posterior(data, cfg)
-    quotient = math.log(table.prob_of(p1)) - math.log(table.prob_of(p2))
-    assert log_posterior_ratio(p1, p2, data, cfg) == pytest.approx(quotient, abs=1e-9)
+    assert log_ratio(p1, p1) == 0.0
+    assert log_ratio(p1, p2) == pytest.approx(-log_ratio(p2, p1), abs=1e-12)
+    probs = class_probabilities(exact_posterior(data, cfg, retain=True))
+    quotient = math.log(probs[p1.labels]) - math.log(probs[p2.labels])
+    assert log_ratio(p1, p2) == pytest.approx(quotient, abs=1e-9)
 
 
 def test_normalization_and_k_marginals():
     rng = np.random.default_rng(8)
     data = dataset_from_euclidean(rng.normal(size=(7, 1)))
     cfg = BsfConfig.from_values(SPEC, lam=0.3)
-    table = exact_posterior(data, cfg)
-    assert sum(e.probability for e in table.entries) == pytest.approx(1.0, abs=1e-10)
+    table = exact_posterior(data, cfg, retain=True)
+    assert sum(class_probabilities(table).values()) == pytest.approx(1.0, abs=1e-10)
     assert sum(table.k_marginals().values()) == pytest.approx(1.0, abs=1e-10)
     # normalizer from the dynamic program equals the enumerated one
-    lws = np.array([e.log_class_weight for e in table.entries])
+    lws = table.log_weights
     peak = lws.max()
     enumerated = peak + math.log(np.exp(lws - peak).sum())
     assert table.log_normalizer == pytest.approx(enumerated, abs=1e-10)
@@ -149,7 +154,7 @@ def _map_test_problems():
         data = dataset_from_euclidean(rng.normal(size=(6, 2)))
         yield data, BsfConfig.from_values(SPEC, lam=float(rng.uniform(0.05, 2.0)))
     # points around four centres: some MAPs have three or more mixed blocks,
-    # where a block sum in another order than the entries' would show as a
+    # where a block sum in another order than the table's would show as a
     # last-digit difference
     for _ in range(30):
         centres = rng.integers(0, 4, size=7) * 5.0
@@ -162,11 +167,13 @@ def test_map_from_dp_matches_enumeration():
     for data, cfg in _map_test_problems():
         retained = exact_posterior(data, cfg, retain=True)
         bare = exact_posterior(data, cfg, retain=False)
-        best = max(retained.entries, key=lambda e: e.log_class_weight)
-        assert bare.map_partition == best.partition
-        assert retained.map_partition == best.partition
-        assert retained.map_log_weight == best.log_class_weight
-        assert bare.map_log_weight == best.log_class_weight
+        best = int(np.argmax(retained.log_weights))  # the first maximum in RGS order
+        best_labels = tuple(retained.labels[best].tolist())
+        best_lw = float(retained.log_weights[best])
+        assert bare.map_partition.labels == best_labels
+        assert retained.map_partition.labels == best_labels
+        assert retained.map_log_weight == best_lw
+        assert bare.map_log_weight == best_lw
 
 
 def test_refinement_cell_decomposition_of_ratio():
@@ -204,11 +211,11 @@ def test_restrictions_and_cap():
     rng = np.random.default_rng(11)
     data = dataset_from_euclidean(rng.normal(size=(6, 1)))
     cfg = BsfConfig.from_values(SPEC, lam=0.5, enum_cap=6)
-    only2 = exact_posterior(data, cfg, only_K=2)
-    assert all(e.partition.K == 2 for e in only2.entries)
-    assert sum(e.probability for e in only2.entries) == pytest.approx(1.0, abs=1e-10)
-    max1 = exact_posterior(data, cfg, max_K=1)
-    assert len(max1.entries) == 1 and max1.entries[0].probability == pytest.approx(1.0)
+    only2 = exact_posterior(data, cfg, only_K=2, retain=True)
+    assert (only2.labels.max(axis=1) == 1).all()
+    assert sum(class_probabilities(only2).values()) == pytest.approx(1.0, abs=1e-10)
+    max1 = exact_posterior(data, cfg, max_K=1, retain=True)
+    assert list(class_probabilities(max1).values()) == [pytest.approx(1.0)]
     small_cap = BsfConfig.from_values(SPEC, lam=0.5, enum_cap=5)
     with pytest.raises(ValueError):
         exact_posterior(data, small_cap)
@@ -219,24 +226,41 @@ def test_streaming_weights_match_table():
     data = dataset_from_euclidean(rng.normal(size=(6, 1)))
     cfg = BsfConfig.from_values(SPEC, lam=0.5)
     weights = BlockWeights(data, cfg)
-    table = exact_posterior(data, cfg, weights=weights)
     block_table = weights.precompute()
     streamed = [
         (tuple(row), k, lw)
         for labels, ks, lws in class_weight_chunks(block_table, 6)
         for row, k, lw in zip(labels.tolist(), ks.tolist(), lws.tolist())
     ]
-    assert [row for row, _, _ in streamed] == [e.partition.labels for e in table.entries]
-    for (row, k, lw), entry in zip(streamed, table.entries):
+    assert [row for row, _, _ in streamed] == [p.labels for p in _partitions(6)]
+    for row, k, lw in streamed:
         # the vectorized core reproduces the per-partition floats exactly
-        assert k == entry.partition.K
-        assert lw == entry.log_class_weight == weights.class_weight(entry.partition)
+        assert k == max(row) + 1
+        assert lw == weights.class_weight(Partition(row))
     only = [tuple(row) for labels, _, _ in class_weight_chunks(block_table, 6, only_K=3)
             for row in labels.tolist()]
     assert only == [row for row, k, _ in streamed if k == 3]
     capped = [tuple(row) for labels, _, _ in class_weight_chunks(block_table, 6, max_K=2)
               for row in labels.tolist()]
     assert capped == [row for row, k, _ in streamed if k <= 2]
+
+
+def test_retained_table_is_the_concatenated_chunks():
+    rng = np.random.default_rng(17)
+    data = dataset_from_euclidean(rng.normal(size=(8, 2)))  # 4,140 classes: three chunks
+    weights = BlockWeights(data, BsfConfig.from_values(SPEC, lam=0.5))
+    block_table = weights.precompute()
+    for max_K, only_K in ((None, None), (3, None), (None, 3), (5, 3), (None, 8)):
+        table = exact_posterior(data, weights.cfg, max_K=max_K, only_K=only_K, retain=True,
+                                weights=weights)
+        chunks = list(class_weight_chunks(block_table, 8, max_K, only_K))
+        labels = np.concatenate([c[0] for c in chunks])
+        log_weights = np.concatenate([c[2] for c in chunks])
+        assert table.labels.shape == (len(log_weights), 8)
+        assert np.array_equal(table.labels, labels), (max_K, only_K)
+        assert np.array_equal(table.log_weights, log_weights), (max_K, only_K)
+        bare = exact_posterior(data, weights.cfg, max_K=max_K, only_K=only_K, weights=weights)
+        assert bare.labels is None and bare.log_weights is None
 
 
 class _FixedTable:
@@ -252,7 +276,7 @@ class _FixedTable:
 def _first_rgs_maximum(table, n):
     """Brute force: the first maximum of the class weight in RGS order."""
     best = None
-    for part in enumerate_partitions(n):
+    for part in _partitions(n):
         lw = math.lgamma(part.K + 1) + sum(int(table[m]) for m in part.block_masks())
         if best is None or lw > best[1]:
             best = (part.labels, lw)
@@ -318,19 +342,19 @@ def test_expected_hamming_and_block_weights_consistency():
     rng = np.random.default_rng(13)
     data = dataset_from_euclidean(rng.normal(size=(5, 1)))
     cfg = BsfConfig.from_values(SPEC, lam=0.5)
-    table = exact_posterior(data, cfg)
-    truth = canonicalize([0, 0, 1, 1, 1])
-    from bsf.partitions import hamming_distance
-
-    direct = sum(
-        e.probability * hamming_distance(e.partition, truth) for e in table.entries
-    )
-    assert expected_hamming(table, truth) == pytest.approx(direct, abs=1e-12)
     weights = BlockWeights(data, cfg)
-    for part in enumerate_partitions(5):
-        assert weights.labeled(part) == pytest.approx(
-            log_labeled_weight(part, data, cfg), abs=1e-10
-        )
+    truth = canonicalize([0, 0, 1, 1, 1])
+    for only_K in (None, 2):
+        table = exact_posterior(data, cfg, only_K=only_K, retain=True)
+        # brute force: every allowed class weighed on its own
+        parts = [p for p in _partitions(5) if only_K in (None, p.K)]
+        lws = [weights.class_weight(p) for p in parts]
+        log_z = _logsumexp(lws)
+        direct = sum(math.exp(lw - log_z) * hamming_distance(p, truth) for p, lw in zip(parts, lws))
+        assert expected_hamming(table, truth) == pytest.approx(direct, abs=1e-12), only_K
+    with pytest.raises(ValueError):
+        expected_hamming(exact_posterior(data, cfg), truth)
+    for part in _partitions(5):
         for mask in part.block_masks():
             members = [i for i in range(5) if mask >> i & 1]
             expected_det = subset_log_det(weights.logw, members)
@@ -351,7 +375,7 @@ def test_forward_dp_matches_enumeration():
         weights = BlockWeights(data, BsfConfig.from_values(SPEC, lam=float(rng.uniform(0.1, 2.0))))
         block_table = weights.precompute()
         labeled = {}
-        for part in enumerate_partitions(n):
+        for part in _partitions(n):
             labeled.setdefault(part.K, []).append(weights.labeled(part))
         g_sum, g_max = posterior._forward_dp(block_table, n, n)
         for k, lws in labeled.items():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import class_probabilities
 
 from bsf.data import dataset_from_euclidean
 from bsf.kernels import EUCLIDEAN_GAUSSIAN, KernelSpec, log_gaussian_kernel
@@ -10,6 +11,7 @@ from bsf.partitions import Partition
 from bsf.posterior import BlockWeights, BsfConfig, exact_posterior
 from bsf.sampler import (
     ChainState,
+    _class_index,
     combined_transition_matrix,
     gibbs_sweep,
     gibbs_sweep_matrix,
@@ -64,8 +66,7 @@ def test_stationarity_on_three_points():
     cfg = BsfConfig.from_values(SPEC, lam=0.7)
     weights = BlockWeights(data, cfg)
     weights.precompute()
-    table = exact_posterior(data, cfg)
-    pi = np.array([e.probability for e in table.entries])
+    pi = np.array(list(class_probabilities(exact_posterior(data, cfg, retain=True)).values()))
     combined = combined_transition_matrix(weights)
     assert np.abs(combined.sum(axis=1) - 1.0).max() < 1e-12
     assert np.abs(pi @ combined - pi).max() < 1e-8
@@ -111,9 +112,7 @@ def test_split_acceptance_saturates_at_matched_weights():
     assert abs(log_acc) < 1e-12
     # the exact kernel puts the full pick probability on that split
     sm = split_merge_matrix(weights)
-    from bsf.partitions import enumerate_partitions
-
-    classes = {p.labels: i for i, p in enumerate(enumerate_partitions(3))}
+    _, classes = _class_index(3)
     row = classes[(0, 0, 1)]
     col = classes[(0, 1, 2)]
     assert sm[row, col] == pytest.approx(1.0 / 3.0, abs=1e-12)
@@ -123,8 +122,7 @@ def test_empirical_frequencies_match_exact_small_n():
     rng = np.random.default_rng(11)
     data = dataset_from_euclidean(rng.normal(size=(5, 1)))
     cfg = BsfConfig.from_values(SPEC, lam=0.5)
-    table = exact_posterior(data, cfg)
-    exact = {e.partition.labels: e.probability for e in table.entries}
+    exact = class_probabilities(exact_posterior(data, cfg, retain=True))
     summary = run_chain(data, cfg, iters=30_000, burnin=3_000, thin=1, seed=3)
     assert tv_distance(summary.class_frequencies(), exact) < 0.05
 
