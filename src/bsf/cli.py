@@ -473,16 +473,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="JSON config path")
+    def common(p, seed=True, workers=False):
+        p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="master seed")
-        p.add_argument("--workers", type=int, default=max(1, os.cpu_count() or 1),
-                       help="parallel replicate workers")
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="master seed")
+        if workers:
+            p.add_argument("--workers", type=int, default=max(1, os.cpu_count() or 1),
+                           help="parallel replicate workers")
 
     p_exact = sub.add_parser("exact", help="enumerated posterior tables")
-    common(p_exact)
+    common(p_exact, seed=False)
     p_exact.add_argument("--max-k", type=int, default=None,
                          help="restrict to partitions with at most this many blocks")
     p_exact.set_defaults(fn=cmd_exact)
@@ -492,12 +493,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_mcmc.set_defaults(fn=cmd_mcmc)
 
     p_exp = sub.add_parser("experiment", help="consistency experiment harness")
-    common(p_exp)
+    common(p_exp, workers=True)
     p_exp.add_argument("--mode", choices=("exact", "mcmc"), default=None)
     p_exp.set_defaults(fn=cmd_experiment)
 
     p_mis = sub.add_parser("misclass", help="misclassification experiment harness")
-    common(p_mis)
+    common(p_mis, workers=True)
     p_mis.set_defaults(fn=cmd_misclass)
 
     p_ver = sub.add_parser("verify", help="determinant identity/inequality checks")

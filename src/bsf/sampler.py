@@ -1,13 +1,18 @@
 """MCMC over canonical partitions targeting the class-weight posterior.
 
-One iteration interleaves a systematic-scan Gibbs sweep (each point is
-reassigned from its exact full conditional over existing blocks or a new
-singleton, in random order) with one split-merge Metropolis-Hastings move
-(pick two points; split their common block with a uniform separating
-bipartition, or merge their two blocks).  Both kernels leave the class
-posterior invariant: the Gibbs conditional is exact on its finite support,
-and the split proposal probability ``2^-(m-2)`` is accounted exactly in
-the acceptance ratio.
+One iteration interleaves a random-scan Gibbs sweep (each point, in a
+fresh random order, is reassigned from its exact full conditional over
+existing blocks or a new singleton) with one split-merge
+Metropolis-Hastings move (pick two points; split their common block with a
+uniform separating bipartition, or merge their two blocks).  Both kernels
+leave the class posterior invariant: the Gibbs conditional is exact on its
+finite support, and the split proposal probability ``2^-(m-2)`` is
+accounted exactly in the acceptance ratio.
+
+The moves are priced and applied by :class:`ChainState` methods alone; the
+live moves add only the random draws.  The exhaustive transition matrices
+for small n drive the same methods through every choice and route, so the
+stationarity tests check the code the chain runs.
 
 Determinism contract: a chain is a pure function of (data, config,
 schedule, seed).  Replicate-level streams are derived with
@@ -19,6 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import permutations
 
 import numpy as np
 
@@ -40,11 +47,10 @@ class ChainState:
     recomputing the current blocks from scratch.
     """
 
-    def __init__(self, weights: BlockWeights, labels, rng: np.random.Generator):
+    def __init__(self, weights: BlockWeights, labels, rng: np.random.Generator | None = None):
         self.weights = weights
         self.n = weights.n
         self.rng = rng
-        self.step_count = 0
         canon = canonicalize(labels)
         self.assign = list(canon.labels)
         self.slots = canon.block_masks()
@@ -56,9 +62,6 @@ class ChainState:
     def partition(self) -> Partition:
         return canonicalize(self.assign)
 
-    def log_class_weight(self) -> float:
-        return math.lgamma(self.K + 1) + sum(self.weights.block(m) for m in self.slots)
-
     def audit_cache(self, tol: float = CACHE_AUDIT_TOL) -> float:
         """Compare cached block weights against fresh recomputation."""
         worst = 0.0
@@ -69,118 +72,134 @@ class ChainState:
             raise RuntimeError(f"block-weight cache drifted by {worst:.3e}")
         return worst
 
+    def remove(self, i: int) -> np.ndarray:
+        """Take point i out of its block; return the probabilities of joining
+        each of the K blocks left and, last, of opening a singleton.
+
+        Each is proportional to the class weight of the resulting partition:
+        joining block B scores the weight increment of B, and a singleton
+        scores ``log(K + 1)`` (the label-multiplicity gain) plus its weight.
+        """
+        w = self.weights
+        bit = 1 << i
+        slot = self.assign[i]
+        remaining = self.slots[slot] ^ bit
+        if remaining == 0:
+            self._drop_slot(slot)
+        else:
+            self.slots[slot] = remaining
+        scores = [w.block(mask | bit) - w.block(mask) for mask in self.slots]
+        scores.append(math.log(self.K + 1) + w.block(bit))
+        arr = np.asarray(scores, dtype=float)
+        probs = np.exp(arr - arr.max())
+        probs /= probs.sum()
+        return probs
+
+    def place(self, i: int, choice: int) -> None:
+        """Put the removed point i into block ``choice`` (K: a new singleton)."""
+        if choice == self.K:
+            self.slots.append(1 << i)
+        else:
+            self.slots[choice] |= 1 << i
+        self.assign[i] = choice
+
+    def route_length(self, i: int, j: int) -> int:
+        """Route bits a split of the picked pair takes: the other members of
+        their common block, or 0 when they are in different blocks."""
+        slot = self.assign[i]
+        return self.slots[slot].bit_count() - 2 if slot == self.assign[j] else 0
+
+    def propose(self, i: int, j: int, route) -> tuple[str, float, tuple[int, int, int]]:
+        """Split-merge proposal for the picked pair (i, j): the move ("split"
+        or "merge"), its log acceptance ratio and the change for :meth:`commit`.
+
+        A split sends the other members of the block, in index order, to
+        i's side where ``route`` is true and to j's otherwise; that
+        bipartition's proposal probability ``2^-(m-2)`` enters the ratio,
+        and the reverse merge is deterministic given the pair.
+        """
+        w = self.weights
+        slot_i, slot_j = self.assign[i], self.assign[j]
+        if slot_i == slot_j:
+            mask = self.slots[slot_i]
+            m = mask.bit_count()
+            part_a, part_b = 1 << i, 1 << j
+            free = (t for t in range(self.n) if mask >> t & 1 and t != i and t != j)
+            for t, to_a in zip(free, route, strict=True):
+                if to_a:
+                    part_a |= 1 << t
+                else:
+                    part_b |= 1 << t
+            log_acc = (
+                math.log(self.K + 1)
+                + w.block(part_a) + w.block(part_b) - w.block(mask)
+                + (m - 2) * LOG2
+            )
+            return "split", log_acc, (slot_i, part_a, part_b)
+        mask_a, mask_b = self.slots[slot_i], self.slots[slot_j]
+        merged = mask_a | mask_b
+        m = merged.bit_count()
+        log_acc = (
+            -math.log(self.K)
+            + w.block(merged) - w.block(mask_a) - w.block(mask_b)
+            - (m - 2) * LOG2
+        )
+        return "merge", log_acc, (slot_i, slot_j, merged)
+
+    def commit(self, move: str, change: tuple[int, int, int]) -> None:
+        """Apply an accepted :meth:`propose` change."""
+        if move == "split":
+            slot, part_a, part_b = change
+            self.slots[slot] = part_a
+            self.slots.append(part_b)
+            self._relabel(part_b, len(self.slots) - 1)
+        else:
+            slot_i, slot_j, merged = change
+            self.slots[slot_i] = merged
+            self._relabel(self.slots[slot_j], slot_i)
+            self._drop_slot(slot_j)
+
+    def _relabel(self, mask: int, slot: int) -> None:
+        for t in range(self.n):
+            if mask >> t & 1:
+                self.assign[t] = slot
+
     def _drop_slot(self, slot: int) -> None:
         last = len(self.slots) - 1
         if slot != last:
             self.slots[slot] = self.slots[last]
-            mask = self.slots[slot]
-            for i in range(self.n):
-                if mask >> i & 1:
-                    self.assign[i] = slot
+            self._relabel(self.slots[slot], slot)
         self.slots.pop()
 
 
-def _sample_categorical_log(rng: np.random.Generator, log_scores) -> int:
-    arr = np.asarray(log_scores, dtype=float)
-    peak = arr.max()
-    probs = np.exp(arr - peak)
-    probs /= probs.sum()
-    u = rng.random()
-    return int(np.searchsorted(np.cumsum(probs), u, side="right").clip(0, len(arr) - 1))
-
-
-def gibbs_sweep(state: ChainState, data: Dataset, cfg: BsfConfig) -> ChainState:
-    """One full-conditional pass over all points, in random order.
-
-    For a point with the rest of the partition fixed at ``K`` blocks, the
-    conditional over placements is proportional to the class weight of the
-    resulting partition: joining block B scores the weight increment of B,
-    and opening a singleton scores ``log(K + 1)`` (the label-multiplicity
-    gain) plus the singleton block weight.
-    """
-    w = state.weights
-    order = state.rng.permutation(state.n)
-    for i in order:
-        bit = 1 << int(i)
-        slot = state.assign[i]
-        remaining = state.slots[slot] ^ bit
-        if remaining == 0:
-            state._drop_slot(slot)
-        else:
-            state.slots[slot] = remaining
-        k_rest = state.K
-        scores = [w.block(state.slots[j] | bit) - w.block(state.slots[j]) for j in range(k_rest)]
-        scores.append(math.log(k_rest + 1) + w.block(bit))
-        choice = _sample_categorical_log(state.rng, scores)
-        if choice == k_rest:
-            state.slots.append(bit)
-        else:
-            state.slots[choice] |= bit
-        state.assign[i] = choice
-    state.step_count += 1
+def gibbs_sweep(state: ChainState) -> ChainState:
+    """One full-conditional pass over all points, in random order: one
+    uniform per point picks its placement by inverse CDF."""
+    rng = state.rng
+    for i in rng.permutation(state.n):
+        i = int(i)
+        probs = state.remove(i)
+        choice = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
+        state.place(i, min(choice, len(probs) - 1))
     return state
 
 
-def split_merge_move(state: ChainState, data: Dataset, cfg: BsfConfig) -> tuple[ChainState, str, bool]:
-    """One split-merge Metropolis-Hastings proposal.
-
-    Returns the state plus the move type ("split" or "merge") and whether
-    it was accepted.  A split of a block of size m separates the two picked
-    points and routes every other member by a fair bit, so the proposal
-    probability of the specific bipartition is ``2^-(m-2)`` and the reverse
-    merge is deterministic given the picked pair.
+def split_merge_move(state: ChainState) -> tuple[ChainState, str, bool]:
+    """One split-merge Metropolis-Hastings proposal: the pair, a fair route
+    bit per other member of a block being split, then the acceptance
+    uniform.  Returns the state, the move type and whether it was accepted.
     """
     if state.n < 2:
         raise ValueError("split-merge needs at least 2 points")
-    w = state.weights
     rng = state.rng
     i, j = (int(x) for x in rng.choice(state.n, size=2, replace=False))
-    slot_i, slot_j = state.assign[i], state.assign[j]
-    if slot_i == slot_j:
-        mask = state.slots[slot_i]
-        m = mask.bit_count()
-        part_a, part_b = 1 << i, 1 << j
-        others = mask ^ part_a ^ part_b
-        if others:
-            bits = rng.random(m - 2) < 0.5
-            pos = 0
-            for t in range(state.n):
-                if others >> t & 1:
-                    if bits[pos]:
-                        part_a |= 1 << t
-                    else:
-                        part_b |= 1 << t
-                    pos += 1
-        log_acc = (
-            math.log(state.K + 1)
-            + w.block(part_a) + w.block(part_b) - w.block(mask)
-            + (m - 2) * LOG2
-        )
-        accepted = math.log(rng.random() or 5e-324) < log_acc
-        if accepted:
-            state.slots[slot_i] = part_a
-            new_slot = len(state.slots)
-            state.slots.append(part_b)
-            for t in range(state.n):
-                if part_b >> t & 1:
-                    state.assign[t] = new_slot
-        return state, "split", accepted
-    mask_a, mask_b = state.slots[slot_i], state.slots[slot_j]
-    merged = mask_a | mask_b
-    m = merged.bit_count()
-    log_acc = (
-        -math.log(state.K)
-        + w.block(merged) - w.block(mask_a) - w.block(mask_b)
-        - (m - 2) * LOG2
-    )
+    free = state.route_length(i, j)
+    route = rng.random(free) < 0.5 if free else ()
+    move, log_acc, change = state.propose(i, j, route)
     accepted = math.log(rng.random() or 5e-324) < log_acc
     if accepted:
-        state.slots[slot_i] = merged
-        for t in range(state.n):
-            if mask_b >> t & 1:
-                state.assign[t] = slot_i
-        state._drop_slot(slot_j)
-    return state, "merge", accepted
+        state.commit(move, change)
+    return state, move, accepted
 
 
 @dataclass
@@ -239,14 +258,13 @@ def merge_summaries(a: ChainSummary, b: ChainSummary) -> ChainSummary:
 
 
 def run_chain(data: Dataset, cfg: BsfConfig, iters: int, burnin: int, thin: int,
-              seed: int, weights: BlockWeights | None = None) -> ChainSummary:
+              seed: int) -> ChainSummary:
     """Run one chain from the all-singletons state; deterministic per seed."""
     if not (iters > burnin >= 0):
         raise ValueError("need iters > burnin >= 0")
     if thin < 1:
         raise ValueError("thin must be >= 1")
-    if weights is None:
-        weights = BlockWeights(data, cfg)
+    weights = BlockWeights(data, cfg)
     if data.n <= 13:
         weights.precompute()
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -258,9 +276,9 @@ def run_chain(data: Dataset, cfg: BsfConfig, iters: int, burnin: int, thin: int,
     accept = {"split": [0, 0], "merge": [0, 0]}
     n_samples = 0
     for it in range(iters):
-        gibbs_sweep(state, data, cfg)
+        gibbs_sweep(state)
         if n >= 2:
-            _, move, ok = split_merge_move(state, data, cfg)
+            _, move, ok = split_merge_move(state)
             accept[move][1] += 1
             accept[move][0] += int(ok)
         if it >= burnin and (it - burnin) % thin == 0:
@@ -284,120 +302,57 @@ def run_chain(data: Dataset, cfg: BsfConfig, iters: int, burnin: int, thin: int,
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive kernels for small n: used to check invariance/stationarity of
-# the exact transition law against the enumerated posterior.
+# Exhaustive kernels for small n: the exact transition law of the moves
+# above, built by driving the same ChainState methods from every class and
+# through every choice and route, to check stationarity against the
+# enumerated posterior.
 
 
 def _class_index(n: int):
-    classes = [Partition(tuple(row)) for chunk in rgs_chunks(n) for row in chunk.tolist()]
-    index = {p.labels: i for i, p in enumerate(classes)}
-    return classes, index
+    classes = [tuple(row) for chunk in rgs_chunks(n) for row in chunk.tolist()]
+    return classes, {labels: i for i, labels in enumerate(classes)}
 
 
 def single_site_matrix(weights: BlockWeights, point: int) -> np.ndarray:
     """Exact transition matrix of the Gibbs update at one point."""
-    n = weights.n
-    classes, index = _class_index(n)
+    classes, index = _class_index(weights.n)
     mat = np.zeros((len(classes), len(classes)))
-    bit = 1 << point
-    for row, part in enumerate(classes):
-        masks = [m for m in part.block_masks()]
-        slot = part.labels[point]
-        masks[slot] ^= bit
-        rest = [m for m in masks if m]
-        scores = [weights.block(m | bit) - weights.block(m) for m in rest]
-        scores.append(math.log(len(rest) + 1) + weights.block(bit))
-        arr = np.asarray(scores)
-        probs = np.exp(arr - arr.max())
-        probs /= probs.sum()
+    for row, labels in enumerate(classes):
+        probs = ChainState(weights, labels).remove(point)
         for choice, prob in enumerate(probs):
-            blocks = list(rest)
-            if choice < len(rest):
-                blocks[choice] |= bit
-            else:
-                blocks.append(bit)
-            mat[row, index[_labels_of(blocks, n)]] += prob
+            state = ChainState(weights, labels)
+            state.remove(point)
+            state.place(point, choice)
+            mat[row, index[state.partition().labels]] += prob
     return mat
 
 
 def gibbs_sweep_matrix(weights: BlockWeights) -> np.ndarray:
     """Sweep kernel averaged over all point orders (exact, tiny n only)."""
-    from itertools import permutations
-
-    n = weights.n
-    site = [single_site_matrix(weights, i) for i in range(n)]
-    total = None
-    count = 0
-    for order in permutations(range(n)):
-        mat = np.eye(site[0].shape[0])
-        for i in order:
-            mat = mat @ site[i]
-        total = mat if total is None else total + mat
-        count += 1
-    return total / count
+    site = [single_site_matrix(weights, i) for i in range(weights.n)]
+    orders = list(permutations(range(weights.n)))
+    return sum(reduce(np.matmul, [site[i] for i in order]) for order in orders) / len(orders)
 
 
 def split_merge_matrix(weights: BlockWeights) -> np.ndarray:
-    """Exact split-merge kernel: sum over pairs, patterns, and accept/reject."""
+    """Exact split-merge kernel: sum over pairs, routes, and accept/reject."""
     n = weights.n
     classes, index = _class_index(n)
-    size = len(classes)
-    mat = np.zeros((size, size))
+    mat = np.zeros((len(classes), len(classes)))
     pair_prob = 1.0 / (n * (n - 1))
-    for row, part in enumerate(classes):
-        masks = part.block_masks()
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                si, sj = part.labels[i], part.labels[j]
-                if si == sj:
-                    mask = masks[si]
-                    m = mask.bit_count()
-                    others = [t for t in range(n) if (mask >> t & 1) and t not in (i, j)]
-                    pattern_prob = 0.5 ** len(others)
-                    for pattern in range(1 << len(others)):
-                        part_a, part_b = 1 << i, 1 << j
-                        for pos, t in enumerate(others):
-                            if pattern >> pos & 1:
-                                part_a |= 1 << t
-                            else:
-                                part_b |= 1 << t
-                        log_acc = (
-                            math.log(part.K + 1)
-                            + weights.block(part_a) + weights.block(part_b)
-                            - weights.block(mask) + (m - 2) * LOG2
-                        )
-                        acc = math.exp(min(0.0, log_acc))
-                        blocks = [mk for s, mk in enumerate(masks) if s != si]
-                        blocks += [part_a, part_b]
-                        col = index[_labels_of(blocks, n)]
-                        mat[row, col] += pair_prob * pattern_prob * acc
-                        mat[row, row] += pair_prob * pattern_prob * (1.0 - acc)
-                else:
-                    merged = masks[si] | masks[sj]
-                    m = merged.bit_count()
-                    log_acc = (
-                        -math.log(part.K)
-                        + weights.block(merged) - weights.block(masks[si])
-                        - weights.block(masks[sj]) - (m - 2) * LOG2
-                    )
-                    acc = math.exp(min(0.0, log_acc))
-                    blocks = [mk for s, mk in enumerate(masks) if s not in (si, sj)]
-                    blocks.append(merged)
-                    col = index[_labels_of(blocks, n)]
-                    mat[row, col] += pair_prob * acc
-                    mat[row, row] += pair_prob * (1.0 - acc)
+    for row, labels in enumerate(classes):
+        for i, j in permutations(range(n), 2):
+            free = ChainState(weights, labels).route_length(i, j)
+            prob = pair_prob * 0.5 ** free
+            for pattern in range(1 << free):
+                state = ChainState(weights, labels)
+                route = [pattern >> pos & 1 for pos in range(free)]
+                move, log_acc, change = state.propose(i, j, route)
+                acc = math.exp(min(0.0, log_acc))
+                state.commit(move, change)
+                mat[row, index[state.partition().labels]] += prob * acc
+                mat[row, row] += prob * (1.0 - acc)
     return mat
-
-
-def _labels_of(blocks: list[int], n: int) -> tuple[int, ...]:
-    labels = [0] * n
-    for b_id, mask in enumerate(blocks):
-        for t in range(n):
-            if mask >> t & 1:
-                labels[t] = b_id
-    return canonicalize(labels).labels
 
 
 def combined_transition_matrix(weights: BlockWeights) -> np.ndarray:

@@ -6,15 +6,19 @@ so a rename or signature change that would break the benchmark fails here
 rather than in a benchmark run.
 """
 
+import json
 import math
 import os
+import subprocess
 import sys
 
 import pytest
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
 
 import child  # noqa: E402
+import tracer  # noqa: E402
 import workloads  # noqa: E402
 
 import bsf.cli  # noqa: E402
@@ -43,3 +47,26 @@ def test_workload_operation_passes_its_checks(name, tmp_path):
         # one chain is too few for the pooled gate; the pooled path must run
         _, pooled = workload.pooled(prep, [figures])
         assert math.isfinite(pooled["tv_k"])
+
+
+def test_traced_chain_reports_the_sampler_layer(tmp_path):
+    # tracer.py wraps the moves by name and unpacks (state, move, accepted);
+    # it skips names it cannot find, so a rename would silently zero the
+    # sampler's per-layer figures
+    workload = workloads.WORKLOADS["mcmc-table"]
+    in_dir = tmp_path / "inputs"
+    in_dir.mkdir()
+    prep = workload.prepare(SEED, str(in_dir))
+    argv = workload.op_argv(prep, SEED, 0)
+    result = str(tmp_path / "result.json")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, os.path.join(ROOT, "bench", "child.py"), result, "trace", "--",
+                    *argv, "--out", str(tmp_path / "out")], env=env, check=True,
+                   stdout=subprocess.DEVNULL)
+    with open(result, encoding="utf-8") as fh:
+        assert json.load(fh)["exit_code"] == 0
+    names, counts, name_of, *_ = tracer.load_spans(result + ".spans")
+    spanned = {names[i] for i in set(name_of.tolist())}
+    assert {"sampler.gibbs_sweep", "sampler.split_merge_move"} <= spanned
+    assert counts.get("sampler.split.proposed", 0) + counts.get("sampler.merge.proposed", 0) > 0

@@ -11,7 +11,7 @@ import pytest
 
 import bsf
 from bsf import partitions
-from bsf.cli import _rgs_strings, main
+from bsf.cli import _rgs_strings, build_parser, main
 from bsf.data import read_euclidean_csv, read_matrix_stack, write_matrix_stack
 from bsf.kernels import EUCLIDEAN_GAUSSIAN, KernelSpec, log_gaussian_kernel
 from bsf.partitions import Partition
@@ -152,6 +152,27 @@ def test_exit_codes(tmp_path, toy_csv, capsys):
     assert main(["exact", "--config", str(unknown),
                  "--out", str(tmp_path / "o")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact", "--seed", "1"],
+    ["exact", "--workers", "2"],
+    ["mcmc", "--workers", "2"],
+    ["gen-data", "--workers", "2"],
+])
+def test_options_a_subcommand_does_not_read_are_rejected(argv, capsys):
+    command, *flag = argv
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, "--config", "c.json", *flag])
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["experiment", "misclass"])
+def test_replicate_harnesses_take_workers(command):
+    args = build_parser().parse_args(
+        [command, "--config", "c.json", "--workers", "3", "--seed", "4"])
+    assert (args.workers, args.seed) == (3, 4)
 
 
 def test_malformed_json_is_config_error(tmp_path):

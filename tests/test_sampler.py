@@ -17,6 +17,7 @@ from bsf.sampler import (
     gibbs_sweep_matrix,
     merge_summaries,
     run_chain,
+    single_site_matrix,
     split_merge_matrix,
     split_merge_move,
 )
@@ -60,9 +61,10 @@ def test_burnin_schedule_and_validation():
         run_chain(data, cfg, iters=5, burnin=1, thin=0, seed=1)
 
 
-def test_stationarity_on_three_points():
+@pytest.mark.parametrize("n", [3, 4, 5])  # Bell(n) = 5, 15, 52 classes
+def test_exhaustive_kernels_are_stationary(n):
     rng = np.random.default_rng(7)
-    data = dataset_from_euclidean(rng.normal(size=(3, 1)))
+    data = dataset_from_euclidean(rng.normal(size=(n, 1)))
     cfg = BsfConfig.from_values(SPEC, lam=0.7)
     weights = BlockWeights(data, cfg)
     weights.precompute()
@@ -70,12 +72,38 @@ def test_stationarity_on_three_points():
     combined = combined_transition_matrix(weights)
     assert np.abs(combined.sum(axis=1) - 1.0).max() < 1e-12
     assert np.abs(pi @ combined - pi).max() < 1e-8
-    # the split-merge kernel alone is reversible
-    sm = split_merge_matrix(weights)
-    flux = pi[:, None] * sm
-    assert np.abs(flux - flux.T).max() < 1e-12
+    # the split-merge kernel and each single-site Gibbs update are reversible
+    kernels = [split_merge_matrix(weights)] + [single_site_matrix(weights, i) for i in range(n)]
+    for kernel in kernels:
+        flux = pi[:, None] * kernel
+        assert np.abs(flux - flux.T).max() < 1e-12
     sweep = gibbs_sweep_matrix(weights)
     assert np.abs(pi @ sweep - pi).max() < 1e-12
+
+
+def test_live_moves_sample_the_exact_kernels():
+    # One move from every class of n = 4, each on a fresh state: the
+    # next-class frequencies must follow the exact kernel's row.  This
+    # checks the random draws (point order, pair, route bits, uniforms)
+    # that the shared ChainState core leaves to the live moves.  Over at
+    # most 15 classes, P(TV > tol) <= 2^15 exp(-2 draws tol^2)
+    # (Bretagnolle-Huber-Carol), about 1e-4 per row here.
+    n, draws, tol = 4, 2_000, 0.07
+    rng = np.random.default_rng(5)
+    data = dataset_from_euclidean(rng.normal(size=(n, 1)))
+    weights = BlockWeights(data, BsfConfig.from_values(SPEC, lam=0.7))
+    classes, index = _class_index(n)
+    moves = [(split_merge_matrix(weights), split_merge_move),
+             (gibbs_sweep_matrix(weights), gibbs_sweep)]
+    for seed, (exact, move) in enumerate(moves):
+        for row, labels in enumerate(classes):
+            chain_rng = np.random.default_rng([seed, row])
+            counts = np.zeros(len(classes))
+            for _ in range(draws):
+                state = ChainState(weights, labels, chain_rng)
+                move(state)
+                counts[index[state.partition().labels]] += 1
+            assert 0.5 * np.abs(counts / draws - exact[row]).sum() < tol, (move.__name__, labels)
 
 
 def test_two_point_chain_matches_stationary_odds():
