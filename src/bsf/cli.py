@@ -352,6 +352,9 @@ def cmd_mcmc(args) -> int:
               ((i, ",".join(map(str, labels))) for i, labels in enumerate(summary.samples)))
     for move, rate in summary.acceptance_rates().items():
         print(f"acceptance[{move}] = {rate:.4f}")
+    priced = summary.pricing
+    print(f"block log-dets priced on a miss: {priced['alone']} alone, "
+          f"{priced['stacked']} in {priced['stacks']} stacks; {priced['evicted']} evicted")
     print(f"mcmc: {summary.n_samples} retained samples, wrote 3 tables to {out}")
     return EXIT_OK
 

@@ -16,7 +16,11 @@ to rounding at any weight range.  ``subset_log_det`` runs it on a stack of
 one, ``all_block_log_dets`` on one stack per block size.  Blocks whose
 scaled weights would fall below the smallest normal float (about 708 nats
 of in-block range) are handed to the same elimination done in the log
-domain.
+domain.  A block's value does not depend on the stack it rides in, so
+the three ways ``LogDetCache`` prices blocks give the same bits: the full
+table at n <= 13, one stack per size for a Gibbs site's window of
+predicted blocks, and a stack of one for any other miss (split-merge
+proposals, cache audits, the exact transition matrices).
 
 The matrix-tree identity ``|L + J/n| = n |L[i]| = n * (sum over spanning
 trees of edge-weight products)`` is the correctness anchor.  The dense
@@ -28,10 +32,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 BRUTE_FORCE_CAP = 9  # n^(n-2) labeled trees; 9 -> 4.8e6
+# entries a LogDetCache holds before it drops its oldest half; the full
+# table at n <= 13 (8,192 entries) stays far below
+LOG_DET_CACHE_CAP = 1 << 20
 
 # all-spanning-trees edge tables, keyed by node count (data independent)
 _TREE_CACHE: dict[int, np.ndarray] = {}
@@ -317,8 +325,21 @@ class LogDetCache:
     """Lazy per-subset ``log |L_T + J/|T||`` values keyed by bitmask.
 
     Shared by the exact-posterior machinery and the MCMC sampler so both
-    price blocks identically.  ``precompute_all`` fills the full table for
-    small n in one batched pass, once per cache.
+    price blocks identically.  A block is priced in one of three ways, all
+    through the one block log-det kernel, so each gives the same bits:
+
+    - ``precompute_all`` fills the full table for small n (the sampler does
+      this at n <= 13) in one stack per block size; no lookup misses after.
+    - ``price`` takes the masks a Gibbs site predicts it and the next sites
+      of the sweep will need, and prices the uncached ones in one stack per
+      block size.
+    - ``get`` on any other miss (split-merge proposals, cache audits, the
+      exact transition matrices) prices the one block as a stack of one.
+
+    Before a stack would take the cache past ``LOG_DET_CACHE_CAP`` entries,
+    it drops its oldest half in insertion order.  ``counters`` holds the
+    blocks priced alone and in stacks of two or more, those stacks and the
+    entries evicted; the full table is not counted.
     """
 
     def __init__(self, logw: np.ndarray):
@@ -326,6 +347,16 @@ class LogDetCache:
         self.n = self.logw.shape[0]
         self._cache: dict[int, float] = {0: 0.0}
         self._table: np.ndarray | None = None
+        self._bytes = (self.n + 7) // 8
+        self.counters = {"alone": 0, "stacked": 0, "stacks": 0, "evicted": 0}
+
+    @property
+    def complete(self) -> bool:
+        """Whether the full table is in, so no lookup can miss."""
+        return self._table is not None
+
+    def __contains__(self, mask: int) -> bool:
+        return mask in self._cache
 
     def precompute_all(self) -> np.ndarray:
         if self._table is None:
@@ -336,10 +367,49 @@ class LogDetCache:
     def get(self, mask: int) -> float:
         val = self._cache.get(mask)
         if val is None:
-            indices = [i for i in range(self.n) if mask >> i & 1]
-            val = subset_log_det(self.logw, indices)
-            self._cache[mask] = val
+            self.price((mask,))
+            val = self._cache[mask]
         return val
+
+    def price(self, masks) -> None:
+        """Price every mask not yet cached, one kernel stack per block size.
+
+        Masks of at most one point are 0 and skip the kernel; masks already
+        cached keep their values.  Repeats are priced once: a Gibbs window
+        over singleton blocks {a} and {b} asks for {a, b} from both.
+        """
+        cache = self._cache
+        by_size: dict[int, list[int]] = {}
+        for mask in dict.fromkeys(masks):
+            if mask not in cache:
+                by_size.setdefault(mask.bit_count(), []).append(mask)
+        for size, group in by_size.items():
+            if size < 2:
+                self._store(group, [0.0] * len(group))
+                continue
+            if len(group) == 1:
+                self.counters["alone"] += 1
+            else:
+                self.counters["stacked"] += len(group)
+                self.counters["stacks"] += 1
+            idx = self._members(group)
+            self._store(group, _block_log_dets(self.logw[idx[:, :, None], idx[:, None, :]]).tolist())
+
+    def _members(self, group: list[int]) -> np.ndarray:
+        """Member indices of equal-size masks, one sorted row per mask."""
+        raw = b"".join(mask.to_bytes(self._bytes, "little") for mask in group)
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(group), -1),
+                             axis=1, bitorder="little")
+        return np.nonzero(bits)[1].reshape(len(group), -1)
+
+    def _store(self, masks: list[int], vals: list[float]) -> None:
+        cache = self._cache
+        if len(cache) + len(masks) > LOG_DET_CACHE_CAP:
+            drop = len(cache) // 2
+            for mask in list(islice(cache, drop)):
+                del cache[mask]
+            self.counters["evicted"] += drop
+        cache.update(zip(masks, vals))
 
     def fresh(self, mask: int) -> float:
         """Recompute without the cache (self-audit hook)."""

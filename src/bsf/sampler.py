@@ -14,6 +14,15 @@ live moves add only the random draws.  The exhaustive transition matrices
 for small n drive the same methods through every choice and route, so the
 stationarity tests check the code the chain runs.
 
+Block log-dets come from the shared :class:`~bsf.linalg.LogDetCache` in
+one of three ways.  At n <= 13 the chain reads the full precomputed
+table.  Above that, a Gibbs site that misses a block prices it together
+with the blocks the next ``PRICE_WINDOW - 1`` sites of the sweep would
+score against it, one kernel stack per block size.  Split-merge
+proposals and the exact matrices price a missing block alone.  A block's
+value is the same bits whichever way priced it, so none of this changes
+a chain.
+
 Determinism contract: a chain is a pure function of (data, config,
 schedule, seed).  Replicate-level streams are derived with
 ``numpy.random.SeedSequence(master, spawn_key=(index,))`` so parallel
@@ -36,6 +45,8 @@ from .posterior import BlockWeights, BsfConfig
 CACHE_AUDIT_PERIOD = 1000
 CACHE_AUDIT_TOL = 1e-9
 LOG2 = math.log(2.0)
+# a Gibbs site that misses a block prices it for itself and the next 15 sites
+PRICE_WINDOW = 16
 
 
 class ChainState:
@@ -72,13 +83,20 @@ class ChainState:
             raise RuntimeError(f"block-weight cache drifted by {worst:.3e}")
         return worst
 
-    def remove(self, i: int) -> np.ndarray:
+    def remove(self, i: int, upcoming=()) -> np.ndarray:
         """Take point i out of its block; return the probabilities of joining
         each of the K blocks left and, last, of opening a singleton.
 
         Each is proportional to the class weight of the resulting partition:
         joining block B scores the weight increment of B, and a singleton
         scores ``log(K + 1)`` (the label-multiplicity gain) plus its weight.
+
+        ``upcoming`` holds the points the sweep visits next.  When the cache
+        lacks ``B | {i}`` for a block B, it prices ``B ^ {t}`` for i and
+        every upcoming t in one stack per size: the block each of those
+        sites scores B against, unless a move changes B first.  Without
+        ``upcoming`` (the exact matrices, and chains on a full table) a
+        missing block is priced alone.
         """
         w = self.weights
         bit = 1 << i
@@ -88,6 +106,11 @@ class ChainState:
             self._drop_slot(slot)
         else:
             self.slots[slot] = remaining
+        if upcoming:
+            dets = w.dets
+            missed = [mask for mask in self.slots if mask | bit not in dets]
+            if missed:
+                dets.price([mask ^ (1 << t) for mask in missed for t in (i, *upcoming)])
         scores = [w.block(mask | bit) - w.block(mask) for mask in self.slots]
         scores.append(math.log(self.K + 1) + w.block(bit))
         arr = np.asarray(scores, dtype=float)
@@ -174,11 +197,14 @@ class ChainState:
 
 def gibbs_sweep(state: ChainState) -> ChainState:
     """One full-conditional pass over all points, in random order: one
-    uniform per point picks its placement by inverse CDF."""
+    uniform per point picks its placement by inverse CDF.  Unless the full
+    block table is in, each site passes :meth:`ChainState.remove` the next
+    ``PRICE_WINDOW - 1`` points of the order."""
     rng = state.rng
-    for i in rng.permutation(state.n):
-        i = int(i)
-        probs = state.remove(i)
+    order = rng.permutation(state.n).tolist()
+    ahead = 0 if state.weights.dets.complete else PRICE_WINDOW - 1
+    for pos, i in enumerate(order):
+        probs = state.remove(i, order[pos + 1:pos + 1 + ahead])
         choice = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
         state.place(i, min(choice, len(probs) - 1))
     return state
@@ -212,6 +238,8 @@ class ChainSummary:
     cocluster_counts: np.ndarray
     samples: list[tuple[int, ...]]
     accept_counts: dict[str, tuple[int, int]] = field(default_factory=dict)
+    # block log-dets priced on cache misses: LogDetCache.counters
+    pricing: dict[str, int] = field(default_factory=dict)
 
     @property
     def k_histogram(self) -> dict[int, float]:
@@ -247,6 +275,8 @@ def merge_summaries(a: ChainSummary, b: ChainSummary) -> ChainSummary:
     for move, (acc, prop) in b.accept_counts.items():
         a0, p0 = accept.get(move, (0, 0))
         accept[move] = (a0 + acc, p0 + prop)
+    pricing = {key: a.pricing.get(key, 0) + b.pricing.get(key, 0)
+               for key in a.pricing | b.pricing}
     return ChainSummary(
         n=a.n,
         n_samples=a.n_samples + b.n_samples,
@@ -254,6 +284,7 @@ def merge_summaries(a: ChainSummary, b: ChainSummary) -> ChainSummary:
         cocluster_counts=a.cocluster_counts + b.cocluster_counts,
         samples=a.samples + b.samples,
         accept_counts=accept,
+        pricing=pricing,
     )
 
 
@@ -298,6 +329,7 @@ def run_chain(data: Dataset, cfg: BsfConfig, iters: int, burnin: int, thin: int,
         cocluster_counts=cocluster,
         samples=samples,
         accept_counts={move: (acc, prop) for move, (acc, prop) in accept.items()},
+        pricing=dict(weights.dets.counters),
     )
 
 

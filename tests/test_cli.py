@@ -192,7 +192,7 @@ def test_experiment_zero_replicates_rejected(tmp_path):
     assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
-def test_mcmc_outputs_and_determinism(tmp_path, toy_csv):
+def test_mcmc_outputs_and_determinism(tmp_path, toy_csv, capsys):
     cfg = exact_config(tmp_path, toy_csv)
     with open(cfg) as fh:
         payload = json.load(fh)
@@ -206,6 +206,9 @@ def test_mcmc_outputs_and_determinism(tmp_path, toy_csv):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     header = (out1 / "samples.csv").read_text().splitlines()[0]
     assert header == "sample,partition_rgs"
+    # two points: the full table is in, so no block is priced on a miss
+    assert "block log-dets priced on a miss: 0 alone, 0 in 0 stacks; 0 evicted" \
+        in capsys.readouterr().out
 
 
 def test_gen_data_roundtrip(tmp_path):

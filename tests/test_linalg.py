@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from bsf import linalg
 from bsf.linalg import (
+    LogDetCache,
     all_block_log_dets,
     all_spanning_tree_edges,
     coarsened_laplacian,
@@ -220,3 +222,38 @@ def test_block_table_matches_subsets(rng):
     for mask in [1, 2, 1 << 7, 0b1010101, 0b11111111, 0b1100, 0b100110]:
         members = [i for i in range(8) if mask >> i & 1]
         assert table[mask] == pytest.approx(subset_log_det(logw, members), abs=1e-9)
+
+
+@pytest.mark.parametrize("deep", [False, True])
+def test_stacked_pricing_equals_single_blocks(deep, monkeypatch):
+    # one price() call over mixed sizes, repeats, singletons, mask 0 and
+    # cached masks gives every new block the bits subset_log_det gives it
+    rng = np.random.default_rng(16)
+    n = 16
+    x = rng.normal(size=(n, 2)) * (12.0 if deep else 1.0)
+    logw = -0.5 * ((x[:, None] - x[None]) ** 2).sum(axis=2)
+    routed = []
+    star_mesh = linalg._star_mesh_batch
+    monkeypatch.setattr(linalg, "_star_mesh_batch",
+                        lambda sub: routed.append(len(sub)) or star_mesh(sub))
+    cache = LogDetCache(logw)
+    kept, sentinel = 0b11, 0b1011 << 4
+    cache.get(kept)
+    cache.get(sentinel)
+    cache._cache[sentinel] = 123.0  # a cached value price() must leave alone
+    new = [int((1 << rng.choice(n, m, replace=False)).sum())
+           for m in range(2, n) for _ in range(3)] + [(1 << n) - 1]
+    cache.price([0, 1 << 5, kept, sentinel, *new, new[0]])
+    deep_blocks = sum(routed)
+    assert cache.counters == {"alone": 3, "stacked": 3 * (n - 2), "stacks": n - 2,
+                              "evicted": 0}
+    for mask in new + [kept]:
+        members = [i for i in range(n) if mask >> i & 1]
+        assert cache.get(mask) == subset_log_det(logw, members)
+    assert cache.get(0) == cache.get(1 << 5) == 0.0
+    assert cache.get(sentinel) == 123.0
+    assert cache.counters["alone"] == 3  # every get above hit the cache
+    if deep:  # both routes ran inside the stacks
+        assert 0 < deep_blocks < len(new)
+    else:
+        assert deep_blocks == 0

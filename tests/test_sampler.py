@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from conftest import class_probabilities
 
+from bsf import linalg, sampler
 from bsf.data import dataset_from_euclidean
 from bsf.kernels import EUCLIDEAN_GAUSSIAN, KernelSpec, log_gaussian_kernel
+from bsf.linalg import LogDetCache
 from bsf.oracle import GaussianOracleSpec, generate_gaussian
 from bsf.partitions import Partition
 from bsf.posterior import BlockWeights, BsfConfig, exact_posterior
@@ -186,6 +188,9 @@ def test_merge_summaries_is_order_respecting():
     )
     total_k = sum(merged.k_counts.values())
     assert total_k == merged.n_samples
+    a.pricing = {"alone": 1, "stacked": 4, "stacks": 2, "evicted": 0}
+    b.pricing = {"alone": 2, "stacked": 0, "stacks": 0, "evicted": 3}
+    assert merge_summaries(a, b).pricing == {"alone": 3, "stacked": 4, "stacks": 2, "evicted": 3}
 
 
 def test_cache_audit_detects_corruption():
@@ -198,3 +203,47 @@ def test_cache_audit_detects_corruption():
     weights.dets._cache[state.slots[0]] = 123.0  # sabotage
     with pytest.raises(RuntimeError):
         state.audit_cache()
+
+
+def test_pricing_window_and_cache_bound_leave_the_chain_unchanged(monkeypatch):
+    # n = 16 is above the precompute limit, so every block is priced lazily
+    rng = np.random.default_rng(11)
+    data = dataset_from_euclidean(rng.normal(size=(16, 1)) * 2.0)
+    cfg = BsfConfig.from_values(SPEC, lam=0.3)
+
+    def chain():
+        return run_chain(data, cfg, iters=60, burnin=10, thin=1, seed=5)
+
+    windowed = chain()
+    monkeypatch.setattr(sampler, "PRICE_WINDOW", 1)
+    alone = chain()
+    monkeypatch.undo()
+    cap = 256
+    monkeypatch.setattr(linalg, "LOG_DET_CACHE_CAP", cap)
+    stored = []
+    store = LogDetCache._store
+
+    def spy(self, masks, vals):
+        store(self, masks, vals)
+        stored.append(len(self._cache) - cap - len(masks))
+
+    monkeypatch.setattr(LogDetCache, "_store", spy)
+    bounded = chain()
+    for other in (alone, bounded):
+        assert other.samples == windowed.samples
+        assert other.k_counts == windowed.k_counts
+        assert np.array_equal(other.cocluster_counts, windowed.cocluster_counts)
+        assert other.accept_counts == windowed.accept_counts
+    assert windowed.pricing["stacked"] > windowed.pricing["stacks"] > 0
+    assert alone.pricing["stacked"] == alone.pricing["stacks"] == 0
+    assert windowed.pricing["evicted"] == alone.pricing["evicted"] == 0
+    assert bounded.pricing["evicted"] > 0
+    assert max(stored) <= 0  # never past the cap plus the stack just stored
+
+
+def test_chain_on_the_full_table_never_misses():
+    rng = np.random.default_rng(12)
+    data = dataset_from_euclidean(rng.normal(size=(7, 1)))
+    cfg = BsfConfig.from_values(SPEC, lam=0.3)
+    summary = run_chain(data, cfg, iters=50, burnin=0, thin=1, seed=1)
+    assert summary.pricing == {"alone": 0, "stacked": 0, "stacks": 0, "evicted": 0}
