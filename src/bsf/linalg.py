@@ -18,7 +18,8 @@ scaled weights would fall below the smallest normal float (about 708 nats
 of in-block range) are handed to the same elimination done in the log
 domain.  A block's value does not depend on the stack it rides in, so
 the three ways ``LogDetCache`` prices blocks give the same bits: the full
-table at n <= 13, one stack per size for a Gibbs site's window of
+table (which the sampler fills at n <= ``sampler.FULL_TABLE_MAX_N``), one
+stack per size for a Gibbs site's window of
 predicted blocks, and a stack of one for any other miss (split-merge
 proposals, cache audits, the exact transition matrices).
 
@@ -37,8 +38,8 @@ from itertools import islice
 import numpy as np
 
 BRUTE_FORCE_CAP = 9  # n^(n-2) labeled trees; 9 -> 4.8e6
-# entries a LogDetCache holds before it drops its oldest half; the full
-# table at n <= 13 (8,192 entries) stays far below
+# entries a LogDetCache's lazy dict holds before it drops its oldest half;
+# the full table is an array outside the dict
 LOG_DET_CACHE_CAP = 1 << 20
 
 # all-spanning-trees edge tables, keyed by node count (data independent)
@@ -311,7 +312,7 @@ def all_block_log_dets(logw: np.ndarray) -> np.ndarray:
     ``subset_log_det`` uses, so table entries and single blocks agree to
     rounding.  Entry 0 and all singleton masks are 0 (the one-point
     Laplacian is the 1x1 zero matrix and ``|0 + 1| = 1``).  Intended for n
-    up to ~13.
+    up to about ``sampler.FULL_TABLE_MAX_N``.
     """
     logw = np.asarray(logw, dtype=float)
     n = logw.shape[0]
@@ -329,7 +330,8 @@ class LogDetCache:
     through the one block log-det kernel, so each gives the same bits:
 
     - ``precompute_all`` fills the full table for small n (the sampler does
-      this at n <= 13) in one stack per block size; no lookup misses after.
+      this at n <= ``sampler.FULL_TABLE_MAX_N``) in one stack per block
+      size; ``get`` reads that array after, and no lookup misses.
     - ``price`` takes the masks a Gibbs site predicts it and the next sites
       of the sweep will need, and prices the uncached ones in one stack per
       block size.
@@ -356,15 +358,16 @@ class LogDetCache:
         return self._table is not None
 
     def __contains__(self, mask: int) -> bool:
-        return mask in self._cache
+        return self._table is not None or mask in self._cache
 
     def precompute_all(self) -> np.ndarray:
         if self._table is None:
             self._table = all_block_log_dets(self.logw)
-            self._cache = {mask: float(self._table[mask]) for mask in range(1 << self.n)}
         return self._table
 
     def get(self, mask: int) -> float:
+        if self._table is not None:
+            return float(self._table[mask])
         val = self._cache.get(mask)
         if val is None:
             self.price((mask,))
@@ -376,8 +379,11 @@ class LogDetCache:
 
         Masks of at most one point are 0 and skip the kernel; masks already
         cached keep their values.  Repeats are priced once: a Gibbs window
-        over singleton blocks {a} and {b} asks for {a, b} from both.
+        over singleton blocks {a} and {b} asks for {a, b} from both.  With
+        the full table in there is nothing to price.
         """
+        if self._table is not None:
+            return
         cache = self._cache
         by_size: dict[int, list[int]] = {}
         for mask in dict.fromkeys(masks):

@@ -15,13 +15,19 @@ for small n drive the same methods through every choice and route, so the
 stationarity tests check the code the chain runs.
 
 Block log-dets come from the shared :class:`~bsf.linalg.LogDetCache` in
-one of three ways.  At n <= 13 the chain reads the full precomputed
-table.  Above that, a Gibbs site that misses a block prices it together
-with the blocks the next ``PRICE_WINDOW - 1`` sites of the sweep would
-score against it, one kernel stack per block size.  Split-merge
-proposals and the exact matrices price a missing block alone.  A block's
-value is the same bits whichever way priced it, so none of this changes
-a chain.
+one of three ways.  At n <= ``FULL_TABLE_MAX_N`` the chain precomputes
+the full table and reads block weights from it as one Python list, one
+subscript per block.  Above that, a Gibbs site that misses a block
+prices it together with the blocks the next ``PRICE_WINDOW - 1`` sites
+of the sweep would score against it, one kernel stack per block size.
+Split-merge proposals and the exact matrices price a missing block
+alone.  A block's value is the same bits whichever way priced it, so
+none of this changes a chain.
+
+A Gibbs site normalizes its K + 1 scores with one ``np.exp`` and a numpy
+sum, whose bits (SIMD ``exp``, pairwise summation) the chain depends on,
+and does the rest in Python floats: the peak, and the inverse-CDF pick
+against one uniform per site, drawn for the whole sweep at once.
 
 Determinism contract: a chain is a pure function of (data, config,
 schedule, seed).  Replicate-level streams are derived with
@@ -39,7 +45,7 @@ from itertools import permutations
 import numpy as np
 
 from .data import Dataset
-from .partitions import Partition, canonicalize, rgs_chunks
+from .partitions import canonicalize, rgs_chunks
 from .posterior import BlockWeights, BsfConfig
 
 CACHE_AUDIT_PERIOD = 1000
@@ -47,6 +53,8 @@ CACHE_AUDIT_TOL = 1e-9
 LOG2 = math.log(2.0)
 # a Gibbs site that misses a block prices it for itself and the next 15 sites
 PRICE_WINDOW = 16
+# largest n at which run_chain precomputes the full 2^n block table
+FULL_TABLE_MAX_N = 13
 
 
 class ChainState:
@@ -56,6 +64,12 @@ class ChainState:
     no meaning.  Cached per-block weights live in the shared
     :class:`BlockWeights` mask table, so cache coherence is auditable by
     recomputing the current blocks from scratch.
+
+    ``block`` is the block-weight lookup the moves read, chosen once here.
+    With the full table in, it subscripts ``table``, which is
+    :meth:`BlockWeights.precompute` as a Python list: the same float adds
+    as :meth:`BlockWeights.block`.  Otherwise it is
+    :meth:`BlockWeights.block`.
     """
 
     def __init__(self, weights: BlockWeights, labels, rng: np.random.Generator | None = None):
@@ -65,19 +79,25 @@ class ChainState:
         canon = canonicalize(labels)
         self.assign = list(canon.labels)
         self.slots = canon.block_masks()
+        self.table = weights.precompute().tolist() if weights.dets.complete else None
+        self.block = weights.block if self.table is None else self.table.__getitem__
 
     @property
     def K(self) -> int:
         return len(self.slots)
 
-    def partition(self) -> Partition:
-        return canonicalize(self.assign)
+    def rgs(self) -> tuple[int, ...]:
+        """Canonical labels of the current partition: slots renumbered in
+        order of first appearance, as :func:`canonicalize` would."""
+        first: dict[int, int] = {}
+        return tuple([first.setdefault(slot, len(first)) for slot in self.assign])
 
     def audit_cache(self, tol: float = CACHE_AUDIT_TOL) -> float:
-        """Compare cached block weights against fresh recomputation."""
+        """Compare the block weights the moves read against fresh
+        recomputation."""
         worst = 0.0
         for mask in self.slots:
-            diff = abs(self.weights.block(mask) - self.weights.block_fresh(mask))
+            diff = abs(self.block(mask) - self.weights.block_fresh(mask))
             worst = max(worst, diff)
         if worst > tol:
             raise RuntimeError(f"block-weight cache drifted by {worst:.3e}")
@@ -91,6 +111,10 @@ class ChainState:
         joining block B scores the weight increment of B, and a singleton
         scores ``log(K + 1)`` (the label-multiplicity gain) plus its weight.
 
+        Scores are read through :attr:`block`, a list subscript on a full
+        table.  The peak is taken and subtracted in Python floats; the one
+        ``np.exp`` and the numpy sum stay, since their bits are the chain's.
+
         ``upcoming`` holds the points the sweep visits next.  When the cache
         lacks ``B | {i}`` for a block B, it prices ``B ^ {t}`` for i and
         every upcoming t in one stack per size: the block each of those
@@ -98,7 +122,7 @@ class ChainState:
         ``upcoming`` (the exact matrices, and chains on a full table) a
         missing block is priced alone.
         """
-        w = self.weights
+        block = self.block
         bit = 1 << i
         slot = self.assign[i]
         remaining = self.slots[slot] ^ bit
@@ -107,14 +131,14 @@ class ChainState:
         else:
             self.slots[slot] = remaining
         if upcoming:
-            dets = w.dets
+            dets = self.weights.dets
             missed = [mask for mask in self.slots if mask | bit not in dets]
             if missed:
                 dets.price([mask ^ (1 << t) for mask in missed for t in (i, *upcoming)])
-        scores = [w.block(mask | bit) - w.block(mask) for mask in self.slots]
-        scores.append(math.log(self.K + 1) + w.block(bit))
-        arr = np.asarray(scores, dtype=float)
-        probs = np.exp(arr - arr.max())
+        scores = [block(mask | bit) - block(mask) for mask in self.slots]
+        scores.append(math.log(self.K + 1) + block(bit))
+        peak = max(scores)
+        probs = np.exp(np.array([score - peak for score in scores]))
         probs /= probs.sum()
         return probs
 
@@ -141,7 +165,7 @@ class ChainState:
         bipartition's proposal probability ``2^-(m-2)`` enters the ratio,
         and the reverse merge is deterministic given the pair.
         """
-        w = self.weights
+        block = self.block
         slot_i, slot_j = self.assign[i], self.assign[j]
         if slot_i == slot_j:
             mask = self.slots[slot_i]
@@ -155,7 +179,7 @@ class ChainState:
                     part_b |= 1 << t
             log_acc = (
                 math.log(self.K + 1)
-                + w.block(part_a) + w.block(part_b) - w.block(mask)
+                + block(part_a) + block(part_b) - block(mask)
                 + (m - 2) * LOG2
             )
             return "split", log_acc, (slot_i, part_a, part_b)
@@ -164,7 +188,7 @@ class ChainState:
         m = merged.bit_count()
         log_acc = (
             -math.log(self.K)
-            + w.block(merged) - w.block(mask_a) - w.block(mask_b)
+            + block(merged) - block(mask_a) - block(mask_b)
             - (m - 2) * LOG2
         )
         return "merge", log_acc, (slot_i, slot_j, merged)
@@ -195,18 +219,34 @@ class ChainState:
         self.slots.pop()
 
 
+def _pick(probs: list[float], u: float) -> int:
+    """Inverse-CDF pick: how many running sums of ``probs`` are <= u, at
+    most ``len(probs) - 1``.  The running sums are the sequential adds of
+    ``np.cumsum``, so this equals the clamped
+    ``np.searchsorted(np.cumsum(probs), u, side="right")``; the clamp
+    catches a u at or above a last sum that rounding leaves below 1."""
+    last = len(probs) - 1
+    total = 0.0
+    for choice in range(last):
+        total += probs[choice]
+        if total > u:
+            return choice
+    return last
+
+
 def gibbs_sweep(state: ChainState) -> ChainState:
     """One full-conditional pass over all points, in random order: one
-    uniform per point picks its placement by inverse CDF.  Unless the full
-    block table is in, each site passes :meth:`ChainState.remove` the next
-    ``PRICE_WINDOW - 1`` points of the order."""
+    uniform per point, all n drawn after the permutation (the same stream
+    as n scalar draws), picks its placement by :func:`_pick`.  Unless the
+    full block table is in, each site passes :meth:`ChainState.remove` the
+    next ``PRICE_WINDOW - 1`` points of the order."""
     rng = state.rng
     order = rng.permutation(state.n).tolist()
+    uniforms = rng.random(state.n).tolist()
     ahead = 0 if state.weights.dets.complete else PRICE_WINDOW - 1
     for pos, i in enumerate(order):
         probs = state.remove(i, order[pos + 1:pos + 1 + ahead])
-        choice = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-        state.place(i, min(choice, len(probs) - 1))
+        state.place(i, _pick(probs.tolist(), uniforms[pos]))
     return state
 
 
@@ -296,7 +336,7 @@ def run_chain(data: Dataset, cfg: BsfConfig, iters: int, burnin: int, thin: int,
     if thin < 1:
         raise ValueError("thin must be >= 1")
     weights = BlockWeights(data, cfg)
-    if data.n <= 13:
+    if data.n <= FULL_TABLE_MAX_N:
         weights.precompute()
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     state = ChainState(weights, range(data.n), rng)
@@ -313,9 +353,9 @@ def run_chain(data: Dataset, cfg: BsfConfig, iters: int, burnin: int, thin: int,
             accept[move][1] += 1
             accept[move][0] += int(ok)
         if it >= burnin and (it - burnin) % thin == 0:
-            labels = state.partition().labels
+            labels = state.rgs()
             samples.append(labels)
-            k = max(labels) + 1
+            k = state.K
             k_counts[k] = k_counts.get(k, 0) + 1
             z = np.asarray(labels)
             cocluster += (z[:, None] == z[None, :])
@@ -355,7 +395,7 @@ def single_site_matrix(weights: BlockWeights, point: int) -> np.ndarray:
             state = ChainState(weights, labels)
             state.remove(point)
             state.place(point, choice)
-            mat[row, index[state.partition().labels]] += prob
+            mat[row, index[state.rgs()]] += prob
     return mat
 
 
@@ -382,7 +422,7 @@ def split_merge_matrix(weights: BlockWeights) -> np.ndarray:
                 move, log_acc, change = state.propose(i, j, route)
                 acc = math.exp(min(0.0, log_acc))
                 state.commit(move, change)
-                mat[row, index[state.partition().labels]] += prob * acc
+                mat[row, index[state.rgs()]] += prob * acc
                 mat[row, row] += prob * (1.0 - acc)
     return mat
 

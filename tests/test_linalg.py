@@ -257,3 +257,18 @@ def test_stacked_pricing_equals_single_blocks(deep, monkeypatch):
         assert 0 < deep_blocks < len(new)
     else:
         assert deep_blocks == 0
+
+
+def test_full_table_is_read_in_place(rng):
+    # after precompute_all, get reads the table array itself: no dict copy
+    # of the 2^n entries, and price has nothing left to do
+    logw = random_logw(rng, 9)
+    cache = LogDetCache(logw)
+    cache.get(0b111)
+    table = cache.precompute_all()
+    assert cache.complete
+    assert all(cache.get(mask) == float(table[mask]) for mask in range(1 << 9))
+    assert all(mask in cache for mask in range(1 << 9))
+    cache.price([0b1111, 0b110011])
+    assert len(cache._cache) == 2  # the entry 0 and the lookup made before
+    assert cache.counters == {"alone": 1, "stacked": 0, "stacks": 0, "evicted": 0}

@@ -9,11 +9,13 @@ from bsf.data import dataset_from_euclidean
 from bsf.kernels import EUCLIDEAN_GAUSSIAN, KernelSpec, log_gaussian_kernel
 from bsf.linalg import LogDetCache
 from bsf.oracle import GaussianOracleSpec, generate_gaussian
-from bsf.partitions import Partition
+from bsf.partitions import Partition, canonicalize
 from bsf.posterior import BlockWeights, BsfConfig, exact_posterior
 from bsf.sampler import (
+    FULL_TABLE_MAX_N,
     ChainState,
     _class_index,
+    _pick,
     combined_transition_matrix,
     gibbs_sweep,
     gibbs_sweep_matrix,
@@ -104,7 +106,7 @@ def test_live_moves_sample_the_exact_kernels():
             for _ in range(draws):
                 state = ChainState(weights, labels, chain_rng)
                 move(state)
-                counts[index[state.partition().labels]] += 1
+                counts[index[state.rgs()]] += 1
             assert 0.5 * np.abs(counts / draws - exact[row]).sum() < tol, (move.__name__, labels)
 
 
@@ -203,6 +205,14 @@ def test_cache_audit_detects_corruption():
     weights.dets._cache[state.slots[0]] = 123.0  # sabotage
     with pytest.raises(RuntimeError):
         state.audit_cache()
+    # on a full table the moves read the state's list, so that is audited
+    weights = BlockWeights(data, cfg)
+    weights.precompute()
+    state = ChainState(weights, [0, 0, 1, 1, 2], np.random.default_rng(0))
+    assert state.audit_cache() <= 1e-12
+    state.table[state.slots[1]] = 123.0  # sabotage
+    with pytest.raises(RuntimeError):
+        state.audit_cache()
 
 
 def test_pricing_window_and_cache_bound_leave_the_chain_unchanged(monkeypatch):
@@ -247,3 +257,89 @@ def test_chain_on_the_full_table_never_misses():
     cfg = BsfConfig.from_values(SPEC, lam=0.3)
     summary = run_chain(data, cfg, iters=50, burnin=0, thin=1, seed=1)
     assert summary.pricing == {"alone": 0, "stacked": 0, "stacks": 0, "evicted": 0}
+
+
+def _reference_iteration(state, probs_seen):
+    # One iteration as the sampler ran before it read the block table as a
+    # list: weights.block lookups, numpy normalization, one scalar uniform
+    # per site and searchsorted over the cumulative sums.
+    rng, w = state.rng, state.weights
+    for i in rng.permutation(state.n).tolist():
+        bit = 1 << i
+        slot = state.assign[i]
+        remaining = state.slots[slot] ^ bit
+        if remaining == 0:
+            state._drop_slot(slot)
+        else:
+            state.slots[slot] = remaining
+        scores = [w.block(mask | bit) - w.block(mask) for mask in state.slots]
+        scores.append(math.log(state.K + 1) + w.block(bit))
+        arr = np.asarray(scores, dtype=float)
+        probs = np.exp(arr - arr.max())
+        probs /= probs.sum()
+        probs_seen.append(probs.tolist())
+        choice = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
+        state.place(i, min(choice, len(probs) - 1))
+    split_merge_move(state)
+
+
+@pytest.mark.parametrize("n", [12, 16])  # the full table; lazy stacked pricing
+def test_moves_match_the_reference_sweep_in_lockstep(n):
+    rng = np.random.default_rng(n)
+    data = dataset_from_euclidean(rng.normal(size=(n, 1)) * 2.0)
+    cfg = BsfConfig.from_values(SPEC, lam=0.3)
+    live_weights, ref_weights = BlockWeights(data, cfg), BlockWeights(data, cfg)
+    if n <= FULL_TABLE_MAX_N:
+        live_weights.precompute()
+        ref_weights.precompute()
+    live = ChainState(live_weights, range(n), np.random.default_rng(9))
+    ref = ChainState(ref_weights, range(n), np.random.default_rng(9))
+    ref.block = ref_weights.block  # split-merge through BlockWeights too
+    assert (live.table is not None) == (n <= FULL_TABLE_MAX_N)
+    live_probs, ref_probs = [], []
+    remove = live.remove
+
+    def spy(i, upcoming=()):
+        probs = remove(i, upcoming)
+        live_probs.append(probs.tolist())
+        return probs
+
+    live.remove = spy
+    ks = set()
+    for _ in range(50):
+        gibbs_sweep(live)
+        split_merge_move(live)
+        _reference_iteration(ref, ref_probs)
+        assert live_probs == ref_probs
+        assert live.assign == ref.assign
+        assert live.slots == ref.slots
+        assert live.rgs() == canonicalize(ref.assign).labels
+        ks.add(live.K)
+    assert len(ks) > 2  # the chain moved
+    assert live.rng.random() == ref.rng.random()  # both used the same draws
+
+
+def test_pick_matches_clamped_searchsorted():
+    tenths = [0.1] * 10  # running sums end at 0.9999999999999999
+    assert math.fsum(tenths) == 1.0 and float(np.cumsum(tenths)[-1]) < 1.0
+    last = float(np.cumsum(tenths)[-1])
+    cases = [
+        ([0.25, 0.25, 0.5], 0.0),
+        ([0.0, 0.5, 0.5], 0.0),  # a zero weight ahead of u = 0
+        ([0.25, 0.25, 0.5], 0.25),  # u exactly a running sum
+        ([0.25, 0.25, 0.5], 0.5),
+        (tenths, float(np.cumsum(tenths)[4])),
+        (tenths, last),  # at the last sum: the clamp
+        (tenths, float(np.nextafter(last, 1.0))),  # above it
+        ([1.0], 0.3),
+    ]
+    rng = np.random.default_rng(4)
+    for k in (2, 5, 9):
+        for _ in range(200):
+            probs = np.exp(rng.normal(size=k) * 3)
+            probs /= probs.sum()
+            cases.append((probs.tolist(), float(rng.random())))
+            cases.append((probs.tolist(), float(np.cumsum(probs)[rng.integers(k)])))
+    for probs, u in cases:
+        want = int(np.searchsorted(np.cumsum(probs), u, side="right"))
+        assert _pick(probs, u) == min(want, len(probs) - 1), (probs, u)
