@@ -154,9 +154,29 @@ class _Section:
             raise ConfigError(f"{self.name}: missing required key {key!r}")
         return default
 
+    def typed(self, key, kind, default=...):
+        """:meth:`take`, with the value converted by ``kind``; a value that
+        does not convert is a ConfigError.  A key whose default is None
+        gives None when absent or null."""
+        value = self.take(key, default)
+        if value is None and default is None:
+            return None
+        try:
+            return kind(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{self.name}: bad value {value!r} for {key!r}") from exc
+
     def done(self):
         if self.raw:
             raise ConfigError(f"{self.name}: unknown keys {sorted(self.raw)}")
+
+
+def _ints(values) -> tuple[int, ...]:
+    return tuple(int(v) for v in values)
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
 
 
 def _parse_kernel(raw: dict) -> KernelSpec:
@@ -164,30 +184,28 @@ def _parse_kernel(raw: dict) -> KernelSpec:
     family = sec.take("family")
     if family not in KERNEL_FAMILIES:
         raise ConfigError(f"kernel family must be one of {KERNEL_FAMILIES}")
-    sigma = float(sec.take("sigma"))
-    zeta = sec.take("zeta", None)
-    eta = float(sec.take("eta", 0.0))
+    sigma = sec.typed("sigma", float)
+    zeta = sec.typed("zeta", float, None)
+    eta = sec.typed("eta", float, 0.0)
     graph_mode = sec.take("graph_mode", "geodesic")
     sec.done()
     try:
-        return KernelSpec(family, sigma=sigma,
-                          zeta=None if zeta is None else float(zeta),
-                          eta=eta, graph_mode=graph_mode)
+        return KernelSpec(family, sigma=sigma, zeta=zeta, eta=eta, graph_mode=graph_mode)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _parse_prior(sec: _Section) -> tuple[float, float]:
     """Returns (log_delta, log_lambda) from delta/lambda or their log product."""
-    delta = sec.take("delta", None)
-    lam = sec.take("lambda", None)
-    log_dl = sec.take("log_delta_lambda", None)
+    delta = sec.typed("delta", float, None)
+    lam = sec.typed("lambda", float, None)
+    log_dl = sec.typed("log_delta_lambda", float, None)
     if log_dl is not None:
         if delta is not None or lam is not None:
             raise ConfigError("give delta/lambda or log_delta_lambda, not both")
-        return 0.0, float(log_dl)
-    delta = 1.0 if delta is None else float(delta)
-    lam = 1.0 if lam is None else float(lam)
+        return 0.0, log_dl
+    delta = 1.0 if delta is None else delta
+    lam = 1.0 if lam is None else lam
     if delta <= 0 or lam <= 0:
         raise ConfigError("delta and lambda must be positive")
     return math.log(delta), math.log(lam)
@@ -206,7 +224,7 @@ def _parse_model(cfg: dict, name: str) -> tuple[Dataset, BsfConfig, _Section]:
     data = _load_dataset(sec)
     kernel = _parse_kernel(sec.take("kernel"))
     log_delta, log_lambda = _parse_prior(sec)
-    enum_cap = int(sec.take("enum_cap", 12))
+    enum_cap = sec.typed("enum_cap", int, 12)
     try:
         model = BsfConfig(kernel=kernel, log_delta=log_delta,
                           log_lambda=log_lambda, enum_cap=enum_cap)
@@ -220,13 +238,13 @@ def _parse_gaussian_oracle(raw: dict) -> GaussianOracleSpec:
     means = sec.take("means")
     covs = sec.take("covs")
     weights = sec.take("weights", None)
-    counts = sec.take("counts", None)
+    counts = sec.typed("counts", _ints, None)
     sec.done()
     try:
         return GaussianOracleSpec(
             means=tuple(means), covs=tuple(covs),
             weights=None if weights is None else tuple(weights),
-            counts=None if counts is None else tuple(int(c) for c in counts),
+            counts=counts,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -236,13 +254,10 @@ def _parse_spd_oracle(raw: dict) -> ObjectOracleSpec:
     sec = _Section(raw, "oracle")
     means = sec.take("means")
     noise = sec.take("noise_scales")
-    counts = sec.take("counts", None)
+    counts = sec.typed("counts", _ints, None)
     sec.done()
     try:
-        return ObjectOracleSpec(
-            means=tuple(means), noise_scales=tuple(noise),
-            counts=None if counts is None else tuple(int(c) for c in counts),
-        )
+        return ObjectOracleSpec(means=tuple(means), noise_scales=tuple(noise), counts=counts)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -252,14 +267,14 @@ def _parse_schedule(raw: dict):
     kind = sec.take("kind")
     try:
         if kind == "fixed":
-            out = FixedSchedule(sigma2=float(sec.take("sigma2")),
-                                log_delta_lambda=float(sec.take("log_delta_lambda")))
+            out = FixedSchedule(sigma2=sec.typed("sigma2", float),
+                                log_delta_lambda=sec.typed("log_delta_lambda", float))
         elif kind == "geometric":
-            out = FixedSchedule(sigma2=float(sec.take("sigma2")),
-                                geometric_base=float(sec.take("base")))
+            out = FixedSchedule(sigma2=sec.typed("sigma2", float),
+                                geometric_base=sec.typed("base", float))
         elif kind == "snr":
-            out = SnrSchedule(alpha=float(sec.take("alpha", 0.5)),
-                              iota=float(sec.take("iota", 1.0)))
+            out = SnrSchedule(alpha=sec.typed("alpha", float, 0.5),
+                              iota=sec.typed("iota", float, 1.0))
         else:
             raise ConfigError(f"unknown schedule kind {kind!r}")
     except ValueError as exc:
@@ -274,10 +289,10 @@ def _parse_phi(raw) -> SeparationConstants:
     sec = _Section(raw, "phi")
     try:
         phi = SeparationConstants(
-            c1=float(sec.take("c1", 1.0)),
-            c2=float(sec.take("c2", 1.0)),
-            iota1=float(sec.take("iota1", 1.0)),
-            iota2=float(sec.take("iota2", 0.5)),
+            c1=sec.typed("c1", float, 1.0),
+            c2=sec.typed("c2", float, 1.0),
+            iota1=sec.typed("iota1", float, 1.0),
+            iota2=sec.typed("iota2", float, 0.5),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -290,9 +305,9 @@ def _parse_mcmc(raw) -> McmcSettings:
         return McmcSettings()
     sec = _Section(raw, "mcmc")
     out = McmcSettings(
-        iters=int(sec.take("iters", 50_000)),
-        burnin=int(sec.take("burnin", 5_000)),
-        thin=int(sec.take("thin", 1)),
+        iters=sec.typed("iters", int, 50_000),
+        burnin=sec.typed("burnin", int, 5_000),
+        thin=sec.typed("thin", int, 1),
     )
     sec.done()
     if not (out.iters > out.burnin >= 0) or out.thin < 1:
@@ -364,11 +379,11 @@ def cmd_experiment(args) -> int:
     sec = _Section(cfg, "experiment config")
     spec = _parse_gaussian_oracle(sec.take("oracle"))
     schedule = _parse_schedule(sec.take("schedule"))
-    n_grid = [int(n) for n in sec.take("n_grid")]
-    replicates = int(sec.take("replicates"))
+    n_grid = sec.typed("n_grid", _ints)
+    replicates = sec.typed("replicates", int)
     phi = _parse_phi(sec.take("phi", None))
     mode = sec.take("mode", "exact")
-    enum_cap = int(sec.take("enum_cap", 12))
+    enum_cap = sec.typed("enum_cap", int, 12)
     settings = _parse_mcmc(sec.take("mcmc", None))
     sec.done()
     if args.mode is not None:
@@ -377,6 +392,13 @@ def cmd_experiment(args) -> int:
         raise ConfigError("replicates must be at least 1")
     if not n_grid:
         raise ConfigError("n_grid must be non-empty")
+    # every replicate resolves the schedule; one the oracle cannot support
+    # (an snr schedule with one cluster) fails here instead
+    try:
+        for n in n_grid:
+            schedule.resolve(spec, n)
+    except ValueError as exc:
+        raise ConfigError(f"schedule: {exc}") from exc
     if mode == "exact" and max(n_grid) > enum_cap:
         raise CapError(f"max n_grid {max(n_grid)} exceeds the enumeration cap {enum_cap}")
     out = _ensure_out(args.out)
@@ -402,13 +424,16 @@ def cmd_misclass(args) -> int:
     cfg = _load_config(args.config)
     sec = _Section(cfg, "misclass config")
     spec = _parse_gaussian_oracle(sec.take("oracle"))
-    snr_grid = [float(s) for s in sec.take("snr_grid")]
-    n = int(sec.take("n"))
-    replicates = int(sec.take("replicates"))
+    snr_grid = sec.typed("snr_grid", _floats)
+    n = sec.typed("n", int)
+    replicates = sec.typed("replicates", int)
     rule_sec = _Section(sec.take("bandwidth_rule", {}), "bandwidth_rule")
-    rule = BandwidthRule(fraction=float(rule_sec.take("fraction", 0.2)))
+    try:
+        rule = BandwidthRule(fraction=rule_sec.typed("fraction", float, 0.2))
+    except ValueError as exc:
+        raise ConfigError(f"bandwidth_rule: {exc}") from exc
     rule_sec.done()
-    enum_cap = int(sec.take("enum_cap", 12))
+    enum_cap = sec.typed("enum_cap", int, 12)
     sec.done()
     if replicates < 1:
         raise ConfigError("replicates must be at least 1")
@@ -446,7 +471,7 @@ def cmd_gen_data(args) -> int:
     cfg = _load_config(args.config)
     sec = _Section(cfg, "gen-data config")
     kind = sec.take("kind", "gaussian")
-    n = int(sec.take("n"))
+    n = sec.typed("n", int)
     out = _ensure_out(args.out)
     if kind == "gaussian":
         spec = _parse_gaussian_oracle(sec.take("oracle"))

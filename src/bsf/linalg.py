@@ -10,18 +10,16 @@ any spanning-tree sum, and hence ``|L[i]|`` and ``|L + J/n|``, by
 ``c^(n-1)``.
 
 Every block log-det the model uses comes from one kernel over a stack of
-blocks: node elimination in linear arithmetic whose pivots are sums of
-positive weights (GTH elimination), so it never subtracts and is accurate
-to rounding at any weight range.  ``subset_log_det`` runs it on a stack of
-one, ``all_block_log_dets`` on one stack per block size.  Blocks whose
-scaled weights would fall below the smallest normal float (about 708 nats
-of in-block range) are handed to the same elimination done in the log
-domain.  A block's value does not depend on the stack it rides in, so
-the three ways ``LogDetCache`` prices blocks give the same bits: the full
-table (which the sampler fills at n <= ``sampler.FULL_TABLE_MAX_N``), one
-stack per size for a Gibbs site's window of
-predicted blocks, and a stack of one for any other miss (split-merge
-proposals, cache audits, the exact transition matrices).
+equal-size blocks, :func:`block_log_dets`: node elimination in linear
+arithmetic whose pivots are sums of positive weights (GTH elimination), so
+it never subtracts and is accurate to rounding at any weight range.
+``subset_log_det`` runs it on a stack of one, ``all_block_log_dets`` on
+one stack per block size, and :class:`bsf.posterior.BlockWeights` on the
+stacks of blocks it prices lazily.  Blocks whose scaled weights would fall
+below the smallest normal float (about 708 nats of in-block range) are
+handed to the same elimination done in the log domain.  A block's value
+does not depend on the stack it rides in, so every caller gets the same
+bits for it.
 
 The matrix-tree identity ``|L + J/n| = n |L[i]| = n * (sum over spanning
 trees of edge-weight products)`` is the correctness anchor.  The dense
@@ -33,14 +31,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 BRUTE_FORCE_CAP = 9  # n^(n-2) labeled trees; 9 -> 4.8e6
-# entries a LogDetCache's lazy dict holds before it drops its oldest half;
-# the full table is an array outside the dict
-LOG_DET_CACHE_CAP = 1 << 20
 
 # all-spanning-trees edge tables, keyed by node count (data independent)
 _TREE_CACHE: dict[int, np.ndarray] = {}
@@ -252,15 +246,17 @@ def _gth_batch(w: np.ndarray) -> np.ndarray:
     return np.log(pivots).sum(axis=1)
 
 
-def _block_log_dets(sub: np.ndarray) -> np.ndarray:
-    """``log |L + J/m|`` for a stack of log-weight matrices ``(B, m, m)``.
+def block_log_dets(logw: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """``log |L_T + J/m|`` for a stack of blocks of m >= 2 points each, given
+    as a ``(B, m)`` array of member indices into the float matrix ``logw``.
 
     Each block is scaled by its largest off-diagonal weight, which is
     restored as ``(m - 1) * peak``; ``log m`` turns the minor ``|L[last]|``
-    into ``|L + J/m|`` by the matrix-tree theorem.  The diagonal is ignored
-    and ``sub`` is overwritten.
+    into ``|L + J/m|`` by the matrix-tree theorem.  The diagonal of
+    ``logw`` is ignored.
     """
-    b, m, _ = sub.shape
+    sub = logw[members[:, :, None], members[:, None, :]]
+    b, m = members.shape
     diag = np.arange(m)
     sub[:, diag, diag] = -np.inf
     peak = sub.max(axis=(1, 2))
@@ -277,18 +273,14 @@ def _block_log_dets(sub: np.ndarray) -> np.ndarray:
 
 
 def subset_log_det(logw: np.ndarray, indices) -> float:
-    """``log |L_T + J/|T||`` for the block on ``indices`` (original weights).
-
-    A stack of one for the block log-det kernel: elimination in linear
-    arithmetic on max-scaled weights, handed to the log domain when the
-    block's weights span more than float64 can hold (about 708 nats)."""
+    """``log |L_T + J/|T||`` for the block on ``indices`` (original weights):
+    :func:`block_log_dets` on a stack of one."""
     indices = list(indices)
     if not indices:
         raise ValueError("empty subset")
     if len(indices) == 1:
         return 0.0
-    sub = np.asarray(logw, dtype=float)[np.ix_(indices, indices)]
-    return float(_block_log_dets(sub[None])[0])
+    return float(block_log_dets(np.asarray(logw, dtype=float), np.array([indices]))[0])
 
 
 def _masks_by_size(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -308,116 +300,16 @@ def _masks_by_size(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
 def all_block_log_dets(logw: np.ndarray) -> np.ndarray:
     """``log |L_T + J/|T||`` for every subset mask T of [n], one stack per size.
 
-    Each size is one call of the block log-det kernel that
-    ``subset_log_det`` uses, so table entries and single blocks agree to
-    rounding.  Entry 0 and all singleton masks are 0 (the one-point
-    Laplacian is the 1x1 zero matrix and ``|0 + 1| = 1``).  Intended for n
-    up to about ``sampler.FULL_TABLE_MAX_N``.
+    Each size is one call of :func:`block_log_dets`, the kernel that
+    ``subset_log_det`` uses, so table entries and single blocks have the
+    same bits.  Entry 0 and all singleton masks are 0 (the one-point
+    Laplacian is the 1x1 zero matrix and ``|0 + 1| = 1``).  Intended for the
+    small n at which the 2^n table fits: the exact path and short chains.
     """
     logw = np.asarray(logw, dtype=float)
     n = logw.shape[0]
     out = np.zeros(1 << n)
     for masks, idx in _masks_by_size(n):
-        out[masks] = _block_log_dets(logw[idx[:, :, None], idx[:, None, :]])
+        out[masks] = block_log_dets(logw, idx)
     return out
 
-
-class LogDetCache:
-    """Lazy per-subset ``log |L_T + J/|T||`` values keyed by bitmask.
-
-    Shared by the exact-posterior machinery and the MCMC sampler so both
-    price blocks identically.  A block is priced in one of three ways, all
-    through the one block log-det kernel, so each gives the same bits:
-
-    - ``precompute_all`` fills the full table for small n (the sampler does
-      this at n <= ``sampler.FULL_TABLE_MAX_N``) in one stack per block
-      size; ``get`` reads that array after, and no lookup misses.
-    - ``price`` takes the masks a Gibbs site predicts it and the next sites
-      of the sweep will need, and prices the uncached ones in one stack per
-      block size.
-    - ``get`` on any other miss (split-merge proposals, cache audits, the
-      exact transition matrices) prices the one block as a stack of one.
-
-    Before a stack would take the cache past ``LOG_DET_CACHE_CAP`` entries,
-    it drops its oldest half in insertion order.  ``counters`` holds the
-    blocks priced alone and in stacks of two or more, those stacks and the
-    entries evicted; the full table is not counted.
-    """
-
-    def __init__(self, logw: np.ndarray):
-        self.logw = np.asarray(logw, dtype=float)
-        self.n = self.logw.shape[0]
-        self._cache: dict[int, float] = {0: 0.0}
-        self._table: np.ndarray | None = None
-        self._bytes = (self.n + 7) // 8
-        self.counters = {"alone": 0, "stacked": 0, "stacks": 0, "evicted": 0}
-
-    @property
-    def complete(self) -> bool:
-        """Whether the full table is in, so no lookup can miss."""
-        return self._table is not None
-
-    def __contains__(self, mask: int) -> bool:
-        return self._table is not None or mask in self._cache
-
-    def precompute_all(self) -> np.ndarray:
-        if self._table is None:
-            self._table = all_block_log_dets(self.logw)
-        return self._table
-
-    def get(self, mask: int) -> float:
-        if self._table is not None:
-            return float(self._table[mask])
-        val = self._cache.get(mask)
-        if val is None:
-            self.price((mask,))
-            val = self._cache[mask]
-        return val
-
-    def price(self, masks) -> None:
-        """Price every mask not yet cached, one kernel stack per block size.
-
-        Masks of at most one point are 0 and skip the kernel; masks already
-        cached keep their values.  Repeats are priced once: a Gibbs window
-        over singleton blocks {a} and {b} asks for {a, b} from both.  With
-        the full table in there is nothing to price.
-        """
-        if self._table is not None:
-            return
-        cache = self._cache
-        by_size: dict[int, list[int]] = {}
-        for mask in dict.fromkeys(masks):
-            if mask not in cache:
-                by_size.setdefault(mask.bit_count(), []).append(mask)
-        for size, group in by_size.items():
-            if size < 2:
-                self._store(group, [0.0] * len(group))
-                continue
-            if len(group) == 1:
-                self.counters["alone"] += 1
-            else:
-                self.counters["stacked"] += len(group)
-                self.counters["stacks"] += 1
-            idx = self._members(group)
-            self._store(group, _block_log_dets(self.logw[idx[:, :, None], idx[:, None, :]]).tolist())
-
-    def _members(self, group: list[int]) -> np.ndarray:
-        """Member indices of equal-size masks, one sorted row per mask."""
-        raw = b"".join(mask.to_bytes(self._bytes, "little") for mask in group)
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(group), -1),
-                             axis=1, bitorder="little")
-        return np.nonzero(bits)[1].reshape(len(group), -1)
-
-    def _store(self, masks: list[int], vals: list[float]) -> None:
-        cache = self._cache
-        if len(cache) + len(masks) > LOG_DET_CACHE_CAP:
-            drop = len(cache) // 2
-            for mask in list(islice(cache, drop)):
-                del cache[mask]
-            self.counters["evicted"] += drop
-        cache.update(zip(masks, vals))
-
-    def fresh(self, mask: int) -> float:
-        """Recompute without the cache (self-audit hook)."""
-        indices = [i for i in range(self.n) if mask >> i & 1]
-        return subset_log_det(self.logw, indices)

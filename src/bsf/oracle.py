@@ -339,16 +339,6 @@ def misclassification_log_bound(stats: SeparationStats, k_true: int, n: int) -> 
     return stats.log_kernel_ratio + n * math.log(k_true + 1)
 
 
-def misclassification_log_bound_gaussian(stats: SeparationStats, k_true: int,
-                                         n: int, sigma2: float) -> float:
-    """Same bound written through squared distances; identical to the
-    generic form whenever the stats come from a Gaussian kernel."""
-    return (
-        -(stats.min_cross_sq - stats.max_within_sq) / (2.0 * sigma2)
-        + n * math.log(k_true + 1)
-    )
-
-
 def corollary_schedule(spec: GaussianOracleSpec, n: int, alpha: float,
                        iota: float) -> tuple[float, float]:
     """Bandwidth and prior schedule driven by the oracle's signal-to-noise

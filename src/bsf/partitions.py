@@ -1,5 +1,5 @@
-"""Canonical set partitions, enumeration, refinement cells, and the
-permutation-invariant Hamming distance.
+"""Canonical set partitions, enumeration, and the permutation-invariant
+Hamming distance.
 
 A partition of ``[n]`` is stored as a restricted growth string (RGS): the
 first label is 0 and each new label is one plus the maximum of the labels
@@ -86,14 +86,6 @@ def canonicalize(raw_labels) -> Partition:
     return Partition(tuple(out))
 
 
-def singletons(n: int) -> Partition:
-    return Partition(tuple(range(n)))
-
-
-def one_block(n: int) -> Partition:
-    return Partition((0,) * n)
-
-
 def rgs_chunks(n: int, k_cap: int | None = None) -> Iterator[np.ndarray]:
     """Yield every restricted growth string of length ``n`` with at most
     ``k_cap`` blocks, in lexicographic order, as ``(rows, n)`` label arrays
@@ -138,39 +130,6 @@ def _grow(labels: np.ndarray, peaks: np.ndarray, pos: int, cap: int) -> Iterator
         peaks = np.maximum(np.repeat(peaks, counts), child + 1)
         pos += 1
     yield labels
-
-
-@dataclass(frozen=True)
-class RefinementCells:
-    """Pairwise block intersections of two partitions of the same ground set.
-
-    ``cells[i][j]`` lists the indices in block i of the first partition and
-    block j of the second; row unions recover the first partition's blocks,
-    column unions the second's.
-    """
-
-    cells: tuple[tuple[tuple[int, ...], ...], ...]
-    nonempty_count: int
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.cells), len(self.cells[0])
-
-
-def refinement_cells(p1: Partition, p2: Partition) -> RefinementCells:
-    if p1.n != p2.n:
-        raise ValueError(f"length mismatch {p1.n} vs {p2.n}")
-    grid: list[list[list[int]]] = [[[] for _ in range(p2.K)] for _ in range(p1.K)]
-    for i, (a, b) in enumerate(zip(p1.labels, p2.labels)):
-        grid[a][b].append(i)
-    cells = tuple(tuple(tuple(cell) for cell in row) for row in grid)
-    nonempty = sum(1 for row in cells for cell in row if cell)
-    return RefinementCells(cells, nonempty)
-
-
-def is_refinement(p1: Partition, p2: Partition) -> bool:
-    """True when every block of ``p1`` sits inside a block of ``p2``."""
-    return refinement_cells(p1, p2).nonempty_count == p1.K
 
 
 def _max_assignments(mats: np.ndarray) -> np.ndarray:

@@ -13,6 +13,10 @@ mass, so the class weight is ``K!`` times the labeled weight; that factor
 is added analytically here and nowhere else.  Normalization is over
 equivalence classes.
 
+Block weights have one store, :class:`BlockWeights`: a lazy dict of
+blocks priced on demand (alone, or in stacks per block size) and the dense
+2^n table, built once on request.  A block reads the same bits from both.
+
 Exact normalizers, K-marginals, and MAP partitions come from one forward
 set-partition dynamic program over subset bitmasks, which stays exact far
 beyond the point where enumerating Bell(n) classes is practical.  Its state
@@ -36,15 +40,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .data import Dataset
 from .kernels import KernelSpec, log_weight_matrix
-from .linalg import LogDetCache
+from .linalg import all_block_log_dets, block_log_dets, subset_log_det
 from .partitions import Partition, hamming_distances, rgs_chunks
 
 DEFAULT_ENUM_CAP = 12
+# entries BlockWeights' lazy dict holds before it drops its oldest half;
+# the dense table is an array outside the dict
+LOG_DET_CACHE_CAP = 1 << 20
 
 NEG_INF = float("-inf")
 
@@ -83,11 +91,26 @@ class BsfConfig:
 
 
 class BlockWeights:
-    """Per-block unnormalized log weights over subset bitmasks.
+    """Per-block unnormalized log weights over subset bitmasks: the one
+    store that prices blocks, for the exact machinery and the sampler alike.
 
-    ``block(mask)`` returns ``log lambda + log |L_T + J/|T|| + log(mean
-    root density over T)``; for the flat root the mean root density is
-    exactly ``delta``.  Shared by the exact machinery and the sampler.
+    A block's weight is ``log lambda + log |L_T + J/|T|| + log(mean root
+    density over T)``; for the flat root the mean root density is exactly
+    ``delta``, so the weight is the block log-det plus one constant.  Every
+    log-det comes from :func:`bsf.linalg.block_log_dets`, whose bits do not
+    depend on the stack a block rides in, so the two ways to read a weight
+    agree exactly:
+
+    - :meth:`precompute` builds the dense table over all 2^n masks once, one
+      stack per block size, and keeps it;
+    - :meth:`block` reads a lazy dict.  On a miss it prices the block alone;
+      :meth:`price` fills the dict for many masks at once, one stack per
+      block size.
+
+    Before a stack would take the dict past ``LOG_DET_CACHE_CAP`` entries,
+    it drops its oldest half in insertion order.  ``counters`` holds the
+    blocks the dict priced alone and in stacks of two or more, those stacks
+    and the entries evicted; the dense table is not counted.
     """
 
     def __init__(self, data: Dataset, cfg: BsfConfig):
@@ -96,18 +119,74 @@ class BlockWeights:
         self.logw = log_weight_matrix(data, cfg.kernel)
         if not np.all(np.isfinite(self.logw)):
             raise ValueError("non-finite kernel value in the weight matrix")
-        self.dets = LogDetCache(self.logw)
         self._const = cfg.log_lambda + cfg.log_delta
+        self._cache: dict[int, float] = {}
+        self._table: np.ndarray | None = None
+        self._bytes = (self.n + 7) // 8
+        self.counters = {"alone": 0, "stacked": 0, "stacks": 0, "evicted": 0}
 
     def precompute(self) -> np.ndarray:
-        """Dense table of block weights for every subset mask."""
-        return self.dets.precompute_all() + self._const
+        """Dense table of block weights for every subset mask, built on the
+        first call."""
+        if self._table is None:
+            self._table = all_block_log_dets(self.logw) + self._const
+        return self._table
+
+    def __contains__(self, mask: int) -> bool:
+        return mask in self._cache
 
     def block(self, mask: int) -> float:
-        return self.dets.get(mask) + self._const
+        val = self._cache.get(mask)
+        if val is None:
+            self.price((mask,))
+            val = self._cache[mask]
+        return val
 
-    def block_fresh(self, mask: int) -> float:
-        return self.dets.fresh(mask) + self._const
+    def price(self, masks) -> None:
+        """Price every mask not yet in the dict, one kernel stack per block
+        size.
+
+        Masks of at most one point have log-det 0 and skip the kernel; masks
+        already in keep their values.  Repeats are priced once: a Gibbs
+        window over singleton blocks {a} and {b} asks for {a, b} from both.
+        """
+        cache = self._cache
+        by_size: dict[int, list[int]] = {}
+        for mask in dict.fromkeys(masks):
+            if mask not in cache:
+                by_size.setdefault(mask.bit_count(), []).append(mask)
+        for size, group in by_size.items():
+            if size < 2:
+                dets = np.zeros(len(group))
+            else:
+                if len(group) == 1:
+                    self.counters["alone"] += 1
+                else:
+                    self.counters["stacked"] += len(group)
+                    self.counters["stacks"] += 1
+                dets = block_log_dets(self.logw, self._members(group))
+            self._store(group, (dets + self._const).tolist())
+
+    def _members(self, group: list[int]) -> np.ndarray:
+        """Member indices of equal-size masks, one sorted row per mask."""
+        raw = b"".join(mask.to_bytes(self._bytes, "little") for mask in group)
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(group), -1),
+                             axis=1, bitorder="little")
+        return np.nonzero(bits)[1].reshape(len(group), -1)
+
+    def _store(self, masks: list[int], vals: list[float]) -> None:
+        cache = self._cache
+        if len(cache) + len(masks) > LOG_DET_CACHE_CAP:
+            drop = len(cache) // 2
+            for mask in list(islice(cache, drop)):
+                del cache[mask]
+            self.counters["evicted"] += drop
+        cache.update(zip(masks, vals))
+
+    def fresh(self, mask: int) -> float:
+        """The block's weight recomputed outside the store (audit hook)."""
+        indices = [i for i in range(self.n) if mask >> i & 1]
+        return subset_log_det(self.logw, indices) + self._const
 
     def labeled(self, partition: Partition) -> float:
         # left to right on purpose: sum() compensates floats on Python >= 3.12

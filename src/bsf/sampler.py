@@ -14,15 +14,16 @@ live moves add only the random draws.  The exhaustive transition matrices
 for small n drive the same methods through every choice and route, so the
 stationarity tests check the code the chain runs.
 
-Block log-dets come from the shared :class:`~bsf.linalg.LogDetCache` in
-one of three ways.  At n <= ``FULL_TABLE_MAX_N`` the chain precomputes
-the full table and reads block weights from it as one Python list, one
-subscript per block.  Above that, a Gibbs site that misses a block
-prices it together with the blocks the next ``PRICE_WINDOW - 1`` sites
-of the sweep would score against it, one kernel stack per block size.
-Split-merge proposals and the exact matrices price a missing block
-alone.  A block's value is the same bits whichever way priced it, so
-none of this changes a chain.
+Block weights come from the one store, :class:`~bsf.posterior.BlockWeights`,
+and :class:`ChainState` picks how to read them from n alone.  At n <=
+``FULL_TABLE_MAX_N`` it reads the dense 2^n table as one Python list, one
+subscript per block, and nothing is priced during the chain.  Above that it
+reads the store's lazy dict, and a Gibbs site that misses a block prices
+it together with the blocks the next ``PRICE_WINDOW - 1`` sites of the
+sweep would score against it, one kernel stack per block size.
+Split-merge proposals and the exact matrices price a missing block alone.
+A block's value is the same bits whichever way priced it, so neither
+choice changes a chain.
 
 A Gibbs site normalizes its K + 1 scores with one ``np.exp`` and a numpy
 sum, whose bits (SIMD ``exp``, pairwise summation) the chain depends on,
@@ -53,23 +54,23 @@ CACHE_AUDIT_TOL = 1e-9
 LOG2 = math.log(2.0)
 # a Gibbs site that misses a block prices it for itself and the next 15 sites
 PRICE_WINDOW = 16
-# largest n at which run_chain precomputes the full 2^n block table
+# largest n at which a ChainState reads the dense 2^n block table
 FULL_TABLE_MAX_N = 13
 
 
 class ChainState:
-    """Mutable sampler state: block assignment plus cached block weights.
+    """Mutable sampler state: block assignment plus the block-weight lookup.
 
     ``slots[k]`` is the bitmask of block k; slot ids are compact but carry
-    no meaning.  Cached per-block weights live in the shared
-    :class:`BlockWeights` mask table, so cache coherence is auditable by
-    recomputing the current blocks from scratch.
+    no meaning.  Block weights live in the shared :class:`BlockWeights`
+    store, so coherence is auditable by recomputing the current blocks from
+    scratch.
 
-    ``block`` is the block-weight lookup the moves read, chosen once here.
-    With the full table in, it subscripts ``table``, which is
-    :meth:`BlockWeights.precompute` as a Python list: the same float adds
-    as :meth:`BlockWeights.block`.  Otherwise it is
-    :meth:`BlockWeights.block`.
+    The lookup is chosen here, once, from n.  At n <= ``FULL_TABLE_MAX_N``,
+    ``block`` subscripts ``table``, :meth:`BlockWeights.precompute` as a
+    Python list, and ``window`` is 0.  Above it ``table`` is None, ``block``
+    is :meth:`BlockWeights.block` and ``window`` is ``PRICE_WINDOW - 1``:
+    the upcoming sites :func:`gibbs_sweep` passes a site to price ahead for.
     """
 
     def __init__(self, weights: BlockWeights, labels, rng: np.random.Generator | None = None):
@@ -79,8 +80,14 @@ class ChainState:
         canon = canonicalize(labels)
         self.assign = list(canon.labels)
         self.slots = canon.block_masks()
-        self.table = weights.precompute().tolist() if weights.dets.complete else None
-        self.block = weights.block if self.table is None else self.table.__getitem__
+        if self.n <= FULL_TABLE_MAX_N:
+            self.table = weights.precompute().tolist()
+            self.block = self.table.__getitem__
+            self.window = 0
+        else:
+            self.table = None
+            self.block = weights.block
+            self.window = PRICE_WINDOW - 1
 
     @property
     def K(self) -> int:
@@ -97,7 +104,7 @@ class ChainState:
         recomputation."""
         worst = 0.0
         for mask in self.slots:
-            diff = abs(self.block(mask) - self.weights.block_fresh(mask))
+            diff = abs(self.block(mask) - self.weights.fresh(mask))
             worst = max(worst, diff)
         if worst > tol:
             raise RuntimeError(f"block-weight cache drifted by {worst:.3e}")
@@ -115,7 +122,7 @@ class ChainState:
         table.  The peak is taken and subtracted in Python floats; the one
         ``np.exp`` and the numpy sum stay, since their bits are the chain's.
 
-        ``upcoming`` holds the points the sweep visits next.  When the cache
+        ``upcoming`` holds the points the sweep visits next.  When the store
         lacks ``B | {i}`` for a block B, it prices ``B ^ {t}`` for i and
         every upcoming t in one stack per size: the block each of those
         sites scores B against, unless a move changes B first.  Without
@@ -131,10 +138,10 @@ class ChainState:
         else:
             self.slots[slot] = remaining
         if upcoming:
-            dets = self.weights.dets
-            missed = [mask for mask in self.slots if mask | bit not in dets]
+            weights = self.weights
+            missed = [mask for mask in self.slots if mask | bit not in weights]
             if missed:
-                dets.price([mask ^ (1 << t) for mask in missed for t in (i, *upcoming)])
+                weights.price([mask ^ (1 << t) for mask in missed for t in (i, *upcoming)])
         scores = [block(mask | bit) - block(mask) for mask in self.slots]
         scores.append(math.log(self.K + 1) + block(bit))
         peak = max(scores)
@@ -237,13 +244,13 @@ def _pick(probs: list[float], u: float) -> int:
 def gibbs_sweep(state: ChainState) -> ChainState:
     """One full-conditional pass over all points, in random order: one
     uniform per point, all n drawn after the permutation (the same stream
-    as n scalar draws), picks its placement by :func:`_pick`.  Unless the
-    full block table is in, each site passes :meth:`ChainState.remove` the
-    next ``PRICE_WINDOW - 1`` points of the order."""
+    as n scalar draws), picks its placement by :func:`_pick`.  Each site
+    passes :meth:`ChainState.remove` the next ``state.window`` points of
+    the order."""
     rng = state.rng
     order = rng.permutation(state.n).tolist()
     uniforms = rng.random(state.n).tolist()
-    ahead = 0 if state.weights.dets.complete else PRICE_WINDOW - 1
+    ahead = state.window
     for pos, i in enumerate(order):
         probs = state.remove(i, order[pos + 1:pos + 1 + ahead])
         state.place(i, _pick(probs.tolist(), uniforms[pos]))
@@ -278,7 +285,7 @@ class ChainSummary:
     cocluster_counts: np.ndarray
     samples: list[tuple[int, ...]]
     accept_counts: dict[str, tuple[int, int]] = field(default_factory=dict)
-    # block log-dets priced on cache misses: LogDetCache.counters
+    # block log-dets priced on lazy misses: BlockWeights.counters
     pricing: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -336,8 +343,6 @@ def run_chain(data: Dataset, cfg: BsfConfig, iters: int, burnin: int, thin: int,
     if thin < 1:
         raise ValueError("thin must be >= 1")
     weights = BlockWeights(data, cfg)
-    if data.n <= FULL_TABLE_MAX_N:
-        weights.precompute()
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     state = ChainState(weights, range(data.n), rng)
     n = data.n
@@ -369,7 +374,7 @@ def run_chain(data: Dataset, cfg: BsfConfig, iters: int, burnin: int, thin: int,
         cocluster_counts=cocluster,
         samples=samples,
         accept_counts={move: (acc, prop) for move, (acc, prop) in accept.items()},
-        pricing=dict(weights.dets.counters),
+        pricing=dict(weights.counters),
     )
 
 

@@ -132,7 +132,6 @@ def test_acceptance_04_sampler_exactness():
     data3 = dataset_from_euclidean(rng.normal(size=(3, 1)))
     cfg3 = BsfConfig.from_values(KernelSpec(EUCLIDEAN_GAUSSIAN, sigma=1.0), lam=0.7)
     weights = BlockWeights(data3, cfg3)
-    weights.precompute()
     pi = np.array(list(class_probabilities(exact_posterior(data3, cfg3, retain=True)).values()))
     combined = combined_transition_matrix(weights)
     assert np.abs(pi @ combined - pi).max() <= 1e-8

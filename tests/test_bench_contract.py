@@ -6,6 +6,7 @@ so a rename or signature change that would break the benchmark fails here
 rather than in a benchmark run.
 """
 
+import importlib
 import json
 import math
 import os
@@ -70,3 +71,19 @@ def test_traced_chain_reports_the_sampler_layer(tmp_path):
     spanned = {names[i] for i in set(name_of.tolist())}
     assert {"sampler.gibbs_sweep", "sampler.split_merge_move"} <= spanned
     assert counts.get("sampler.split.proposed", 0) + counts.get("sampler.merge.proposed", 0) > 0
+
+
+def test_tracer_targets_the_program_lacks_are_pinned():
+    # tracer.py skips a target it cannot find, so its per-layer figures
+    # read 0 without a word; a rename or deletion must update this set
+    missing = {f"{mod}.{path}" for mod, path, _ in tracer.TARGETS
+               if tracer._resolve(importlib.import_module(mod), path) == (None, None)}
+    assert missing == {
+        "bsf.linalg.log_minor_star_mesh",
+        "bsf.linalg.anchored_subset_pairs",
+        "bsf.linalg.LogDetCache.__init__",
+        "bsf.linalg.LogDetCache.get",
+        "bsf.linalg.LogDetCache.fresh",
+        "bsf.posterior.iter_class_weights",
+        "bsf.partitions.enumerate_partitions",
+    }

@@ -80,7 +80,6 @@ def _rgs_recursive(n, cap, prefix=(0,)):
 def _reference_table(data, cfg, max_k):
     """posterior_table.csv rebuilt one partition at a time."""
     weights = BlockWeights(data, cfg)
-    weights.precompute()  # the reference reads the block table the CLI reads
     log_norm = exact_posterior(data, cfg, max_K=max_k, retain=False,
                                weights=weights).log_normalizer
     buf = io.StringIO()
@@ -152,6 +151,26 @@ def test_exit_codes(tmp_path, toy_csv, capsys):
     assert main(["exact", "--config", str(unknown),
                  "--out", str(tmp_path / "o")]) == 2
     capsys.readouterr()
+    # values of the wrong type or range, each a config error and no traceback
+    model = {"data": toy_csv, "kernel": {"family": "euclidean-gaussian", "sigma": 1.0}}
+    two_clusters = {"means": [[0.0], [9.0]], "covs": [[[1.0]], [[1.0]]]}
+    bad = [
+        ("mcmc", {**model, "kernel": {"family": "euclidean-gaussian", "sigma": "abc"}}),
+        ("mcmc", {**model, "mcmc": {"iters": "many"}}),
+        ("misclass", {"oracle": two_clusters, "snr_grid": [1.0], "n": 4, "replicates": 1,
+                      "bandwidth_rule": {"fraction": 0}}),
+        ("experiment", {"oracle": {"means": [[0.0]], "covs": [[[1.0]]]},
+                        "schedule": {"kind": "snr"}, "n_grid": [4], "replicates": 1}),
+    ]
+    for i, (command, payload) in enumerate(bad):
+        path = tmp_path / f"bad{i}.json"
+        write_json(path, payload)
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "o")]
+        if command in ("experiment", "misclass"):
+            argv += ["--workers", "1"]
+        assert main(argv) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err, err
 
 
 @pytest.mark.parametrize("argv", [

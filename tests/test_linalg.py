@@ -7,8 +7,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bsf import linalg
+from bsf.data import dataset_from_euclidean
+from bsf.kernels import EUCLIDEAN_GAUSSIAN, KernelSpec
 from bsf.linalg import (
-    LogDetCache,
     all_block_log_dets,
     all_spanning_tree_edges,
     coarsened_laplacian,
@@ -20,6 +21,7 @@ from bsf.linalg import (
     subset_log_det,
 )
 from bsf.partitions import Partition
+from bsf.posterior import BlockWeights, BsfConfig
 
 
 def random_logw(rng, n, low=0.1, high=2.0):
@@ -216,59 +218,50 @@ def test_extreme_weight_ranges_stay_finite_and_factorized():
 
 
 def test_block_table_matches_subsets(rng):
-    logw = random_logw(rng, 8)
-    table = all_block_log_dets(logw)
-    assert table[0] == 0.0
-    for mask in [1, 2, 1 << 7, 0b1010101, 0b11111111, 0b1100, 0b100110]:
-        members = [i for i in range(8) if mask >> i & 1]
-        assert table[mask] == pytest.approx(subset_log_det(logw, members), abs=1e-9)
+    # the table and single blocks run one kernel, so every entry has the
+    # bits of its block alone, at a normal and at a deep weight range
+    # (log weights spanning past float underflow inside a block)
+    n = 8
+    for scale in (1.0, 1000.0):
+        logw = random_logw(rng, n) * scale
+        table = all_block_log_dets(logw)
+        assert table[0] == 0.0
+        for mask in range(1, 1 << n):
+            members = [i for i in range(n) if mask >> i & 1]
+            assert table[mask] == subset_log_det(logw, members), (scale, mask)
 
 
 @pytest.mark.parametrize("deep", [False, True])
 def test_stacked_pricing_equals_single_blocks(deep, monkeypatch):
     # one price() call over mixed sizes, repeats, singletons, mask 0 and
-    # cached masks gives every new block the bits subset_log_det gives it
+    # stored masks gives every new block the bits subset_log_det gives it
     rng = np.random.default_rng(16)
     n = 16
     x = rng.normal(size=(n, 2)) * (12.0 if deep else 1.0)
-    logw = -0.5 * ((x[:, None] - x[None]) ** 2).sum(axis=2)
+    cfg = BsfConfig.from_values(KernelSpec(EUCLIDEAN_GAUSSIAN, sigma=1.0), lam=0.3)
+    weights = BlockWeights(dataset_from_euclidean(x), cfg)
+    const = cfg.log_delta_lambda
     routed = []
     star_mesh = linalg._star_mesh_batch
     monkeypatch.setattr(linalg, "_star_mesh_batch",
                         lambda sub: routed.append(len(sub)) or star_mesh(sub))
-    cache = LogDetCache(logw)
     kept, sentinel = 0b11, 0b1011 << 4
-    cache.get(kept)
-    cache.get(sentinel)
-    cache._cache[sentinel] = 123.0  # a cached value price() must leave alone
+    weights.block(kept)
+    weights.block(sentinel)
+    weights._cache[sentinel] = 123.0  # a stored value price() must leave alone
     new = [int((1 << rng.choice(n, m, replace=False)).sum())
            for m in range(2, n) for _ in range(3)] + [(1 << n) - 1]
-    cache.price([0, 1 << 5, kept, sentinel, *new, new[0]])
+    weights.price([0, 1 << 5, kept, sentinel, *new, new[0]])
     deep_blocks = sum(routed)
-    assert cache.counters == {"alone": 3, "stacked": 3 * (n - 2), "stacks": n - 2,
-                              "evicted": 0}
+    assert weights.counters == {"alone": 3, "stacked": 3 * (n - 2), "stacks": n - 2,
+                                "evicted": 0}
     for mask in new + [kept]:
         members = [i for i in range(n) if mask >> i & 1]
-        assert cache.get(mask) == subset_log_det(logw, members)
-    assert cache.get(0) == cache.get(1 << 5) == 0.0
-    assert cache.get(sentinel) == 123.0
-    assert cache.counters["alone"] == 3  # every get above hit the cache
+        assert weights.block(mask) == subset_log_det(weights.logw, members) + const
+    assert weights.block(0) == weights.block(1 << 5) == const
+    assert weights.block(sentinel) == 123.0
+    assert weights.counters["alone"] == 3  # every block() above hit the dict
     if deep:  # both routes ran inside the stacks
         assert 0 < deep_blocks < len(new)
     else:
         assert deep_blocks == 0
-
-
-def test_full_table_is_read_in_place(rng):
-    # after precompute_all, get reads the table array itself: no dict copy
-    # of the 2^n entries, and price has nothing left to do
-    logw = random_logw(rng, 9)
-    cache = LogDetCache(logw)
-    cache.get(0b111)
-    table = cache.precompute_all()
-    assert cache.complete
-    assert all(cache.get(mask) == float(table[mask]) for mask in range(1 << 9))
-    assert all(mask in cache for mask in range(1 << 9))
-    cache.price([0b1111, 0b110011])
-    assert len(cache._cache) == 2  # the entry 0 and the lookup made before
-    assert cache.counters == {"alone": 1, "stacked": 0, "stacks": 0, "evicted": 0}

@@ -23,11 +23,10 @@ from bsf.oracle import (
     generate_gaussian,
     generate_spd,
     misclassification_log_bound,
-    misclassification_log_bound_gaussian,
     scale_means_to_snr,
     separation_stats,
 )
-from bsf.partitions import Partition, one_block
+from bsf.partitions import Partition
 
 
 def two_cluster_spec(dist=6.0, var=1.0, p=2):
@@ -161,11 +160,11 @@ def test_membership_boundary_and_edge_cases():
     assert th.within_max_sq > 0
     gap = math.sqrt(th.within_max_sq)
     data = dataset_from_euclidean([[0.0], [gap]])
-    member, stats = check_D_membership(data, one_block(2), kernel, th)
+    member, stats = check_D_membership(data, Partition((0, 0)), kernel, th)
     assert member and stats.max_within_sq == pytest.approx(th.within_max_sq, rel=1e-12)
     # single point: both constraint sets empty
     single = dataset_from_euclidean([[0.0]])
-    member, stats = check_D_membership(single, one_block(1), kernel, th)
+    member, stats = check_D_membership(single, Partition((0,)), kernel, th)
     assert member
     assert stats.min_cross_sq == math.inf and stats.max_within_sq == -math.inf
     # two clusters at half the required floor: not a member
@@ -185,8 +184,8 @@ def test_misclassification_bound_forms():
     truth = Partition((0, 0, 1, 1))
     stats = separation_stats(data, truth, kernel)
     generic = misclassification_log_bound(stats, k_true=2, n=4)
-    gaussian = misclassification_log_bound_gaussian(stats, k_true=2, n=4,
-                                                    sigma2=0.9**2)
+    # with a Gaussian kernel the kernel ratio is a gap of squared distances
+    gaussian = -(stats.min_cross_sq - stats.max_within_sq) / (2.0 * 0.9**2) + 4 * math.log(3)
     assert generic == pytest.approx(gaussian, abs=1e-10)
     # degenerate equality: eps == gamma leaves only the combinatorial term
     flat = type(stats)(

@@ -11,11 +11,7 @@ from bsf.partitions import (
     Partition,
     canonicalize,
     hamming_distance,
-    is_refinement,
-    one_block,
-    refinement_cells,
     rgs_chunks,
-    singletons,
 )
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
@@ -121,43 +117,12 @@ def test_rgs_chunks_match_successor_order(monkeypatch, chunk_rows):
                 assert ks[k] == (stirling2(n, k) if k <= cap else 0), (n, cap, k)
 
 
-def test_refinement_cells_examples():
-    n = 5
-    cells = refinement_cells(singletons(n), one_block(n))
-    assert cells.nonempty_count == n
-    assert is_refinement(singletons(n), one_block(n))
-    part = canonicalize([0, 1, 1, 2])
-    same = refinement_cells(part, part)
-    assert same.nonempty_count == part.K
-    crossed = refinement_cells(Partition((0, 0, 1, 1)), Partition((0, 1, 1, 0)))
-    assert crossed.nonempty_count == 4
-    flat = [cell for row in crossed.cells for cell in row if cell]
-    assert sorted(flat) == [(0,), (1,), (2,), (3,)]
-    with pytest.raises(ValueError):
-        refinement_cells(one_block(3), one_block(4))
-
-
-@given(labels_strategy, labels_strategy)
-def test_refinement_cells_reconstruct_inputs(raw1, raw2):
-    n = min(len(raw1), len(raw2))
-    p1 = canonicalize(raw1[:n])
-    p2 = canonicalize(raw2[:n])
-    cells = refinement_cells(p1, p2)
-    rows = [sorted(itertools.chain.from_iterable(row)) for row in cells.cells]
-    assert rows == [sorted(b) for b in p1.blocks()]
-    cols = [
-        sorted(itertools.chain.from_iterable(cells.cells[i][j] for i in range(p1.K)))
-        for j in range(p2.K)
-    ]
-    assert cols == [sorted(b) for b in p2.blocks()]
-
-
 def test_hamming_examples():
     assert hamming_distance(Partition((0, 0, 1, 1)), Partition((0, 0, 1, 1))) == 0
     assert hamming_distance(Partition((0, 0, 1, 1)), canonicalize([1, 1, 0, 0])) == 0
     assert hamming_distance(Partition((0, 0, 0, 1)), Partition((0, 0, 1, 1))) == 1
     # unequal block counts get padded with empty blocks
-    assert hamming_distance(one_block(4), singletons(4)) == 3
+    assert hamming_distance(Partition((0, 0, 0, 0)), Partition((0, 1, 2, 3))) == 3
 
 
 def brute_force_hamming(p1, p2):

@@ -7,7 +7,7 @@ from conftest import class_probabilities
 from bsf.data import dataset_from_euclidean
 from bsf.kernels import EUCLIDEAN_GAUSSIAN, KernelSpec, log_gaussian_kernel
 from bsf.linalg import subset_log_det
-from bsf.partitions import Partition, canonicalize, hamming_distance, rgs_chunks, singletons
+from bsf.partitions import Partition, canonicalize, hamming_distance, rgs_chunks
 from bsf import posterior
 from bsf.posterior import (
     BlockWeights,
@@ -57,7 +57,7 @@ def test_all_singletons_weight():
     rng = np.random.default_rng(3)
     data = dataset_from_euclidean(rng.normal(size=(6, 2)))
     cfg = BsfConfig(kernel=SPEC, log_delta=math.log(0.7), log_lambda=math.log(0.2))
-    got = BlockWeights(data, cfg).labeled(singletons(6))
+    got = BlockWeights(data, cfg).labeled(Partition(tuple(range(6))))
     assert got == pytest.approx(6 * cfg.log_delta_lambda, abs=1e-12)
 
 
@@ -177,32 +177,33 @@ def test_map_from_dp_matches_enumeration():
 
 
 def test_refinement_cell_decomposition_of_ratio():
-    from bsf.partitions import refinement_cells
-
     rng = np.random.default_rng(10)
     data = dataset_from_euclidean(rng.normal(size=(8, 2)))
     cfg = BsfConfig.from_values(SPEC, lam=0.7)
     weights = BlockWeights(data, cfg)
     log_dl = cfg.log_delta_lambda
+
+    def log_det(mask):
+        return subset_log_det(weights.logw, [t for t in range(8) if mask >> t & 1])
+
     for _ in range(10):
         p1 = canonicalize(rng.integers(0, 3, size=8).tolist())
         p2 = canonicalize(rng.integers(0, 3, size=8).tolist())
         direct = weights.labeled(p1) - weights.labeled(p2)
-        cells = refinement_cells(p1, p2)
-        # determinant of each non-empty intersection cell (empty cells count 1)
-        cell_dets = {}
-        for i, row in enumerate(cells.cells):
-            for j, cell in enumerate(row):
-                if cell:
-                    cell_dets[i, j] = weights.dets.get(sum(1 << t for t in cell))
+        # cell (i, j) holds the points in block i of p1 and block j of p2;
+        # the determinant of each non-empty cell (empty cells count 1)
+        cells = {}
+        for t, (a, b) in enumerate(zip(p1.labels, p2.labels)):
+            cells[a, b] = cells.get((a, b), 0) | 1 << t
+        cell_dets = {key: log_det(mask) for key, mask in cells.items()}
         first = 0.0
-        for i, block in enumerate(p1.blocks()):
-            first += weights.dets.get(sum(1 << t for t in block))
+        for i, mask in enumerate(p1.block_masks()):
+            first += log_det(mask)
             first -= sum(v for (a, _), v in cell_dets.items() if a == i)
         second = 0.0
-        for j, block in enumerate(p2.blocks()):
+        for j, mask in enumerate(p2.block_masks()):
             second += sum(v for (_, b), v in cell_dets.items() if b == j)
-            second -= weights.dets.get(sum(1 << t for t in block))
+            second -= log_det(mask)
         decomposed = (p1.K - p2.K) * log_dl + first + second
         assert direct == pytest.approx(decomposed, abs=1e-8)
 

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from conftest import class_probabilities
 
-from bsf import linalg, sampler
+from bsf import posterior, sampler
 from bsf.data import dataset_from_euclidean
 from bsf.kernels import EUCLIDEAN_GAUSSIAN, KernelSpec, log_gaussian_kernel
-from bsf.linalg import LogDetCache
 from bsf.oracle import GaussianOracleSpec, generate_gaussian
 from bsf.partitions import Partition, canonicalize
 from bsf.posterior import BlockWeights, BsfConfig, exact_posterior
@@ -65,49 +64,58 @@ def test_burnin_schedule_and_validation():
         run_chain(data, cfg, iters=5, burnin=1, thin=0, seed=1)
 
 
+# the dense table's list lookup, and the lazy store's lookup and window
+LOOKUPS = (FULL_TABLE_MAX_N, 0)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])  # Bell(n) = 5, 15, 52 classes
-def test_exhaustive_kernels_are_stationary(n):
+def test_exhaustive_kernels_are_stationary(n, monkeypatch):
     rng = np.random.default_rng(7)
     data = dataset_from_euclidean(rng.normal(size=(n, 1)))
     cfg = BsfConfig.from_values(SPEC, lam=0.7)
-    weights = BlockWeights(data, cfg)
-    weights.precompute()
     pi = np.array(list(class_probabilities(exact_posterior(data, cfg, retain=True)).values()))
-    combined = combined_transition_matrix(weights)
-    assert np.abs(combined.sum(axis=1) - 1.0).max() < 1e-12
-    assert np.abs(pi @ combined - pi).max() < 1e-8
-    # the split-merge kernel and each single-site Gibbs update are reversible
-    kernels = [split_merge_matrix(weights)] + [single_site_matrix(weights, i) for i in range(n)]
-    for kernel in kernels:
-        flux = pi[:, None] * kernel
-        assert np.abs(flux - flux.T).max() < 1e-12
-    sweep = gibbs_sweep_matrix(weights)
-    assert np.abs(pi @ sweep - pi).max() < 1e-12
+    for table_max_n in LOOKUPS:
+        monkeypatch.setattr(sampler, "FULL_TABLE_MAX_N", table_max_n)
+        weights = BlockWeights(data, cfg)
+        combined = combined_transition_matrix(weights)
+        assert np.abs(combined.sum(axis=1) - 1.0).max() < 1e-12
+        assert np.abs(pi @ combined - pi).max() < 1e-8
+        # the split-merge kernel and each single-site Gibbs update are reversible
+        kernels = [split_merge_matrix(weights)] + [single_site_matrix(weights, i)
+                                                   for i in range(n)]
+        for kernel in kernels:
+            flux = pi[:, None] * kernel
+            assert np.abs(flux - flux.T).max() < 1e-12
+        sweep = gibbs_sweep_matrix(weights)
+        assert np.abs(pi @ sweep - pi).max() < 1e-12
 
 
-def test_live_moves_sample_the_exact_kernels():
+def test_live_moves_sample_the_exact_kernels(monkeypatch):
     # One move from every class of n = 4, each on a fresh state: the
     # next-class frequencies must follow the exact kernel's row.  This
     # checks the random draws (point order, pair, route bits, uniforms)
-    # that the shared ChainState core leaves to the live moves.  Over at
-    # most 15 classes, P(TV > tol) <= 2^15 exp(-2 draws tol^2)
-    # (Bretagnolle-Huber-Carol), about 1e-4 per row here.
+    # that the shared ChainState core leaves to the live moves, under
+    # both lookups.  Over at most 15 classes, P(TV > tol) <= 2^15
+    # exp(-2 draws tol^2) (Bretagnolle-Huber-Carol), about 1e-4 per row.
     n, draws, tol = 4, 2_000, 0.07
     rng = np.random.default_rng(5)
     data = dataset_from_euclidean(rng.normal(size=(n, 1)))
-    weights = BlockWeights(data, BsfConfig.from_values(SPEC, lam=0.7))
     classes, index = _class_index(n)
-    moves = [(split_merge_matrix(weights), split_merge_move),
-             (gibbs_sweep_matrix(weights), gibbs_sweep)]
-    for seed, (exact, move) in enumerate(moves):
-        for row, labels in enumerate(classes):
-            chain_rng = np.random.default_rng([seed, row])
-            counts = np.zeros(len(classes))
-            for _ in range(draws):
-                state = ChainState(weights, labels, chain_rng)
-                move(state)
-                counts[index[state.rgs()]] += 1
-            assert 0.5 * np.abs(counts / draws - exact[row]).sum() < tol, (move.__name__, labels)
+    for table_max_n in LOOKUPS:
+        monkeypatch.setattr(sampler, "FULL_TABLE_MAX_N", table_max_n)
+        weights = BlockWeights(data, BsfConfig.from_values(SPEC, lam=0.7))
+        moves = [(split_merge_matrix(weights), split_merge_move),
+                 (gibbs_sweep_matrix(weights), gibbs_sweep)]
+        for seed, (exact, move) in enumerate(moves):
+            for row, labels in enumerate(classes):
+                chain_rng = np.random.default_rng([seed, row])
+                counts = np.zeros(len(classes))
+                for _ in range(draws):
+                    state = ChainState(weights, labels, chain_rng)
+                    move(state)
+                    counts[index[state.rgs()]] += 1
+                tv = 0.5 * np.abs(counts / draws - exact[row]).sum()
+                assert tv < tol, (table_max_n, move.__name__, labels)
 
 
 def test_two_point_chain_matches_stationary_odds():
@@ -195,28 +203,26 @@ def test_merge_summaries_is_order_respecting():
     assert merge_summaries(a, b).pricing == {"alone": 3, "stacked": 4, "stacks": 2, "evicted": 3}
 
 
-def test_cache_audit_detects_corruption():
+def test_cache_audit_detects_corruption(monkeypatch):
+    # the audit checks what the moves read: the state's list on the dense
+    # table, the store's dict otherwise
     rng = np.random.default_rng(3)
     data = dataset_from_euclidean(rng.normal(size=(5, 1)))
     cfg = BsfConfig.from_values(SPEC, lam=0.5)
-    weights = BlockWeights(data, cfg)
-    state = ChainState(weights, [0, 0, 1, 1, 2], np.random.default_rng(0))
-    assert state.audit_cache() <= 1e-12
-    weights.dets._cache[state.slots[0]] = 123.0  # sabotage
-    with pytest.raises(RuntimeError):
-        state.audit_cache()
-    # on a full table the moves read the state's list, so that is audited
-    weights = BlockWeights(data, cfg)
-    weights.precompute()
-    state = ChainState(weights, [0, 0, 1, 1, 2], np.random.default_rng(0))
-    assert state.audit_cache() <= 1e-12
-    state.table[state.slots[1]] = 123.0  # sabotage
-    with pytest.raises(RuntimeError):
-        state.audit_cache()
+    for table_max_n in LOOKUPS:
+        monkeypatch.setattr(sampler, "FULL_TABLE_MAX_N", table_max_n)
+        weights = BlockWeights(data, cfg)
+        state = ChainState(weights, [0, 0, 1, 1, 2], np.random.default_rng(0))
+        assert (state.table is None) == (table_max_n == 0)
+        assert state.audit_cache() <= 1e-12
+        stored = weights._cache if state.table is None else state.table
+        stored[state.slots[1]] = 123.0  # sabotage
+        with pytest.raises(RuntimeError):
+            state.audit_cache()
 
 
 def test_pricing_window_and_cache_bound_leave_the_chain_unchanged(monkeypatch):
-    # n = 16 is above the precompute limit, so every block is priced lazily
+    # n = 16 is above FULL_TABLE_MAX_N, so every block is priced lazily
     rng = np.random.default_rng(11)
     data = dataset_from_euclidean(rng.normal(size=(16, 1)) * 2.0)
     cfg = BsfConfig.from_values(SPEC, lam=0.3)
@@ -229,15 +235,15 @@ def test_pricing_window_and_cache_bound_leave_the_chain_unchanged(monkeypatch):
     alone = chain()
     monkeypatch.undo()
     cap = 256
-    monkeypatch.setattr(linalg, "LOG_DET_CACHE_CAP", cap)
+    monkeypatch.setattr(posterior, "LOG_DET_CACHE_CAP", cap)
     stored = []
-    store = LogDetCache._store
+    store = BlockWeights._store
 
     def spy(self, masks, vals):
         store(self, masks, vals)
         stored.append(len(self._cache) - cap - len(masks))
 
-    monkeypatch.setattr(LogDetCache, "_store", spy)
+    monkeypatch.setattr(BlockWeights, "_store", spy)
     bounded = chain()
     for other in (alone, bounded):
         assert other.samples == windowed.samples
@@ -289,9 +295,6 @@ def test_moves_match_the_reference_sweep_in_lockstep(n):
     data = dataset_from_euclidean(rng.normal(size=(n, 1)) * 2.0)
     cfg = BsfConfig.from_values(SPEC, lam=0.3)
     live_weights, ref_weights = BlockWeights(data, cfg), BlockWeights(data, cfg)
-    if n <= FULL_TABLE_MAX_N:
-        live_weights.precompute()
-        ref_weights.precompute()
     live = ChainState(live_weights, range(n), np.random.default_rng(9))
     ref = ChainState(ref_weights, range(n), np.random.default_rng(9))
     ref.block = ref_weights.block  # split-merge through BlockWeights too
