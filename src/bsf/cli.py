@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import math
 import os
@@ -77,9 +76,11 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: str, columns, rows=(), chunks=()) -> None:
-    """Write ``rows`` (sequences or dicts keyed by column), formatting each
-    value, then ``chunks``: iterables of rows whose fields are already
-    strings.  Each chunk is dropped before the next one is made."""
+    """Write ``rows`` (sequences or dicts keyed by column) through
+    ``csv.writer``, formatting each value with :func:`_fmt`, then
+    ``chunks``: strings of whole CSV lines, written as they are.  Each
+    chunk is dropped before the next one is made.  A chunk's quoting is its
+    maker's job; :func:`_table_chunks` quotes as ``csv.writer`` would."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
@@ -88,7 +89,7 @@ def write_csv(path: str, columns, rows=(), chunks=()) -> None:
                 writer.writerow([_fmt(row[c]) for c in columns])
             else:
                 writer.writerow([_fmt(v) for v in row])
-        writer.writerows(itertools.chain.from_iterable(chunks))
+        fh.writelines(chunks)
 
 
 def _rgs_strings(labels: np.ndarray) -> list[str]:
@@ -115,14 +116,24 @@ def _rgs_strings(labels: np.ndarray) -> list[str]:
 
 
 def _table_chunks(chunks, log_normalizer: float):
-    """Posterior table rows, formatted as :func:`write_csv` formats them, one
-    iterable per chunk of :func:`class_weight_chunks`."""
-    fmt = "{:.17g}".format
+    """Posterior table rows, one string of CSV lines per chunk of
+    :func:`class_weight_chunks`, each row made by one ``%``-format.
+
+    The bytes are those ``csv.writer`` gives for the row
+    ``(rgs, str(K), format(lw, ".17g"), format(p, ".17g"))``.  Its minimal
+    quoting quotes a field only for a comma, quote or line break.  The RGS
+    field holds a comma exactly when n >= 2, so it is quoted then and never
+    at n = 1; K and the two floats never need quotes.  ``%d`` of a Python
+    int is its ``str``, and ``%.17g`` and ``format(x, ".17g")`` are the same
+    conversion, for 0.0, -0.0, subnormals and infinities too.  The
+    probability is ``math.exp`` of each row's shifted weight, as
+    ``map_partition.csv`` computes it.
+    """
     for labels, ks, lws in chunks:
-        # only the zip holds the chunk's strings, so they are freed before
-        # the next chunk is made
-        yield zip(_rgs_strings(labels), map(str, ks.tolist()), map(fmt, lws.tolist()),
-                  map(fmt, map(math.exp, (lws - log_normalizer).tolist())))
+        line = '"%s",%d,%.17g,%.17g\n' if labels.shape[1] > 1 else "%s,%d,%.17g,%.17g\n"
+        probs = map(math.exp, (lws - log_normalizer).tolist())
+        rows = zip(_rgs_strings(labels), ks.tolist(), lws.tolist(), probs)
+        yield "".join(map(line.__mod__, rows))
 
 
 def _load_config(path: str) -> dict:
@@ -171,8 +182,16 @@ class _Section:
             raise ConfigError(f"{self.name}: unknown keys {sorted(self.raw)}")
 
 
+def _int(value) -> int:
+    """An integer config value.  ``int`` alone would take ``true`` as 1 and
+    truncate 30.7 to 30, so booleans and non-integral numbers are refused."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _ints(values) -> tuple[int, ...]:
-    return tuple(int(v) for v in values)
+    return tuple(_int(v) for v in values)
 
 
 def _floats(values) -> tuple[float, ...]:
@@ -224,7 +243,7 @@ def _parse_model(cfg: dict, name: str) -> tuple[Dataset, BsfConfig, _Section]:
     data = _load_dataset(sec)
     kernel = _parse_kernel(sec.take("kernel"))
     log_delta, log_lambda = _parse_prior(sec)
-    enum_cap = sec.typed("enum_cap", int, 12)
+    enum_cap = sec.typed("enum_cap", _int, 12)
     try:
         model = BsfConfig(kernel=kernel, log_delta=log_delta,
                           log_lambda=log_lambda, enum_cap=enum_cap)
@@ -246,8 +265,8 @@ def _parse_gaussian_oracle(raw: dict) -> GaussianOracleSpec:
             weights=None if weights is None else tuple(weights),
             counts=counts,
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"oracle: {exc}") from exc
 
 
 def _parse_spd_oracle(raw: dict) -> ObjectOracleSpec:
@@ -258,8 +277,8 @@ def _parse_spd_oracle(raw: dict) -> ObjectOracleSpec:
     sec.done()
     try:
         return ObjectOracleSpec(means=tuple(means), noise_scales=tuple(noise), counts=counts)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"oracle: {exc}") from exc
 
 
 def _parse_schedule(raw: dict):
@@ -305,9 +324,9 @@ def _parse_mcmc(raw) -> McmcSettings:
         return McmcSettings()
     sec = _Section(raw, "mcmc")
     out = McmcSettings(
-        iters=sec.typed("iters", int, 50_000),
-        burnin=sec.typed("burnin", int, 5_000),
-        thin=sec.typed("thin", int, 1),
+        iters=sec.typed("iters", _int, 50_000),
+        burnin=sec.typed("burnin", _int, 5_000),
+        thin=sec.typed("thin", _int, 1),
     )
     sec.done()
     if not (out.iters > out.burnin >= 0) or out.thin < 1:
@@ -380,10 +399,10 @@ def cmd_experiment(args) -> int:
     spec = _parse_gaussian_oracle(sec.take("oracle"))
     schedule = _parse_schedule(sec.take("schedule"))
     n_grid = sec.typed("n_grid", _ints)
-    replicates = sec.typed("replicates", int)
+    replicates = sec.typed("replicates", _int)
     phi = _parse_phi(sec.take("phi", None))
     mode = sec.take("mode", "exact")
-    enum_cap = sec.typed("enum_cap", int, 12)
+    enum_cap = sec.typed("enum_cap", _int, 12)
     settings = _parse_mcmc(sec.take("mcmc", None))
     sec.done()
     if args.mode is not None:
@@ -392,13 +411,15 @@ def cmd_experiment(args) -> int:
         raise ConfigError("replicates must be at least 1")
     if not n_grid:
         raise ConfigError("n_grid must be non-empty")
-    # every replicate resolves the schedule; one the oracle cannot support
-    # (an snr schedule with one cluster) fails here instead
+    # every replicate draws n points from the oracle and resolves the
+    # schedule; an n the oracle cannot size (fewer points than clusters) or
+    # a schedule it cannot support (snr with one cluster) fails here instead
     try:
         for n in n_grid:
+            spec.check_size(n)
             schedule.resolve(spec, n)
     except ValueError as exc:
-        raise ConfigError(f"schedule: {exc}") from exc
+        raise ConfigError(f"n_grid entry {n}: {exc}") from exc
     if mode == "exact" and max(n_grid) > enum_cap:
         raise CapError(f"max n_grid {max(n_grid)} exceeds the enumeration cap {enum_cap}")
     out = _ensure_out(args.out)
@@ -425,20 +446,27 @@ def cmd_misclass(args) -> int:
     sec = _Section(cfg, "misclass config")
     spec = _parse_gaussian_oracle(sec.take("oracle"))
     snr_grid = sec.typed("snr_grid", _floats)
-    n = sec.typed("n", int)
-    replicates = sec.typed("replicates", int)
+    n = sec.typed("n", _int)
+    replicates = sec.typed("replicates", _int)
     rule_sec = _Section(sec.take("bandwidth_rule", {}), "bandwidth_rule")
     try:
         rule = BandwidthRule(fraction=rule_sec.typed("fraction", float, 0.2))
     except ValueError as exc:
         raise ConfigError(f"bandwidth_rule: {exc}") from exc
     rule_sec.done()
-    enum_cap = sec.typed("enum_cap", int, 12)
+    enum_cap = sec.typed("enum_cap", _int, 12)
     sec.done()
     if replicates < 1:
         raise ConfigError("replicates must be at least 1")
     if not snr_grid:
         raise ConfigError("snr_grid must be non-empty")
+    # every replicate draws n points and resolves the bandwidth rule on the
+    # oracle's separation, which needs at least two clusters
+    try:
+        spec.check_size(n)
+        rule.resolve(spec, n)
+    except ValueError as exc:
+        raise ConfigError(f"oracle: {exc}") from exc
     if n > enum_cap:
         raise CapError(f"n={n} exceeds the enumeration cap {enum_cap}")
     out = _ensure_out(args.out)
@@ -471,7 +499,7 @@ def cmd_gen_data(args) -> int:
     cfg = _load_config(args.config)
     sec = _Section(cfg, "gen-data config")
     kind = sec.take("kind", "gaussian")
-    n = sec.typed("n", int)
+    n = sec.typed("n", _int)
     out = _ensure_out(args.out)
     if kind == "gaussian":
         spec = _parse_gaussian_oracle(sec.take("oracle"))

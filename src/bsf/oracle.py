@@ -104,6 +104,14 @@ class GaussianOracleSpec:
     def snr(self) -> float:
         return self.min_mean_separation / math.sqrt(self.max_cov_eigenvalue)
 
+    def check_size(self, n: int) -> None:
+        """Raise ValueError unless :func:`generate_gaussian` can draw n points."""
+        if self.counts is not None:
+            if sum(self.counts) != n or len(self.counts) != self.k_true:
+                raise ValueError("counts must sum to n with one entry per cluster")
+        elif self.weights is None and n < self.k_true:
+            raise ValueError("n smaller than the number of clusters")
+
 
 def scale_means_to_snr(spec: GaussianOracleSpec, snr: float) -> GaussianOracleSpec:
     """Rescale mean offsets about their centroid so the spec's signal-to-noise
@@ -141,8 +149,7 @@ def generate_gaussian(spec: GaussianOracleSpec, n: int, seed) -> tuple[Dataset, 
     Label order is deterministic for count-based sizing.  Noise is drawn as
     standard normals and colored per cluster, before means are added.
     """
-    if n < spec.k_true and spec.counts is None and spec.weights is None:
-        raise ValueError("n smaller than the number of clusters")
+    spec.check_size(n)
     rng = np.random.default_rng(seed)
     labels = _labels_for(spec.k_true, n, spec.weights, spec.counts, rng)
     noise = rng.standard_normal((n, spec.dim))

@@ -50,27 +50,44 @@ def test_workload_operation_passes_its_checks(name, tmp_path):
         assert math.isfinite(pooled["tv_k"])
 
 
-def test_traced_chain_reports_the_sampler_layer(tmp_path):
-    # tracer.py wraps the moves by name and unpacks (state, move, accepted);
-    # it skips names it cannot find, so a rename would silently zero the
-    # sampler's per-layer figures
-    workload = workloads.WORKLOADS["mcmc-table"]
+def _traced_operation(name, tmp_path):
+    """Run one operation of workload ``name`` through ``bench/child.py`` with
+    tracing on; returns the names of its spans, its counts and its output
+    directory."""
+    workload = workloads.WORKLOADS[name]
     in_dir = tmp_path / "inputs"
     in_dir.mkdir()
     prep = workload.prepare(SEED, str(in_dir))
     argv = workload.op_argv(prep, SEED, 0)
     result = str(tmp_path / "result.json")
+    out_dir = tmp_path / "out"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))
     subprocess.run([sys.executable, os.path.join(ROOT, "bench", "child.py"), result, "trace", "--",
-                    *argv, "--out", str(tmp_path / "out")], env=env, check=True,
+                    *argv, "--out", str(out_dir)], env=env, check=True,
                    stdout=subprocess.DEVNULL)
     with open(result, encoding="utf-8") as fh:
         assert json.load(fh)["exit_code"] == 0
     names, counts, name_of, *_ = tracer.load_spans(result + ".spans")
-    spanned = {names[i] for i in set(name_of.tolist())}
+    return {names[i] for i in set(name_of.tolist())}, counts, out_dir
+
+
+def test_traced_chain_reports_the_sampler_layer(tmp_path):
+    # tracer.py wraps the moves by name and unpacks (state, move, accepted);
+    # it skips names it cannot find, so a rename would silently zero the
+    # sampler's per-layer figures
+    spanned, counts, _ = _traced_operation("mcmc-table", tmp_path)
     assert {"sampler.gibbs_sweep", "sampler.split_merge_move"} <= spanned
     assert counts.get("sampler.split.proposed", 0) + counts.get("sampler.merge.proposed", 0) > 0
+
+
+def test_traced_exact_reports_the_csv_layer(tmp_path):
+    # tracer.py times the table and counts its bytes by wrapping
+    # bsf.cli.write_csv; a table written by any other function would zero
+    # cli.write_csv.bytes and move its time to another layer without a word
+    spanned, counts, out_dir = _traced_operation("exact-table", tmp_path)
+    assert "cli.write_csv" in spanned
+    assert counts.get("cli.write_csv.bytes", 0) >= os.path.getsize(out_dir / "posterior_table.csv")
 
 
 def test_tracer_targets_the_program_lacks_are_pinned():

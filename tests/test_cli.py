@@ -11,7 +11,7 @@ import pytest
 
 import bsf
 from bsf import partitions
-from bsf.cli import _rgs_strings, build_parser, main
+from bsf.cli import _rgs_strings, _table_chunks, build_parser, main
 from bsf.data import read_euclidean_csv, read_matrix_stack, write_matrix_stack
 from bsf.kernels import EUCLIDEAN_GAUSSIAN, KernelSpec, log_gaussian_kernel
 from bsf.partitions import Partition
@@ -129,6 +129,29 @@ def test_rgs_strings_with_two_digit_labels():
         ",".join(map(str, row)) for row in rows]
 
 
+@pytest.mark.parametrize("rows, lws, log_norm", [
+    # labels 10 and 11 occur only at n >= 11 and n >= 12; probabilities of 1, of a
+    # subnormal, of 0.0 (underflow), and a log weight of -0.0
+    ([list(range(12)), [0] * 12, [0, 1, 0, 2, 3, 4, 5, 6, 7, 8, 9, 10],
+      [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 10]], [-0.0, -740.0, -800.0, 0.0], 0.0),
+    ([[0]], [-0.0], -0.0),  # n = 1: a one-label RGS has no comma, so no quotes
+    # large, large negative, subnormal and -inf log weights
+    ([[0, 0, 0], [0, 0, 1], [0, 1, 0], [0, 1, 1], [0, 1, 2]],
+     [123456789.125, -98765432.5, 5e-324, float("-inf"), 123456789.0], 123456789.5),
+])
+def test_table_chunks_match_csv_writer(rows, lws, log_norm):
+    labels = np.array(rows, dtype=np.int64)
+    ks = labels.max(axis=1) + 1
+    lws = np.array(lws)
+    chunks = [(labels[:1], ks[:1], lws[:1]), (labels[1:], ks[1:], lws[1:])]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for row, k, lw in zip(rows, ks.tolist(), lws.tolist()):
+        writer.writerow((",".join(map(str, row)), str(k), format(lw, ".17g"),
+                         format(math.exp(lw - log_norm), ".17g")))
+    assert "".join(_table_chunks(iter(chunks), log_norm)) == buf.getvalue()
+
+
 def test_exit_codes(tmp_path, toy_csv, capsys):
     assert main(["exact", "--config", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path / "o")]) == 2
@@ -154,13 +177,26 @@ def test_exit_codes(tmp_path, toy_csv, capsys):
     # values of the wrong type or range, each a config error and no traceback
     model = {"data": toy_csv, "kernel": {"family": "euclidean-gaussian", "sigma": 1.0}}
     two_clusters = {"means": [[0.0], [9.0]], "covs": [[[1.0]], [[1.0]]]}
+    one_cluster = {"means": [[0.0]], "covs": [[[1.0]]]}
+    three_clusters = {"means": [[0.0], [9.0], [20.0]], "covs": [[[1.0]]] * 3}
     bad = [
         ("mcmc", {**model, "kernel": {"family": "euclidean-gaussian", "sigma": "abc"}}),
         ("mcmc", {**model, "mcmc": {"iters": "many"}}),
         ("misclass", {"oracle": two_clusters, "snr_grid": [1.0], "n": 4, "replicates": 1,
                       "bandwidth_rule": {"fraction": 0}}),
-        ("experiment", {"oracle": {"means": [[0.0]], "covs": [[[1.0]]]},
+        ("experiment", {"oracle": one_cluster,
                         "schedule": {"kind": "snr"}, "n_grid": [4], "replicates": 1}),
+        # an integer key refuses a fraction, which int() would truncate, and a bool
+        ("mcmc", {**model, "mcmc": {"iters": 30.7, "burnin": 1}}),
+        ("mcmc", {**model, "mcmc": {"iters": True, "burnin": 0}}),
+        # an oracle field of the wrong JSON type
+        ("experiment", {"oracle": {**two_clusters, "means": 5},
+                        "schedule": {"kind": "snr"}, "n_grid": [4], "replicates": 1}),
+        # oracle and grid that no replicate could run: the bandwidth rule needs
+        # two clusters, and n = 2 points cannot hold three
+        ("misclass", {"oracle": one_cluster, "snr_grid": [1.0], "n": 4, "replicates": 1}),
+        ("experiment", {"oracle": three_clusters, "schedule": {"kind": "snr"},
+                        "n_grid": [2], "replicates": 1}),
     ]
     for i, (command, payload) in enumerate(bad):
         path = tmp_path / f"bad{i}.json"
