@@ -7,8 +7,10 @@ misclassification harness), ``verify`` (determinant-identity checks),
 
 Exit codes: 0 success, 2 configuration error, 3 data ingestion error,
 4 enumeration-cap violation, 1 verification failure.  Unknown config keys
-are rejected.  Floats are serialized with 17 significant digits, so equal
-runs produce byte-identical files.
+are rejected.  Each config section is built into its library type, whose
+field defaults and range checks are the section's own.  Floats are
+serialized with 17 significant digits, so equal runs produce byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -32,14 +36,15 @@ from .data import (
     write_matrix_stack,
 )
 from .experiments import (
+    CONSISTENCY_COLUMNS,
+    MISCLASS_COLUMNS,
     BandwidthRule,
     FixedSchedule,
-    McmcSettings,
     SnrSchedule,
     consistency_experiment,
     misclassification_experiment,
 )
-from .kernels import EUCLIDEAN_GAUSSIAN, KERNEL_FAMILIES, KernelSpec
+from .kernels import KernelSpec
 from .oracle import (
     DEFAULT_PHI,
     GaussianOracleSpec,
@@ -48,8 +53,10 @@ from .oracle import (
     generate_gaussian,
     generate_spd,
 )
-from .posterior import BlockWeights, BsfConfig, class_weight_chunks, exact_posterior
-from .sampler import run_chain
+from .partitions import ENUM_CAP
+from .posterior import (DEFAULT_ENUM_CAP, BlockWeights, BsfConfig, class_weight_chunks,
+                        exact_posterior)
+from .sampler import McmcSettings, run_chain
 from .theory import DEFAULT_TRIALS, run_all
 
 EXIT_OK = 0
@@ -149,6 +156,15 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+@contextmanager
+def _config_check(what: str):
+    """Turn the ValueError or TypeError a check raises into a ConfigError."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
 class _Section:
     """Strict dict view: every key must be consumed exactly once."""
 
@@ -158,28 +174,44 @@ class _Section:
         self.raw = dict(raw)
         self.name = name
 
-    def take(self, key, default=...):
+    def take(self, key, default=MISSING):
         if key in self.raw:
             return self.raw.pop(key)
-        if default is ...:
+        if default is MISSING:
             raise ConfigError(f"{self.name}: missing required key {key!r}")
         return default
 
-    def typed(self, key, kind, default=...):
+    def typed(self, key, kind, default=MISSING):
         """:meth:`take`, with the value converted by ``kind``; a value that
         does not convert is a ConfigError.  A key whose default is None
         gives None when absent or null."""
         value = self.take(key, default)
         if value is None and default is None:
             return None
-        try:
+        with _config_check(f"{self.name}: bad value {value!r} for {key!r}"):
             return kind(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{self.name}: bad value {value!r} for {key!r}") from exc
 
     def done(self):
         if self.raw:
             raise ConfigError(f"{self.name}: unknown keys {sorted(self.raw)}")
+
+    def build(self, cls, given=(), /, **kinds):
+        """The dataclass ``cls`` built from this section, which is then done.
+
+        Each field named in ``kinds`` is read with :meth:`typed` when its
+        key is present: a null reads as None only where the field's default
+        is None.  An absent key leaves the field at its default, or is an
+        error for a field without one.  ``given`` holds fields the caller
+        sets itself.  The type's own checks raise ConfigError here.
+        """
+        defaults = {f.name: f.default for f in fields(cls)}
+        values = dict(given)
+        for key, kind in kinds.items():
+            if key in self.raw or defaults[key] is MISSING:
+                values[key] = self.typed(key, kind, defaults[key])
+        self.done()
+        with _config_check(self.name):
+            return cls(**values)
 
 
 def _int(value) -> int:
@@ -199,35 +231,23 @@ def _floats(values) -> tuple[float, ...]:
 
 
 def _parse_kernel(raw: dict) -> KernelSpec:
-    sec = _Section(raw, "kernel")
-    family = sec.take("family")
-    if family not in KERNEL_FAMILIES:
-        raise ConfigError(f"kernel family must be one of {KERNEL_FAMILIES}")
-    sigma = sec.typed("sigma", float)
-    zeta = sec.typed("zeta", float, None)
-    eta = sec.typed("eta", float, 0.0)
-    graph_mode = sec.take("graph_mode", "geodesic")
-    sec.done()
-    try:
-        return KernelSpec(family, sigma=sigma, zeta=zeta, eta=eta, graph_mode=graph_mode)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _Section(raw, "kernel").build(KernelSpec, family=str, sigma=float, zeta=float,
+                                         eta=float, graph_mode=str)
 
 
-def _parse_prior(sec: _Section) -> tuple[float, float]:
-    """Returns (log_delta, log_lambda) from delta/lambda or their log product."""
-    delta = sec.typed("delta", float, None)
-    lam = sec.typed("lambda", float, None)
-    log_dl = sec.typed("log_delta_lambda", float, None)
+def _parse_prior(sec: _Section) -> dict:
+    """BsfConfig's log_delta and log_lambda from delta/lambda or from their
+    log product; an absent value keeps BsfConfig's default."""
+    delta, lam, log_dl = (sec.typed(key, float, None)
+                          for key in ("delta", "lambda", "log_delta_lambda"))
     if log_dl is not None:
         if delta is not None or lam is not None:
             raise ConfigError("give delta/lambda or log_delta_lambda, not both")
-        return 0.0, log_dl
-    delta = 1.0 if delta is None else delta
-    lam = 1.0 if lam is None else lam
-    if delta <= 0 or lam <= 0:
+        return {"log_lambda": log_dl}
+    prior = {"log_delta": delta, "log_lambda": lam}
+    if any(v is not None and v <= 0 for v in prior.values()):
         raise ConfigError("delta and lambda must be positive")
-    return math.log(delta), math.log(lam)
+    return {key: math.log(v) for key, v in prior.items() if v is not None}
 
 
 def _load_dataset(sec: _Section) -> Dataset:
@@ -238,100 +258,59 @@ def _load_dataset(sec: _Section) -> Dataset:
     return read_matrix_stack(path, family)
 
 
-def _parse_model(cfg: dict, name: str) -> tuple[Dataset, BsfConfig, _Section]:
-    sec = _Section(cfg, name)
+def _parse_model(sec: _Section) -> tuple[Dataset, dict]:
+    """The dataset, and the kernel and prior fields of its BsfConfig; each
+    command builds the BsfConfig from these and the keys it reads."""
     data = _load_dataset(sec)
-    kernel = _parse_kernel(sec.take("kernel"))
-    log_delta, log_lambda = _parse_prior(sec)
-    enum_cap = sec.typed("enum_cap", _int, 12)
-    try:
-        model = BsfConfig(kernel=kernel, log_delta=log_delta,
-                          log_lambda=log_lambda, enum_cap=enum_cap)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return data, model, sec
+    return data, {"kernel": _parse_kernel(sec.take("kernel")), **_parse_prior(sec)}
 
 
 def _parse_gaussian_oracle(raw: dict) -> GaussianOracleSpec:
-    sec = _Section(raw, "oracle")
-    means = sec.take("means")
-    covs = sec.take("covs")
-    weights = sec.take("weights", None)
-    counts = sec.typed("counts", _ints, None)
-    sec.done()
-    try:
-        return GaussianOracleSpec(
-            means=tuple(means), covs=tuple(covs),
-            weights=None if weights is None else tuple(weights),
-            counts=counts,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"oracle: {exc}") from exc
+    return _Section(raw, "oracle").build(GaussianOracleSpec, means=tuple, covs=tuple,
+                                         weights=tuple, counts=_ints)
 
 
 def _parse_spd_oracle(raw: dict) -> ObjectOracleSpec:
-    sec = _Section(raw, "oracle")
-    means = sec.take("means")
-    noise = sec.take("noise_scales")
-    counts = sec.typed("counts", _ints, None)
-    sec.done()
-    try:
-        return ObjectOracleSpec(means=tuple(means), noise_scales=tuple(noise), counts=counts)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"oracle: {exc}") from exc
+    return _Section(raw, "oracle").build(ObjectOracleSpec, means=tuple, noise_scales=tuple,
+                                         counts=_ints)
 
 
 def _parse_schedule(raw: dict):
     sec = _Section(raw, "schedule")
     kind = sec.take("kind")
-    try:
-        if kind == "fixed":
-            out = FixedSchedule(sigma2=sec.typed("sigma2", float),
-                                log_delta_lambda=sec.typed("log_delta_lambda", float))
-        elif kind == "geometric":
-            out = FixedSchedule(sigma2=sec.typed("sigma2", float),
-                                geometric_base=sec.typed("base", float))
-        elif kind == "snr":
-            out = SnrSchedule(alpha=sec.typed("alpha", float, 0.5),
-                              iota=sec.typed("iota", float, 1.0))
-        else:
-            raise ConfigError(f"unknown schedule kind {kind!r}")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    sec.done()
-    return out
+    if kind == "fixed":
+        return sec.build(FixedSchedule, sigma2=float, log_delta_lambda=float)
+    if kind == "geometric":  # the key "base" sets the field geometric_base
+        return sec.build(FixedSchedule, {"geometric_base": sec.typed("base", float)},
+                         sigma2=float)
+    if kind == "snr":
+        return sec.build(SnrSchedule, alpha=float, iota=float)
+    raise ConfigError(f"unknown schedule kind {kind!r}")
 
 
 def _parse_phi(raw) -> SeparationConstants:
     if raw is None:
         return DEFAULT_PHI
-    sec = _Section(raw, "phi")
-    try:
-        phi = SeparationConstants(
-            c1=sec.typed("c1", float, 1.0),
-            c2=sec.typed("c2", float, 1.0),
-            iota1=sec.typed("iota1", float, 1.0),
-            iota2=sec.typed("iota2", float, 0.5),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    sec.done()
-    return phi
+    return _Section(raw, "phi").build(SeparationConstants, c1=float, c2=float,
+                                      iota1=float, iota2=float)
 
 
 def _parse_mcmc(raw) -> McmcSettings:
     if raw is None:
         return McmcSettings()
-    sec = _Section(raw, "mcmc")
-    out = McmcSettings(
-        iters=sec.typed("iters", _int, 50_000),
-        burnin=sec.typed("burnin", _int, 5_000),
-        thin=sec.typed("thin", _int, 1),
-    )
-    sec.done()
-    if not (out.iters > out.burnin >= 0) or out.thin < 1:
-        raise ConfigError("mcmc schedule needs iters > burnin >= 0 and thin >= 1")
-    return out
+    return _Section(raw, "mcmc").build(McmcSettings, iters=_int, burnin=_int, thin=_int)
+
+
+def _parse_rule(raw: dict) -> BandwidthRule:
+    return _Section(raw, "bandwidth_rule").build(BandwidthRule, fraction=float)
+
+
+def _check_cap(n: int, enum_cap: int) -> None:
+    """Every partition of n points is enumerated: n must be within the
+    config's cap and the enumeration core's."""
+    cap = min(enum_cap, ENUM_CAP)
+    if n > cap:
+        raise CapError(f"n={n} exceeds the enumeration cap {cap}")
 
 
 def _ensure_out(out_dir: str) -> str:
@@ -344,10 +323,10 @@ def _ensure_out(out_dir: str) -> str:
 
 
 def cmd_exact(args) -> int:
-    data, model, sec = _parse_model(_load_config(args.config), "exact config")
-    sec.done()
-    if data.n > model.enum_cap:
-        raise CapError(f"n={data.n} exceeds the enumeration cap {model.enum_cap}")
+    sec = _Section(_load_config(args.config), "exact config")
+    data, model_fields = _parse_model(sec)
+    model = sec.build(BsfConfig, model_fields, enum_cap=_int)
+    _check_cap(data.n, model.enum_cap)
     max_k = args.max_k
     if max_k is not None and max_k < 1:
         raise ConfigError("--max-k must be at least 1")
@@ -370,9 +349,10 @@ def cmd_exact(args) -> int:
 
 
 def cmd_mcmc(args) -> int:
-    data, model, sec = _parse_model(_load_config(args.config), "mcmc config")
+    sec = _Section(_load_config(args.config), "mcmc config")
+    data, model_fields = _parse_model(sec)
     settings = _parse_mcmc(sec.take("mcmc", None))
-    sec.done()
+    model = sec.build(BsfConfig, model_fields)
     out = _ensure_out(args.out)
     summary = run_chain(data, model, settings.iters, settings.burnin,
                         settings.thin, seed=args.seed)
@@ -393,98 +373,75 @@ def cmd_mcmc(args) -> int:
     return EXIT_OK
 
 
+def _write_harness(out_dir: str, columns, rows, aggregate, line: str) -> int:
+    """A replicate harness's ``replicates.csv`` and ``aggregate.csv``, and
+    ``line`` formatted with each aggregate row."""
+    out = _ensure_out(out_dir)
+    write_csv(os.path.join(out, "replicates.csv"), columns, rows)
+    write_csv(os.path.join(out, "aggregate.csv"), tuple(aggregate[0]), aggregate)
+    for agg in aggregate:
+        print(line.format(**agg))
+    return EXIT_OK
+
+
 def cmd_experiment(args) -> int:
-    cfg = _load_config(args.config)
-    sec = _Section(cfg, "experiment config")
+    sec = _Section(_load_config(args.config), "experiment config")
     spec = _parse_gaussian_oracle(sec.take("oracle"))
     schedule = _parse_schedule(sec.take("schedule"))
     n_grid = sec.typed("n_grid", _ints)
     replicates = sec.typed("replicates", _int)
     phi = _parse_phi(sec.take("phi", None))
     mode = sec.take("mode", "exact")
-    enum_cap = sec.typed("enum_cap", _int, 12)
+    enum_cap = sec.typed("enum_cap", _int, DEFAULT_ENUM_CAP)
     settings = _parse_mcmc(sec.take("mcmc", None))
     sec.done()
-    if args.mode is not None:
-        mode = args.mode
-    if replicates < 1:
-        raise ConfigError("replicates must be at least 1")
-    if not n_grid:
-        raise ConfigError("n_grid must be non-empty")
+    mode = args.mode or mode
+    if mode not in ("exact", "mcmc"):
+        raise ConfigError(f"unknown mode {mode!r}")
+    if replicates < 1 or not n_grid:
+        raise ConfigError("need a non-empty n_grid and at least one replicate")
     # every replicate draws n points from the oracle and resolves the
     # schedule; an n the oracle cannot size (fewer points than clusters) or
     # a schedule it cannot support (snr with one cluster) fails here instead
-    try:
-        for n in n_grid:
+    for n in n_grid:
+        with _config_check(f"n_grid entry {n}"):
             spec.check_size(n)
             schedule.resolve(spec, n)
-    except ValueError as exc:
-        raise ConfigError(f"n_grid entry {n}: {exc}") from exc
     if mode == "exact" and max(n_grid) > enum_cap:
         raise CapError(f"max n_grid {max(n_grid)} exceeds the enumeration cap {enum_cap}")
-    out = _ensure_out(args.out)
     rows, aggregate = consistency_experiment(
         spec, schedule, n_grid, replicates, master_seed=args.seed, mode=mode,
         phi=phi, enum_cap=enum_cap, workers=args.workers, mcmc=settings,
     )
-    from .experiments import CONSISTENCY_COLUMNS
-
-    write_csv(os.path.join(out, "replicates.csv"), CONSISTENCY_COLUMNS, rows)
-    agg_cols = tuple(aggregate[0].keys())
-    write_csv(os.path.join(out, "aggregate.csv"), agg_cols, aggregate)
-    for agg in aggregate:
-        print(
-            f"n={agg['n']}: median prob_truth={agg['prob_truth_median']:.4f} "
-            f"median prob_k_true={agg['prob_k_true_median']:.4f} "
-            f"membership_rate={agg['membership_rate']:.2f}"
-        )
-    return EXIT_OK
+    return _write_harness(args.out, CONSISTENCY_COLUMNS, rows, aggregate,
+                          "n={n}: median prob_truth={prob_truth_median:.4f} "
+                          "median prob_k_true={prob_k_true_median:.4f} "
+                          "membership_rate={membership_rate:.2f}")
 
 
 def cmd_misclass(args) -> int:
-    cfg = _load_config(args.config)
-    sec = _Section(cfg, "misclass config")
+    sec = _Section(_load_config(args.config), "misclass config")
     spec = _parse_gaussian_oracle(sec.take("oracle"))
     snr_grid = sec.typed("snr_grid", _floats)
     n = sec.typed("n", _int)
     replicates = sec.typed("replicates", _int)
-    rule_sec = _Section(sec.take("bandwidth_rule", {}), "bandwidth_rule")
-    try:
-        rule = BandwidthRule(fraction=rule_sec.typed("fraction", float, 0.2))
-    except ValueError as exc:
-        raise ConfigError(f"bandwidth_rule: {exc}") from exc
-    rule_sec.done()
-    enum_cap = sec.typed("enum_cap", _int, 12)
+    rule = _parse_rule(sec.take("bandwidth_rule", {}))
+    enum_cap = sec.typed("enum_cap", _int, DEFAULT_ENUM_CAP)
     sec.done()
-    if replicates < 1:
-        raise ConfigError("replicates must be at least 1")
-    if not snr_grid:
-        raise ConfigError("snr_grid must be non-empty")
+    if replicates < 1 or not snr_grid:
+        raise ConfigError("need a non-empty snr_grid and at least one replicate")
     # every replicate draws n points and resolves the bandwidth rule on the
-    # oracle's separation, which needs at least two clusters
-    try:
+    # oracle's separation, which needs two distinct cluster means
+    with _config_check("oracle"):
         spec.check_size(n)
         rule.resolve(spec, n)
-    except ValueError as exc:
-        raise ConfigError(f"oracle: {exc}") from exc
-    if n > enum_cap:
-        raise CapError(f"n={n} exceeds the enumeration cap {enum_cap}")
-    out = _ensure_out(args.out)
+    _check_cap(n, enum_cap)
     rows, aggregate = misclassification_experiment(
         spec, rule, snr_grid, n, replicates, master_seed=args.seed,
         enum_cap=enum_cap, workers=args.workers,
     )
-    from .experiments import MISCLASS_COLUMNS
-
-    write_csv(os.path.join(out, "replicates.csv"), MISCLASS_COLUMNS, rows)
-    agg_cols = tuple(aggregate[0].keys())
-    write_csv(os.path.join(out, "aggregate.csv"), agg_cols, aggregate)
-    for agg in aggregate:
-        print(
-            f"snr={agg['snr']}: median expected_hamming="
-            f"{agg['expected_hamming_median']:.6g}"
-        )
-    return EXIT_OK
+    return _write_harness(args.out, MISCLASS_COLUMNS, rows, aggregate,
+                          "snr={snr}: median expected_hamming={expected_hamming_median:.6g}")
 
 
 def cmd_verify(args) -> int:
@@ -496,25 +453,24 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    cfg = _load_config(args.config)
-    sec = _Section(cfg, "gen-data config")
+    sec = _Section(_load_config(args.config), "gen-data config")
     kind = sec.take("kind", "gaussian")
     n = sec.typed("n", _int)
-    out = _ensure_out(args.out)
     if kind == "gaussian":
         spec = _parse_gaussian_oracle(sec.take("oracle"))
-        sec.done()
-        data, truth = generate_gaussian(spec, n, args.seed)
-        path = os.path.join(out, "data.csv")
-        write_euclidean_csv(path, data)
+        generate, name, write = generate_gaussian, "data.csv", write_euclidean_csv
     elif kind == "spd":
         spec = _parse_spd_oracle(sec.take("oracle"))
-        sec.done()
-        data, truth = generate_spd(spec, n, args.seed)
-        path = os.path.join(out, "data.mats")
-        write_matrix_stack(path, data)
+        generate, name, write = generate_spd, "data.mats", write_matrix_stack
     else:
         raise ConfigError(f"unknown oracle kind {kind!r}")
+    sec.done()
+    with _config_check("oracle"):
+        spec.check_size(n)
+    out = _ensure_out(args.out)
+    data, truth = generate(spec, n, args.seed)
+    path = os.path.join(out, name)
+    write(path, data)
     write_csv(os.path.join(out, "truth_labels.csv"), ("index", "label"),
               list(enumerate(truth.labels)))
     print(f"wrote {data.n} points to {path}")

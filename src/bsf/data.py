@@ -106,9 +106,6 @@ class Dataset:
         """Vector dimension p, or matrix side m for matrix payloads."""
         return self.points[0].shape[0]
 
-    def subset(self, indices) -> "Dataset":
-        return Dataset(self.family, tuple(self.points[i] for i in indices))
-
 
 def dataset_from_euclidean(rows) -> Dataset:
     arr = np.atleast_2d(np.asarray(rows, dtype=float))

@@ -29,9 +29,10 @@ from .oracle import (
     scale_means_to_snr,
     separation_stats,
 )
-from .partitions import hamming_distance
-from .posterior import BsfConfig, exact_posterior, expected_hamming
-from .sampler import run_chain
+from .partitions import ENUM_CAP, Partition, hamming_distance
+from .posterior import (DEFAULT_ENUM_CAP, BlockWeights, BsfConfig, exact_posterior,
+                        expected_hamming)
+from .sampler import McmcSettings, run_chain
 
 
 @dataclass(frozen=True)
@@ -82,15 +83,11 @@ class BandwidthRule:
             raise ValueError("fraction must be positive")
 
     def resolve(self, spec: GaussianOracleSpec, n: int) -> float:
-        budget = spec.min_mean_separation**2 / (n * math.log(spec.k_true + 1))
+        separation = spec.min_mean_separation
+        if separation == 0:
+            raise ValueError("cluster means must be distinct")
+        budget = separation**2 / (n * math.log(spec.k_true + 1))
         return self.fraction * min(budget, spec.max_cov_eigenvalue)
-
-
-@dataclass(frozen=True)
-class McmcSettings:
-    iters: int = 50_000
-    burnin: int = 5_000
-    thin: int = 1
 
 
 def _run_parallel(fn, tasks, workers: int):
@@ -124,8 +121,6 @@ def _consistency_task(args) -> dict:
     )
     member, stats = check_D_membership(data, truth, kernel, thresholds)
     if mode == "exact":
-        from .posterior import BlockWeights
-
         weights = BlockWeights(data, cfg)
         table = exact_posterior(data, cfg, retain=False, weights=weights)
         truth_lw = weights.class_weight(truth)
@@ -139,8 +134,6 @@ def _consistency_task(args) -> dict:
         prob_truth = freqs.get(truth.labels, 0.0)
         prob_k = summary.k_histogram.get(truth.K, 0.0)
         map_labels = max(sorted(freqs), key=lambda lab: freqs[lab])
-        from .partitions import Partition
-
         map_part = Partition(map_labels)
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -168,7 +161,7 @@ def _consistency_task(args) -> dict:
 def consistency_experiment(spec: GaussianOracleSpec, schedule, n_grid, replicates: int,
                            master_seed: int, mode: str = "exact",
                            phi: SeparationConstants = DEFAULT_PHI,
-                           enum_cap: int = 12, workers: int = 1,
+                           enum_cap: int = DEFAULT_ENUM_CAP, workers: int = 1,
                            mcmc: McmcSettings = McmcSettings()) -> tuple[list[dict], list[dict]]:
     """Per-(n, replicate) posterior diagnostics plus per-n aggregates."""
     n_grid = [int(n) for n in n_grid]
@@ -251,7 +244,8 @@ def _misclass_task(args) -> dict:
 
 def misclassification_experiment(spec: GaussianOracleSpec, rule: BandwidthRule,
                                  snr_grid, n: int, replicates: int, master_seed: int,
-                                 enum_cap: int = 12, workers: int = 1) -> tuple[list[dict], list[dict]]:
+                                 enum_cap: int = DEFAULT_ENUM_CAP,
+                                 workers: int = 1) -> tuple[list[dict], list[dict]]:
     """Known-cluster-count misclassification estimates across a separation
     grid, with the analytic bound evaluated per replicate.
 
@@ -261,8 +255,9 @@ def misclassification_experiment(spec: GaussianOracleSpec, rule: BandwidthRule,
     snr_grid = [float(s) for s in snr_grid]
     if not snr_grid or replicates < 1:
         raise ValueError("need a non-empty snr grid and at least one replicate")
-    if n > enum_cap:
-        raise ValueError("the restricted posterior is enumerated; need n <= enum_cap")
+    cap = min(enum_cap, ENUM_CAP)
+    if n > cap:
+        raise ValueError(f"the restricted posterior is enumerated; need n <= {cap}")
     tasks = [
         (spec, snr, rule, n, rep, master_seed, enum_cap)
         for snr in snr_grid

@@ -47,14 +47,39 @@ class SeparationConstants:
 DEFAULT_PHI = SeparationConstants()
 
 
-@dataclass(frozen=True)
-class GaussianOracleSpec:
-    """True mixture of Gaussians: means, covariances, and cluster sizing.
+class _Sizing:
+    """Cluster sizing of an oracle spec.  At most one of ``weights``
+    (categorical label draw) or ``counts`` (fixed per-cluster sizes) drives
+    label generation; with neither, clusters are split as evenly as
+    possible.  Only the Gaussian oracle has weights."""
 
-    Exactly one of ``weights`` (categorical label draw) or ``counts``
-    (fixed per-cluster sizes regardless of n) drives label generation;
-    with neither, clusters are split as evenly as possible.
-    """
+    weights = None
+
+    def _check_sizing(self) -> None:
+        k = self.k_true
+        if self.weights is not None and self.counts is not None:
+            raise ValueError("give weights or counts, not both")
+        if self.counts is not None and (len(self.counts) != k or min(self.counts) < 0):
+            raise ValueError("counts need one nonnegative entry per cluster")
+        if self.weights is not None:
+            w = np.asarray(self.weights, dtype=float)
+            if w.shape != (k,) or w.min() < 0 or not w.sum() > 0:
+                raise ValueError("bad label weights")
+
+    def check_size(self, n: int) -> None:
+        """Raise ValueError unless the spec's generator can draw n points."""
+        if n < 1:
+            raise ValueError("n must be positive")
+        if self.counts is not None:
+            if sum(self.counts) != n:
+                raise ValueError("counts must sum to n")
+        elif self.weights is None and n < self.k_true:
+            raise ValueError("n smaller than the number of clusters")
+
+
+@dataclass(frozen=True)
+class GaussianOracleSpec(_Sizing):
+    """True mixture of Gaussians: means, covariances, and cluster sizing."""
 
     means: tuple
     covs: tuple
@@ -72,10 +97,9 @@ class GaussianOracleSpec:
                 raise ValueError("inconsistent mean/covariance shapes")
             if np.linalg.eigvalsh(c).min() <= 0:
                 raise ValueError("covariances must be positive definite")
-        if self.weights is not None and self.counts is not None:
-            raise ValueError("give weights or counts, not both")
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "covs", covs)
+        self._check_sizing()
 
     @property
     def k_true(self) -> int:
@@ -104,14 +128,6 @@ class GaussianOracleSpec:
     def snr(self) -> float:
         return self.min_mean_separation / math.sqrt(self.max_cov_eigenvalue)
 
-    def check_size(self, n: int) -> None:
-        """Raise ValueError unless :func:`generate_gaussian` can draw n points."""
-        if self.counts is not None:
-            if sum(self.counts) != n or len(self.counts) != self.k_true:
-                raise ValueError("counts must sum to n with one entry per cluster")
-        elif self.weights is None and n < self.k_true:
-            raise ValueError("n smaller than the number of clusters")
-
 
 def scale_means_to_snr(spec: GaussianOracleSpec, snr: float) -> GaussianOracleSpec:
     """Rescale mean offsets about their centroid so the spec's signal-to-noise
@@ -128,19 +144,16 @@ def scale_means_to_snr(spec: GaussianOracleSpec, snr: float) -> GaussianOracleSp
                               weights=spec.weights, counts=spec.counts)
 
 
-def _labels_for(spec_k: int, n: int, weights, counts, rng) -> np.ndarray:
-    if counts is not None:
-        if sum(counts) != n or len(counts) != spec_k:
-            raise ValueError("counts must sum to n with one entry per cluster")
-        return np.repeat(np.arange(spec_k), counts)
-    if weights is not None:
-        w = np.asarray(weights, dtype=float)
-        if len(w) != spec_k or w.min() < 0 or w.sum() <= 0:
-            raise ValueError("bad label weights")
-        return rng.choice(spec_k, size=n, p=w / w.sum())
-    base, extra = divmod(n, spec_k)
-    sizes = [base + (1 if k < extra else 0) for k in range(spec_k)]
-    return np.repeat(np.arange(spec_k), sizes)
+def _labels_for(spec: _Sizing, n: int, rng) -> np.ndarray:
+    """True labels of n points; ``spec.check_size(n)`` has passed."""
+    k = spec.k_true
+    if spec.counts is not None:
+        return np.repeat(np.arange(k), spec.counts)
+    if spec.weights is not None:
+        w = np.asarray(spec.weights, dtype=float)
+        return rng.choice(k, size=n, p=w / w.sum())
+    base, extra = divmod(n, k)
+    return np.repeat(np.arange(k), [base + (1 if i < extra else 0) for i in range(k)])
 
 
 def generate_gaussian(spec: GaussianOracleSpec, n: int, seed) -> tuple[Dataset, Partition]:
@@ -151,7 +164,7 @@ def generate_gaussian(spec: GaussianOracleSpec, n: int, seed) -> tuple[Dataset, 
     """
     spec.check_size(n)
     rng = np.random.default_rng(seed)
-    labels = _labels_for(spec.k_true, n, spec.weights, spec.counts, rng)
+    labels = _labels_for(spec, n, rng)
     noise = rng.standard_normal((n, spec.dim))
     chols = [np.linalg.cholesky(c) for c in spec.covs]
     pts = np.empty((n, spec.dim))
@@ -163,7 +176,7 @@ def generate_gaussian(spec: GaussianOracleSpec, n: int, seed) -> tuple[Dataset, 
 
 
 @dataclass(frozen=True)
-class ObjectOracleSpec:
+class ObjectOracleSpec(_Sizing):
     """Object-valued oracle on the SPD manifold: one Frechet mean per
     cluster and symmetric Gaussian noise in the tangent space."""
 
@@ -182,6 +195,7 @@ class ObjectOracleSpec:
             raise ValueError("noise scales must be nonnegative")
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "noise_scales", tuple(float(s) for s in self.noise_scales))
+        self._check_sizing()
 
     @property
     def k_true(self) -> int:
@@ -205,8 +219,9 @@ def _logm_spd(mat: np.ndarray) -> np.ndarray:
 def generate_spd(spec: ObjectOracleSpec, n: int, seed) -> tuple[Dataset, Partition]:
     """Sample SPD points: exponentiate symmetric Gaussian tangent noise at
     each cluster's mean.  Zero noise reproduces the means exactly."""
+    spec.check_size(n)
     rng = np.random.default_rng(seed)
-    labels = _labels_for(spec.k_true, n, None, spec.counts, rng)
+    labels = _labels_for(spec, n, rng)
     m = spec.dim
     sqrts = []
     for mean in spec.means:
@@ -251,14 +266,8 @@ class SeparationThresholds:
     conditions are asymptotic.
     """
 
-    phi: SeparationConstants
     cross_min_sq: float | None
     within_max_sq: float
-    log_rho: float  # log of 1 / (delta * lambda * zeta)
-
-    @property
-    def feasible(self) -> bool:
-        return self.within_max_sq > 0
 
 
 def compute_thresholds(sigma2: float, k_true: int, phi: SeparationConstants,
@@ -282,12 +291,7 @@ def compute_thresholds(sigma2: float, k_true: int, phi: SeparationConstants,
     within = 2.0 * sigma2 * (
         -n * math.log(k_true + 1 + phi.iota2) + common + math.log(phi.c2)
     )
-    return SeparationThresholds(
-        phi=phi,
-        cross_min_sq=cross,
-        within_max_sq=within,
-        log_rho=-(log_delta_lambda + log_zeta),
-    )
+    return SeparationThresholds(cross_min_sq=cross, within_max_sq=within)
 
 
 @dataclass(frozen=True)

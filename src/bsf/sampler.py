@@ -335,13 +335,23 @@ def merge_summaries(a: ChainSummary, b: ChainSummary) -> ChainSummary:
     )
 
 
+@dataclass(frozen=True)
+class McmcSettings:
+    """A chain's length, burn-in and thinning."""
+
+    iters: int = 50_000
+    burnin: int = 5_000
+    thin: int = 1
+
+    def __post_init__(self):
+        if not (self.iters > self.burnin >= 0) or self.thin < 1:
+            raise ValueError("need iters > burnin >= 0 and thin >= 1")
+
+
 def run_chain(data: Dataset, cfg: BsfConfig, iters: int, burnin: int, thin: int,
               seed: int) -> ChainSummary:
     """Run one chain from the all-singletons state; deterministic per seed."""
-    if not (iters > burnin >= 0):
-        raise ValueError("need iters > burnin >= 0")
-    if thin < 1:
-        raise ValueError("thin must be >= 1")
+    McmcSettings(iters, burnin, thin)  # raises on a bad schedule
     weights = BlockWeights(data, cfg)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     state = ChainState(weights, range(data.n), rng)

@@ -11,11 +11,27 @@ import pytest
 
 import bsf
 from bsf import partitions
-from bsf.cli import _rgs_strings, _table_chunks, build_parser, main
+from bsf.cli import (
+    ConfigError,
+    _parse_gaussian_oracle,
+    _parse_kernel,
+    _parse_mcmc,
+    _parse_phi,
+    _parse_rule,
+    _parse_schedule,
+    _parse_spd_oracle,
+    _rgs_strings,
+    _table_chunks,
+    build_parser,
+    main,
+)
 from bsf.data import read_euclidean_csv, read_matrix_stack, write_matrix_stack
-from bsf.kernels import EUCLIDEAN_GAUSSIAN, KernelSpec, log_gaussian_kernel
+from bsf.experiments import BandwidthRule, FixedSchedule, SnrSchedule
+from bsf.kernels import EUCLIDEAN_GAUSSIAN, GRAPH_LAPLACIAN_GAUSSIAN, KernelSpec, log_gaussian_kernel
+from bsf.oracle import DEFAULT_PHI, GaussianOracleSpec, ObjectOracleSpec, SeparationConstants
 from bsf.partitions import Partition
 from bsf.posterior import BlockWeights, BsfConfig, exact_posterior
+from bsf.sampler import McmcSettings
 
 
 def write_json(path, payload):
@@ -152,6 +168,92 @@ def test_table_chunks_match_csv_writer(rows, lws, log_norm):
     assert "".join(_table_chunks(iter(chunks), log_norm)) == buf.getvalue()
 
 
+_ORACLE = {"means": [[0.0], [3.0]], "covs": [[[1.0]], [[2.0]]]}
+_ORACLE_MEANS, _ORACLE_COVS = ((0.0,), (3.0,)), (((1.0,),), ((2.0,),))
+_SPD_ORACLE = {"means": [[[1.0]], [[2.0]]], "noise_scales": [0.1, 0.2]}
+_SPD_MEANS = (((1.0,),), ((2.0,),))
+
+
+# id: parser; a minimal section and the library object it must equal; a
+# section with every key and its object; the keys whose null reads as absent,
+# the keys whose null is refused, and the required keys
+@pytest.mark.parametrize("parse, minimal, minimal_obj, full, full_obj, null_absent, "
+                         "null_refused, required", [
+    pytest.param(
+        _parse_kernel, {"family": EUCLIDEAN_GAUSSIAN, "sigma": 1.5},
+        KernelSpec(EUCLIDEAN_GAUSSIAN, sigma=1.5),
+        {"family": GRAPH_LAPLACIAN_GAUSSIAN, "sigma": 2, "zeta": 0.5, "eta": 0.25,
+         "graph_mode": "frobenius"},
+        KernelSpec(GRAPH_LAPLACIAN_GAUSSIAN, sigma=2.0, zeta=0.5, eta=0.25,
+                   graph_mode="frobenius"),
+        ["zeta"], ["eta", "sigma"], ["family", "sigma"], id="kernel"),
+    pytest.param(
+        _parse_gaussian_oracle, _ORACLE,
+        GaussianOracleSpec(means=_ORACLE_MEANS, covs=_ORACLE_COVS),
+        {**_ORACLE, "weights": [1, 3.5]},
+        GaussianOracleSpec(means=_ORACLE_MEANS, covs=_ORACLE_COVS, weights=(1.0, 3.5)),
+        ["weights", "counts"], ["means"], ["means", "covs"], id="gaussian-oracle"),
+    pytest.param(
+        _parse_gaussian_oracle, _ORACLE,
+        GaussianOracleSpec(means=_ORACLE_MEANS, covs=_ORACLE_COVS),
+        {**_ORACLE, "counts": [2, 3.0]},
+        GaussianOracleSpec(means=_ORACLE_MEANS, covs=_ORACLE_COVS, counts=(2, 3)),
+        ["weights", "counts"], ["covs"], ["means", "covs"], id="gaussian-oracle-counts"),
+    pytest.param(
+        _parse_spd_oracle, _SPD_ORACLE, ObjectOracleSpec(means=_SPD_MEANS, noise_scales=(0.1, 0.2)),
+        {**_SPD_ORACLE, "counts": [4, 1]},
+        ObjectOracleSpec(means=_SPD_MEANS, noise_scales=(0.1, 0.2), counts=(4, 1)),
+        ["counts"], ["noise_scales"], ["means", "noise_scales"], id="spd-oracle"),
+    pytest.param(
+        _parse_schedule, {"kind": "fixed", "sigma2": 2, "log_delta_lambda": -3},
+        FixedSchedule(sigma2=2.0, log_delta_lambda=-3.0),
+        {"kind": "fixed", "sigma2": 2, "log_delta_lambda": -3},
+        FixedSchedule(sigma2=2.0, log_delta_lambda=-3.0),
+        [], ["sigma2", "log_delta_lambda"], ["kind", "sigma2"], id="schedule-fixed"),
+    pytest.param(
+        _parse_schedule, {"kind": "geometric", "sigma2": 2, "base": 3},
+        FixedSchedule(sigma2=2.0, geometric_base=3.0),
+        {"kind": "geometric", "sigma2": 2, "base": 3},
+        FixedSchedule(sigma2=2.0, geometric_base=3.0),
+        [], ["sigma2", "base"], ["kind", "sigma2", "base"], id="schedule-geometric"),
+    pytest.param(
+        _parse_schedule, {"kind": "snr"}, SnrSchedule(),
+        {"kind": "snr", "alpha": 0.25, "iota": 2}, SnrSchedule(alpha=0.25, iota=2.0),
+        [], ["alpha", "iota"], ["kind"], id="schedule-snr"),
+    pytest.param(
+        _parse_phi, {}, DEFAULT_PHI,
+        {"c1": 2, "c2": 3.0, "iota1": 4, "iota2": 5}, SeparationConstants(2.0, 3.0, 4.0, 5.0),
+        [], ["c1", "iota2"], [], id="phi"),
+    pytest.param(
+        _parse_mcmc, {}, McmcSettings(),
+        {"iters": 30, "burnin": 10.0, "thin": 2}, McmcSettings(iters=30, burnin=10, thin=2),
+        [], ["iters", "thin"], [], id="mcmc"),
+    pytest.param(
+        _parse_rule, {}, BandwidthRule(), {"fraction": 0.5}, BandwidthRule(fraction=0.5),
+        [], ["fraction"], [], id="bandwidth_rule"),
+])
+def test_config_sections_build_library_types(parse, minimal, minimal_obj, full, full_obj,
+                                             null_absent, null_refused, required):
+    for raw, expected in ((minimal, minimal_obj), (full, full_obj)):
+        got = parse(raw)
+        assert got == expected and type(got) is type(expected)
+    for key in null_absent:
+        assert parse({**minimal, key: None}) == minimal_obj
+    for key in null_refused:
+        with pytest.raises(ConfigError):
+            parse({**full, key: None})
+    for key in required:
+        with pytest.raises(ConfigError, match=f"missing required key '{key}'"):
+            parse({k: v for k, v in full.items() if k != key})
+    # a key the type has no field for is refused, as is a field's own name
+    # where the section spells the key otherwise
+    with pytest.raises(ConfigError, match="unknown keys"):
+        parse({**full, "mystery": 1})
+    if full.get("kind") == "geometric":
+        with pytest.raises(ConfigError, match="unknown keys"):
+            parse({**full, "geometric_base": 3})
+
+
 def test_exit_codes(tmp_path, toy_csv, capsys):
     assert main(["exact", "--config", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path / "o")]) == 2
@@ -197,6 +299,26 @@ def test_exit_codes(tmp_path, toy_csv, capsys):
         ("misclass", {"oracle": one_cluster, "snr_grid": [1.0], "n": 4, "replicates": 1}),
         ("experiment", {"oracle": three_clusters, "schedule": {"kind": "snr"},
                         "n_grid": [2], "replicates": 1}),
+        # label weights and counts are checked when the oracle is built
+        ("experiment", {"oracle": {**two_clusters, "weights": [1.0, -1.0]},
+                        "schedule": {"kind": "snr"}, "n_grid": [4], "replicates": 1}),
+        ("experiment", {"oracle": {**two_clusters, "weights": [1.0]},
+                        "schedule": {"kind": "snr"}, "n_grid": [4], "replicates": 1}),
+        ("misclass", {"oracle": {**two_clusters, "counts": [-1, 7]}, "snr_grid": [1.0],
+                      "n": 6, "replicates": 1}),
+        # gen-data sizes the oracle before it draws, for both kinds
+        ("gen-data", {"kind": "gaussian", "n": 2, "oracle": three_clusters}),
+        ("gen-data", {"kind": "spd", "n": 2, "oracle": {
+            "means": [[[1.0]], [[2.0]], [[3.0]]], "noise_scales": [0.1, 0.1, 0.1]}}),
+        ("gen-data", {"kind": "spd", "n": 2, "oracle": {
+            "means": [[[1.0]], [[2.0]]], "noise_scales": [0.1, 0.1], "counts": [-1, 3]}}),
+        # coincident means leave the bandwidth rule no separation to scale
+        ("misclass", {"oracle": {**two_clusters, "means": [[0.0], [0.0]]},
+                      "snr_grid": [0.0, 1.0], "n": 4, "replicates": 1}),
+        ("experiment", {"oracle": two_clusters, "schedule": {"kind": "snr"}, "n_grid": [4],
+                        "replicates": 1, "mode": "bogus"}),
+        # a chain enumerates nothing, so it has no enumeration cap to set
+        ("mcmc", {**model, "enum_cap": 1}),
     ]
     for i, (command, payload) in enumerate(bad):
         path = tmp_path / f"bad{i}.json"
@@ -207,6 +329,24 @@ def test_exit_codes(tmp_path, toy_csv, capsys):
         assert main(argv) == 2, command
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err, err
+    # a cap above the enumeration core's is a cap violation before any work
+    points = tmp_path / "fourteen.csv"
+    points.write_text("".join(f"{i}.0\n" for i in range(14)))
+    capped = [
+        ("exact", {**model, "data": str(points), "enum_cap": 14}),
+        ("misclass", {"oracle": two_clusters, "snr_grid": [1.0], "n": 14, "replicates": 1,
+                      "enum_cap": 14}),
+    ]
+    for i, (command, payload) in enumerate(capped):
+        path, out = tmp_path / f"capped{i}.json", tmp_path / f"capped{i}"
+        write_json(path, payload)
+        argv = [command, "--config", str(path), "--out", str(out)]
+        if command == "misclass":
+            argv += ["--workers", "1"]
+        assert main(argv) == 4, command
+        err = capsys.readouterr().err
+        assert err.startswith("cap violation:") and "Traceback" not in err, err
+        assert not (out / "posterior_table.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [

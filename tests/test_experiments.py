@@ -80,6 +80,10 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         misclassification_experiment(TWO_CLUSTERS, BandwidthRule(0.2), [2.0], 13, 1,
                                      master_seed=0)
+    # the restricted posterior is enumerated: no cap reaches past the enumeration core's
+    with pytest.raises(ValueError, match="need n <= 13"):
+        misclassification_experiment(TWO_CLUSTERS, BandwidthRule(0.2), [2.0], 14, 1,
+                                     master_seed=0, enum_cap=14)
     with pytest.raises(ValueError):
         FixedSchedule(sigma2=1.0)
     with pytest.raises(ValueError):
