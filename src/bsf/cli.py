@@ -5,12 +5,14 @@ Subcommands: ``exact`` (enumerated posterior), ``mcmc`` (one chain),
 misclassification harness), ``verify`` (determinant-identity checks),
 ``gen-data`` (oracle samples to disk).
 
-Exit codes: 0 success, 2 configuration error, 3 data ingestion error,
-4 enumeration-cap violation, 1 verification failure.  Unknown config keys
-are rejected.  Each config section is built into its library type, whose
-field defaults and range checks are the section's own.  Floats are
-serialized with 17 significant digits, so equal runs produce byte-identical
-files.
+Exit codes, each from one error class: 0 success; 1 a failed ``verify``
+check; 2 a ConfigError, raised while parsing here, by a harness's design
+check in ``experiments``, or by ``experiments.config_check`` from a library
+type's own check; 3 an IngestionError from the ``data`` readers; 4 a CapError
+from ``posterior.check_cap``.  Unknown config keys are rejected.  Each config
+section is built into its library type, whose field defaults and range checks
+are the section's own; the commands only parse and call the library.  Floats
+have 17 significant digits, so equal runs write byte-identical files.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -39,8 +40,10 @@ from .experiments import (
     CONSISTENCY_COLUMNS,
     MISCLASS_COLUMNS,
     BandwidthRule,
+    ConfigError,
     FixedSchedule,
     SnrSchedule,
+    config_check,
     consistency_experiment,
     misclassification_experiment,
 )
@@ -53,9 +56,8 @@ from .oracle import (
     generate_gaussian,
     generate_spd,
 )
-from .partitions import ENUM_CAP
-from .posterior import (DEFAULT_ENUM_CAP, BlockWeights, BsfConfig, class_weight_chunks,
-                        exact_posterior)
+from .posterior import (DEFAULT_ENUM_CAP, BlockWeights, BsfConfig, CapError, check_cap,
+                        class_weight_chunks, exact_posterior)
 from .sampler import McmcSettings, run_chain
 from .theory import DEFAULT_TRIALS, run_all
 
@@ -64,14 +66,6 @@ EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_INGEST = 3
 EXIT_CAP = 4
-
-
-class ConfigError(ValueError):
-    pass
-
-
-class CapError(ValueError):
-    pass
 
 
 def _fmt(value) -> str:
@@ -156,15 +150,6 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-@contextmanager
-def _config_check(what: str):
-    """Turn the ValueError or TypeError a check raises into a ConfigError."""
-    try:
-        yield
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what}: {exc}") from exc
-
-
 class _Section:
     """Strict dict view: every key must be consumed exactly once."""
 
@@ -188,7 +173,7 @@ class _Section:
         value = self.take(key, default)
         if value is None and default is None:
             return None
-        with _config_check(f"{self.name}: bad value {value!r} for {key!r}"):
+        with config_check(f"{self.name}: bad value {value!r} for {key!r}"):
             return kind(value)
 
     def done(self):
@@ -210,7 +195,7 @@ class _Section:
             if key in self.raw or defaults[key] is MISSING:
                 values[key] = self.typed(key, kind, defaults[key])
         self.done()
-        with _config_check(self.name):
+        with config_check(self.name):
             return cls(**values)
 
 
@@ -305,14 +290,6 @@ def _parse_rule(raw: dict) -> BandwidthRule:
     return _Section(raw, "bandwidth_rule").build(BandwidthRule, fraction=float)
 
 
-def _check_cap(n: int, enum_cap: int) -> None:
-    """Every partition of n points is enumerated: n must be within the
-    config's cap and the enumeration core's."""
-    cap = min(enum_cap, ENUM_CAP)
-    if n > cap:
-        raise CapError(f"n={n} exceeds the enumeration cap {cap}")
-
-
 def _ensure_out(out_dir: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     return out_dir
@@ -326,7 +303,7 @@ def cmd_exact(args) -> int:
     sec = _Section(_load_config(args.config), "exact config")
     data, model_fields = _parse_model(sec)
     model = sec.build(BsfConfig, model_fields, enum_cap=_int)
-    _check_cap(data.n, model.enum_cap)
+    check_cap(data.n, model.enum_cap, enumerates=True)
     max_k = args.max_k
     if max_k is not None and max_k < 1:
         raise ConfigError("--max-k must be at least 1")
@@ -395,22 +372,8 @@ def cmd_experiment(args) -> int:
     enum_cap = sec.typed("enum_cap", _int, DEFAULT_ENUM_CAP)
     settings = _parse_mcmc(sec.take("mcmc", None))
     sec.done()
-    mode = args.mode or mode
-    if mode not in ("exact", "mcmc"):
-        raise ConfigError(f"unknown mode {mode!r}")
-    if replicates < 1 or not n_grid:
-        raise ConfigError("need a non-empty n_grid and at least one replicate")
-    # every replicate draws n points from the oracle and resolves the
-    # schedule; an n the oracle cannot size (fewer points than clusters) or
-    # a schedule it cannot support (snr with one cluster) fails here instead
-    for n in n_grid:
-        with _config_check(f"n_grid entry {n}"):
-            spec.check_size(n)
-            schedule.resolve(spec, n)
-    if mode == "exact" and max(n_grid) > enum_cap:
-        raise CapError(f"max n_grid {max(n_grid)} exceeds the enumeration cap {enum_cap}")
     rows, aggregate = consistency_experiment(
-        spec, schedule, n_grid, replicates, master_seed=args.seed, mode=mode,
+        spec, schedule, n_grid, replicates, master_seed=args.seed, mode=args.mode or mode,
         phi=phi, enum_cap=enum_cap, workers=args.workers, mcmc=settings,
     )
     return _write_harness(args.out, CONSISTENCY_COLUMNS, rows, aggregate,
@@ -428,14 +391,6 @@ def cmd_misclass(args) -> int:
     rule = _parse_rule(sec.take("bandwidth_rule", {}))
     enum_cap = sec.typed("enum_cap", _int, DEFAULT_ENUM_CAP)
     sec.done()
-    if replicates < 1 or not snr_grid:
-        raise ConfigError("need a non-empty snr_grid and at least one replicate")
-    # every replicate draws n points and resolves the bandwidth rule on the
-    # oracle's separation, which needs two distinct cluster means
-    with _config_check("oracle"):
-        spec.check_size(n)
-        rule.resolve(spec, n)
-    _check_cap(n, enum_cap)
     rows, aggregate = misclassification_experiment(
         spec, rule, snr_grid, n, replicates, master_seed=args.seed,
         enum_cap=enum_cap, workers=args.workers,
@@ -465,10 +420,9 @@ def cmd_gen_data(args) -> int:
     else:
         raise ConfigError(f"unknown oracle kind {kind!r}")
     sec.done()
-    with _config_check("oracle"):
-        spec.check_size(n)
+    with config_check("oracle"):  # the generator sizes the oracle first
+        data, truth = generate(spec, n, args.seed)
     out = _ensure_out(args.out)
-    data, truth = generate(spec, n, args.seed)
     path = os.path.join(out, name)
     write(path, data)
     write_csv(os.path.join(out, "truth_labels.csv"), ("index", "label"),

@@ -5,17 +5,21 @@ Every replicate is an independent task whose RNG stream is derived from
 the master seed with ``SeedSequence(master, spawn_key=...)``; results are
 reduced in task order, so outputs are identical for any worker count.
 Aggregates use medians and quartiles, which are robust to the occasional
-replicate that lands outside the separation set.
+replicate that lands outside the separation set.  A harness checks its whole
+design before any replicate: ConfigError for a design no replicate could
+run, CapError for an n past the enumeration cap.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import IngestionError
 from .kernels import EUCLIDEAN_GAUSSIAN, KernelSpec
 from .oracle import (
     DEFAULT_PHI,
@@ -29,10 +33,26 @@ from .oracle import (
     scale_means_to_snr,
     separation_stats,
 )
-from .partitions import ENUM_CAP, Partition, hamming_distance
-from .posterior import (DEFAULT_ENUM_CAP, BlockWeights, BsfConfig, exact_posterior,
+from .partitions import Partition, hamming_distance
+from .posterior import (DEFAULT_ENUM_CAP, BlockWeights, BsfConfig, check_cap, exact_posterior,
                         expected_hamming)
 from .sampler import McmcSettings, run_chain
+
+
+class ConfigError(ValueError):
+    """A configuration or design that no run could use."""
+
+
+@contextmanager
+def config_check(what: str):
+    """Turn the ValueError or TypeError a check raises into a ConfigError;
+    an IngestionError keeps its own exit code."""
+    try:
+        yield
+    except IngestionError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -45,12 +65,14 @@ class FixedSchedule:
     geometric_base: float | None = None
 
     def __post_init__(self):
-        if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
+        if not 0 < self.sigma2 < math.inf:
+            raise ValueError("sigma2 must be positive and finite")
         if (self.log_delta_lambda is None) == (self.geometric_base is None):
             raise ValueError("give exactly one of log_delta_lambda or geometric_base")
-        if self.geometric_base is not None and self.geometric_base <= 0:
-            raise ValueError("geometric base must be positive")
+        if self.log_delta_lambda is not None and not math.isfinite(self.log_delta_lambda):
+            raise ValueError("log_delta_lambda must be finite")
+        if self.geometric_base is not None and not 0 < self.geometric_base < math.inf:
+            raise ValueError("geometric base must be positive and finite")
 
     def resolve(self, spec: GaussianOracleSpec, n: int) -> tuple[float, float]:
         if self.geometric_base is not None:
@@ -66,6 +88,10 @@ class SnrSchedule:
     alpha: float = 0.5
     iota: float = 1.0
 
+    def __post_init__(self):
+        if not (0 < self.alpha < 1 and 0 < self.iota < math.inf):
+            raise ValueError("alpha must lie in (0, 1), and iota must be positive and finite")
+
     def resolve(self, spec: GaussianOracleSpec, n: int) -> tuple[float, float]:
         return corollary_schedule(spec, n, self.alpha, self.iota)
 
@@ -79,8 +105,8 @@ class BandwidthRule:
     fraction: float = 0.2
 
     def __post_init__(self):
-        if self.fraction <= 0:
-            raise ValueError("fraction must be positive")
+        if not 0 < self.fraction < math.inf:
+            raise ValueError("fraction must be positive and finite")
 
     def resolve(self, spec: GaussianOracleSpec, n: int) -> float:
         separation = spec.min_mean_separation
@@ -109,6 +135,13 @@ CONSISTENCY_COLUMNS = (
 )
 
 
+def _check_runs(grid: list, name: str, replicates: int, enum_cap: int) -> None:
+    if not grid or replicates < 1:
+        raise ConfigError(f"need a non-empty {name} and at least one replicate")
+    if enum_cap < 1:
+        raise ConfigError("enum_cap must be positive")
+
+
 def _consistency_task(args) -> dict:
     (spec, schedule, phi, n, rep, master_seed, mode, enum_cap, mcmc) = args
     seed = _replicate_seed(master_seed, n, rep)
@@ -127,7 +160,7 @@ def _consistency_task(args) -> dict:
         prob_truth = table.probability_of_log_weight(truth_lw)
         prob_k = table.prob_of_k(spec.k_true)
         map_part = table.map_partition
-    elif mode == "mcmc":
+    else:
         summary = run_chain(data, cfg, mcmc.iters, mcmc.burnin, mcmc.thin,
                             seed=int(seed.generate_state(1)[0]))
         freqs = summary.class_frequencies()
@@ -135,8 +168,6 @@ def _consistency_task(args) -> dict:
         prob_k = summary.k_histogram.get(truth.K, 0.0)
         map_labels = max(sorted(freqs), key=lambda lab: freqs[lab])
         map_part = Partition(map_labels)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     return {
         "n": n,
         "replicate": rep,
@@ -165,47 +196,37 @@ def consistency_experiment(spec: GaussianOracleSpec, schedule, n_grid, replicate
                            mcmc: McmcSettings = McmcSettings()) -> tuple[list[dict], list[dict]]:
     """Per-(n, replicate) posterior diagnostics plus per-n aggregates."""
     n_grid = [int(n) for n in n_grid]
-    if not n_grid or replicates < 1:
-        raise ValueError("need a non-empty n grid and at least one replicate")
-    if mode == "exact" and max(n_grid) > enum_cap:
-        raise ValueError("exact mode needs max(n_grid) <= enum_cap")
-    tasks = [
-        (spec, schedule, phi, n, rep, master_seed, mode, enum_cap, mcmc)
-        for n in n_grid
-        for rep in range(replicates)
-    ]
-    rows = _run_parallel(_consistency_task, tasks, workers)
-    aggregate = []
+    _check_runs(n_grid, "n_grid", replicates, enum_cap)
+    if mode not in ("exact", "mcmc"):
+        raise ConfigError(f"unknown mode {mode!r}")
     for n in n_grid:
-        chunk = [row for row in rows if row["n"] == n]
-        aggregate.append(_aggregate(chunk, key_name="n", key_value=n))
-    return rows, aggregate
+        with config_check(f"n_grid entry {n}"):
+            spec.check_size(n)
+            schedule.resolve(spec, n)
+    if mode == "exact":
+        check_cap(max(n_grid), enum_cap, enumerates=False)
+    tasks = [(spec, schedule, phi, n, rep, master_seed, mode, enum_cap, mcmc)
+             for n in n_grid for rep in range(replicates)]
+    rows = _run_parallel(_consistency_task, tasks, workers)
+    return rows, [_consistency_aggregate([row for row in rows if row["n"] == n], n)
+                  for n in n_grid]
 
 
-def _aggregate(rows: list[dict], key_name: str, key_value) -> dict:
-    def quartiles(name):
-        vals = np.array([row[name] for row in rows], dtype=float)
-        q1, med, q3 = np.percentile(vals, [25.0, 50.0, 75.0])
-        return {f"{name}_q1": q1, f"{name}_median": med, f"{name}_q3": q3}
+def _quartiles(rows: list[dict], name: str) -> dict:
+    q1, med, q3 = np.percentile(np.array([row[name] for row in rows], dtype=float),
+                                [25.0, 50.0, 75.0])
+    return {f"{name}_q1": q1, f"{name}_median": med, f"{name}_q3": q3}
 
-    out = {key_name: key_value, "replicates": len(rows)}
-    if "prob_truth" in rows[0]:
-        out.update(quartiles("prob_truth"))
-        out.update(quartiles("prob_k_true"))
-        out["membership_rate"] = float(np.mean([row["in_separation_set"] for row in rows]))
-        out["map_hamming_median"] = float(np.median([row["map_hamming"] for row in rows]))
-    if "expected_hamming" in rows[0]:
-        out.update(quartiles("expected_hamming"))
-        out["map_hamming_median"] = float(np.median([row["map_hamming"] for row in rows]))
-        applicable = [row for row in rows if row["bound_below_n"]]
-        out["bound_below_n_rate"] = len(applicable) / len(rows)
-        # a bound that does not apply counts as satisfied, as in each row
-        out["within_bound_rate"] = (
-            float(np.mean([row["estimate_within_bound"] for row in applicable]))
-            if applicable
-            else 1.0
-        )
-    return out
+
+def _consistency_aggregate(rows: list[dict], n: int) -> dict:
+    return {
+        "n": n,
+        "replicates": len(rows),
+        **_quartiles(rows, "prob_truth"),
+        **_quartiles(rows, "prob_k_true"),
+        "membership_rate": float(np.mean([row["in_separation_set"] for row in rows])),
+        "map_hamming_median": float(np.median([row["map_hamming"] for row in rows])),
+    }
 
 
 MISCLASS_COLUMNS = (
@@ -253,19 +274,30 @@ def misclassification_experiment(spec: GaussianOracleSpec, rule: BandwidthRule,
     same noise at every separation level (paired design).
     """
     snr_grid = [float(s) for s in snr_grid]
-    if not snr_grid or replicates < 1:
-        raise ValueError("need a non-empty snr grid and at least one replicate")
-    cap = min(enum_cap, ENUM_CAP)
-    if n > cap:
-        raise ValueError(f"the restricted posterior is enumerated; need n <= {cap}")
-    tasks = [
-        (spec, snr, rule, n, rep, master_seed, enum_cap)
-        for snr in snr_grid
-        for rep in range(replicates)
-    ]
-    rows = _run_parallel(_misclass_task, tasks, workers)
-    aggregate = []
+    _check_runs(snr_grid, "snr_grid", replicates, enum_cap)
+    # the rule needs two distinct cluster means before any snr can scale them
+    with config_check("oracle"):
+        spec.check_size(n)
+        rule.resolve(spec, n)
     for snr in snr_grid:
-        chunk = [row for row in rows if row["snr"] == snr]
-        aggregate.append(_aggregate(chunk, key_name="snr", key_value=snr))
-    return rows, aggregate
+        with config_check(f"snr_grid entry {snr}"):
+            scale_means_to_snr(spec, snr)
+    check_cap(n, enum_cap, enumerates=True)
+    tasks = [(spec, snr, rule, n, rep, master_seed, enum_cap)
+             for snr in snr_grid for rep in range(replicates)]
+    rows = _run_parallel(_misclass_task, tasks, workers)
+    return rows, [_misclass_aggregate([row for row in rows if row["snr"] == snr], snr)
+                  for snr in snr_grid]
+
+
+def _misclass_aggregate(rows: list[dict], snr: float) -> dict:
+    applicable = [row["estimate_within_bound"] for row in rows if row["bound_below_n"]]
+    return {
+        "snr": snr,
+        "replicates": len(rows),
+        **_quartiles(rows, "expected_hamming"),
+        "map_hamming_median": float(np.median([row["map_hamming"] for row in rows])),
+        "bound_below_n_rate": len(applicable) / len(rows),
+        # a bound that does not apply counts as satisfied, as in each row
+        "within_bound_rate": float(np.mean(applicable)) if applicable else 1.0,
+    }

@@ -63,15 +63,17 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in KERNEL_FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if not (self.sigma > 0):
-            raise ValueError("sigma must be positive")
+        if not (0 < self.sigma < math.inf):
+            raise ValueError("sigma must be positive and finite")
+        if not math.isfinite(self.eta):
+            raise ValueError("eta must be finite")
         if self.family == EUCLIDEAN_GAUSSIAN:
             if self.zeta is not None:
                 raise ValueError("euclidean normalizer is derived, not user-set")
         else:
             zeta = 1.0 if self.zeta is None else self.zeta
-            if not (zeta > 0):
-                raise ValueError("zeta must be positive")
+            if not (0 < zeta < math.inf):
+                raise ValueError("zeta must be positive and finite")
             object.__setattr__(self, "zeta", zeta)
         if self.family == GRAPH_LAPLACIAN_GAUSSIAN:
             if self.graph_mode == "geodesic" and not (self.eta > 0):

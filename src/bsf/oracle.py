@@ -40,8 +40,8 @@ class SeparationConstants:
     iota2: float = 0.5
 
     def __post_init__(self):
-        if min(self.c1, self.c2, self.iota1, self.iota2) <= 0:
-            raise ValueError("separation constants must be positive")
+        if not all(0 < c < math.inf for c in (self.c1, self.c2, self.iota1, self.iota2)):
+            raise ValueError("separation constants must be positive and finite")
 
 
 DEFAULT_PHI = SeparationConstants()
@@ -132,8 +132,8 @@ class GaussianOracleSpec(_Sizing):
 def scale_means_to_snr(spec: GaussianOracleSpec, snr: float) -> GaussianOracleSpec:
     """Rescale mean offsets about their centroid so the spec's signal-to-noise
     ratio becomes ``snr``; covariances and sizing are untouched."""
-    if snr < 0:
-        raise ValueError("snr must be nonnegative")
+    if not 0 <= snr < math.inf:
+        raise ValueError("snr must be finite and nonnegative")
     center = np.mean(np.stack(spec.means), axis=0)
     if snr == 0:
         factor = 0.0

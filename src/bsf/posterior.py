@@ -47,7 +47,7 @@ import numpy as np
 from .data import Dataset
 from .kernels import KernelSpec, log_weight_matrix
 from .linalg import all_block_log_dets, block_log_dets, subset_log_det
-from .partitions import Partition, hamming_distances, rgs_chunks
+from .partitions import ENUM_CAP, Partition, hamming_distances, rgs_chunks
 
 DEFAULT_ENUM_CAP = 12
 # entries BlockWeights' lazy dict holds before it drops its oldest half;
@@ -55,6 +55,18 @@ DEFAULT_ENUM_CAP = 12
 LOG_DET_CACHE_CAP = 1 << 20
 
 NEG_INF = float("-inf")
+
+
+class CapError(ValueError):
+    """n points are beyond the enumeration cap."""
+
+
+def check_cap(n: int, enum_cap: int, enumerates: bool) -> None:
+    """Raise CapError unless n fits ``enum_cap``, and the enumeration core's
+    ``ENUM_CAP`` too when every class is enumerated."""
+    cap = min(enum_cap, ENUM_CAP) if enumerates else enum_cap
+    if n > cap:
+        raise CapError(f"n={n} exceeds the enumeration cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -382,8 +394,7 @@ def exact_posterior(data: Dataset, cfg: BsfConfig, max_K: int | None = None,
     to exactly that many (the known-cluster-count regime).
     """
     n = data.n
-    if n > cfg.enum_cap:
-        raise ValueError(f"n={n} exceeds the enumeration cap {cfg.enum_cap}")
+    check_cap(n, cfg.enum_cap, enumerates=retain)
     if only_K is not None:
         if max_K is not None and max_K < only_K:
             raise ValueError("max_K is below only_K")

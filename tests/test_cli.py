@@ -255,6 +255,7 @@ def test_config_sections_build_library_types(parse, minimal, minimal_obj, full, 
 
 
 def test_exit_codes(tmp_path, toy_csv, capsys):
+    inf = math.inf
     assert main(["exact", "--config", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path / "o")]) == 2
     missing_data = tmp_path / "missing.json"
@@ -264,6 +265,11 @@ def test_exit_codes(tmp_path, toy_csv, capsys):
     })
     assert main(["exact", "--config", str(missing_data),
                  "--out", str(tmp_path / "o")]) == 3
+    # the generator's own data check keeps its exit code
+    unbounded = tmp_path / "unbounded.json"
+    write_json(unbounded, {"n": 2, "oracle": {"means": [[math.inf], [0.0]],
+                                              "covs": [[[1.0]], [[1.0]]]}})
+    assert main(["gen-data", "--config", str(unbounded), "--out", str(tmp_path / "o")]) == 3
     assert main(["exact", "--config",
                  exact_config(tmp_path, toy_csv, enum_cap=1),
                  "--out", str(tmp_path / "o")]) == 4
@@ -319,6 +325,36 @@ def test_exit_codes(tmp_path, toy_csv, capsys):
                         "replicates": 1, "mode": "bogus"}),
         # a chain enumerates nothing, so it has no enumeration cap to set
         ("mcmc", {**model, "enum_cap": 1}),
+        # the harnesses check their whole design before any replicate: a cap
+        # below 1 is a bad value in either mode, not a cap violation
+        ("experiment", {"oracle": two_clusters, "schedule": {"kind": "snr"}, "n_grid": [4],
+                        "replicates": 1, "mode": "mcmc", "enum_cap": 0}),
+        ("experiment", {"oracle": two_clusters, "schedule": {"kind": "snr"}, "n_grid": [4],
+                        "replicates": 1, "enum_cap": 0}),
+        ("misclass", {"oracle": two_clusters, "snr_grid": [1.0], "n": 4, "replicates": 1,
+                      "enum_cap": 0}),
+        ("misclass", {"oracle": two_clusters, "snr_grid": [1.0, -1], "n": 4,
+                      "replicates": 1}),
+        # a non-finite value passes no range check
+        ("exact", {**model, "kernel": {"family": "euclidean-gaussian", "sigma": inf}}),
+        ("mcmc", {**model, "kernel": {"family": "euclidean-gaussian", "sigma": inf}}),
+        ("exact", {**model, "kernel": {"family": "riemannian-gaussian-spd", "sigma": 1.0,
+                                       "zeta": inf}}),
+        ("exact", {**model, "kernel": {"family": "graph-laplacian-gaussian", "sigma": 1.0,
+                                       "eta": inf, "graph_mode": "frobenius"}}),
+        ("misclass", {"oracle": two_clusters, "snr_grid": [1.0], "n": 4, "replicates": 1,
+                      "bandwidth_rule": {"fraction": inf}}),
+        ("misclass", {"oracle": two_clusters, "snr_grid": [inf], "n": 4, "replicates": 1}),
+        ("experiment", {"oracle": two_clusters, "n_grid": [4], "replicates": 1,
+                        "schedule": {"kind": "fixed", "sigma2": 1.0, "log_delta_lambda": inf}}),
+        ("experiment", {"oracle": two_clusters, "n_grid": [4], "replicates": 1,
+                        "schedule": {"kind": "fixed", "sigma2": inf, "log_delta_lambda": 0.0}}),
+        ("experiment", {"oracle": two_clusters, "n_grid": [4], "replicates": 1,
+                        "schedule": {"kind": "geometric", "sigma2": 1.0, "base": inf}}),
+        ("experiment", {"oracle": two_clusters, "n_grid": [4], "replicates": 1,
+                        "schedule": {"kind": "snr", "iota": inf}}),
+        ("experiment", {"oracle": two_clusters, "schedule": {"kind": "snr"}, "n_grid": [4],
+                        "replicates": 1, "phi": {"c1": inf}}),
     ]
     for i, (command, payload) in enumerate(bad):
         path = tmp_path / f"bad{i}.json"

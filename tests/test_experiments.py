@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from bsf import experiments
 from bsf.experiments import (
     BandwidthRule,
+    ConfigError,
     FixedSchedule,
     McmcSettings,
     SnrSchedule,
@@ -26,7 +28,7 @@ from bsf.oracle import (
     posterior_concentration_log_bound,
     scale_means_to_snr,
 )
-from bsf.posterior import BlockWeights, BsfConfig, exact_posterior
+from bsf.posterior import BlockWeights, BsfConfig, CapError, exact_posterior
 from bsf.sampler import run_chain
 
 REPO = Path(__file__).resolve().parent.parent
@@ -70,24 +72,64 @@ def test_mcmc_mode_tracks_exact_mode():
 
 def test_validation_errors():
     schedule = SnrSchedule()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         consistency_experiment(TWO_CLUSTERS, schedule, [], 5, master_seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         consistency_experiment(TWO_CLUSTERS, schedule, [6], 0, master_seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(CapError):
         consistency_experiment(TWO_CLUSTERS, schedule, [13], 1, master_seed=0,
                                enum_cap=12)
-    with pytest.raises(ValueError):
+    with pytest.raises(CapError):
         misclassification_experiment(TWO_CLUSTERS, BandwidthRule(0.2), [2.0], 13, 1,
                                      master_seed=0)
     # the restricted posterior is enumerated: no cap reaches past the enumeration core's
-    with pytest.raises(ValueError, match="need n <= 13"):
+    with pytest.raises(CapError, match="exceeds the enumeration cap 13"):
         misclassification_experiment(TWO_CLUSTERS, BandwidthRule(0.2), [2.0], 14, 1,
                                      master_seed=0, enum_cap=14)
     with pytest.raises(ValueError):
         FixedSchedule(sigma2=1.0)
     with pytest.raises(ValueError):
         FixedSchedule(sigma2=1.0, log_delta_lambda=0.0, geometric_base=2.0)
+    # the snr schedule checks its own constants when built, not at resolve
+    for bad in ({"alpha": 1.0}, {"iota": math.inf}):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            SnrSchedule(**bad)
+
+
+COINCIDENT = GaussianOracleSpec(means=((0.0, 0.0), (0.0, 0.0)), covs=(np.eye(2), np.eye(2)))
+
+
+@pytest.mark.parametrize("harness, design, error", [
+    ("consistency", {"n_grid": []}, ConfigError),
+    ("consistency", {"replicates": 0}, ConfigError),
+    ("consistency", {"mode": "bogus"}, ConfigError),
+    ("consistency", {"mode": "mcmc", "enum_cap": 0}, ConfigError),
+    ("consistency", {"enum_cap": 0}, ConfigError),
+    ("consistency", {"n_grid": [6, 1]}, ConfigError),  # fewer points than clusters
+    ("consistency", {"n_grid": [6, 13]}, CapError),
+    ("misclass", {"snr_grid": []}, ConfigError),
+    ("misclass", {"replicates": 0}, ConfigError),
+    ("misclass", {"enum_cap": 0}, ConfigError),
+    ("misclass", {"n": 1}, ConfigError),
+    ("misclass", {"snr_grid": [2.0, -1.0]}, ConfigError),
+    ("misclass", {"snr_grid": [2.0, math.inf]}, ConfigError),
+    ("misclass", {"spec": COINCIDENT}, ConfigError),
+    ("misclass", {"n": 13}, CapError),
+])
+def test_harness_checks_its_design_before_any_replicate(monkeypatch, harness, design, error):
+    def replicate(args):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(experiments, "_consistency_task", replicate)
+    monkeypatch.setattr(experiments, "_misclass_task", replicate)
+    if harness == "consistency":
+        run = consistency_experiment
+        call = {"spec": TWO_CLUSTERS, "schedule": SnrSchedule(), "n_grid": [6]}
+    else:
+        run = misclassification_experiment
+        call = {"spec": TWO_CLUSTERS, "rule": BandwidthRule(0.2), "snr_grid": [2.0], "n": 6}
+    with pytest.raises(error):
+        run(**{**call, "replicates": 2, "master_seed": 0, "workers": 1, **design})
 
 
 def test_zero_snr_has_near_maximal_misclassification():
