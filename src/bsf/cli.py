@@ -5,14 +5,40 @@ Subcommands: ``exact`` (enumerated posterior), ``mcmc`` (one chain),
 misclassification harness), ``verify`` (determinant-identity checks),
 ``gen-data`` (oracle samples to disk).
 
+Config keys, and flags besides ``--config`` (the JSON file) and ``--out``
+(the output directory), which every subcommand but ``verify`` takes:
+
+- ``exact``: ``data``, a path read as the kernel's payload family (a CSV of
+  points for ``euclidean-gaussian``, a matrix stack for the SPD and
+  graph-Laplacian kernels); ``kernel`` {``family``, ``sigma``, ``zeta``,
+  ``eta``, ``graph_mode``}; ``log_delta_lambda`` (default 0); ``enum_cap``.
+  Flag ``--max-k``.
+- ``mcmc``: ``data``, ``kernel`` and ``log_delta_lambda`` as for ``exact``;
+  ``mcmc`` {``iters``, ``burnin``, ``thin``}.  Flag ``--seed``.
+- ``experiment``: ``oracle`` {``means``, ``covs``, ``weights``,
+  ``counts``}; ``schedule`` {``kind``: ``fixed`` with ``sigma2`` and
+  ``log_delta_lambda``, ``geometric`` with ``sigma2`` and ``base``, or
+  ``snr`` with ``alpha`` and ``iota``}; ``n_grid``; ``replicates``; ``phi``
+  {``c1``, ``c2``, ``iota1``, ``iota2``}; ``mode`` (``exact`` or ``mcmc``);
+  ``enum_cap``; ``mcmc``.  Flags ``--seed`` and ``--workers``.
+- ``misclass``: ``oracle`` as for ``experiment``; ``snr_grid``; ``n``;
+  ``replicates``; ``bandwidth_rule`` {``fraction``}; ``enum_cap``.  Flags
+  ``--seed`` and ``--workers``.
+- ``gen-data``: ``kind`` (``gaussian``, the default, or ``spd``); ``n``;
+  ``oracle``, for ``spd`` {``means``, ``noise_scales``, ``counts``}.  Flag
+  ``--seed``.
+- ``verify``: no config.  Flags ``--trials`` and ``--seed``.
+
 Exit codes, each from one error class: 0 success; 1 a failed ``verify``
 check; 2 a ConfigError, raised while parsing here, by a harness's design
-check in ``experiments``, or by ``experiments.config_check`` from a library
-type's own check; 3 an IngestionError from the ``data`` readers; 4 a CapError
-from ``posterior.check_cap``.  Unknown config keys are rejected.  Each config
-section is built into its library type, whose field defaults and range checks
-are the section's own; the commands only parse and call the library.  Floats
-have 17 significant digits, so equal runs write byte-identical files.
+check in ``experiments``, by ``experiments.config_check`` from a library
+type's own check, or by ``posterior.BlockWeights`` for a kernel or prior that
+overflows on the data; 3 an IngestionError from the ``data`` readers; 4 a
+CapError from ``posterior.check_cap``.  Unknown config keys are rejected.
+Each config section is built into its library type, whose field defaults and
+range checks are the section's own; the commands only parse and call the
+library.  Floats have 17 significant digits, so equal runs write
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -40,7 +66,6 @@ from .experiments import (
     CONSISTENCY_COLUMNS,
     MISCLASS_COLUMNS,
     BandwidthRule,
-    ConfigError,
     FixedSchedule,
     SnrSchedule,
     config_check,
@@ -56,8 +81,8 @@ from .oracle import (
     generate_gaussian,
     generate_spd,
 )
-from .posterior import (DEFAULT_ENUM_CAP, BlockWeights, BsfConfig, CapError, check_cap,
-                        class_weight_chunks, exact_posterior)
+from .posterior import (DEFAULT_ENUM_CAP, BlockWeights, BsfConfig, CapError, ConfigError,
+                        check_cap, class_weight_chunks, exact_posterior)
 from .sampler import McmcSettings, run_chain
 from .theory import DEFAULT_TRIALS, run_all
 
@@ -220,34 +245,17 @@ def _parse_kernel(raw: dict) -> KernelSpec:
                                          eta=float, graph_mode=str)
 
 
-def _parse_prior(sec: _Section) -> dict:
-    """BsfConfig's log_delta and log_lambda from delta/lambda or from their
-    log product; an absent value keeps BsfConfig's default."""
-    delta, lam, log_dl = (sec.typed(key, float, None)
-                          for key in ("delta", "lambda", "log_delta_lambda"))
-    if log_dl is not None:
-        if delta is not None or lam is not None:
-            raise ConfigError("give delta/lambda or log_delta_lambda, not both")
-        return {"log_lambda": log_dl}
-    prior = {"log_delta": delta, "log_lambda": lam}
-    if any(v is not None and v <= 0 for v in prior.values()):
-        raise ConfigError("delta and lambda must be positive")
-    return {key: math.log(v) for key, v in prior.items() if v is not None}
-
-
-def _load_dataset(sec: _Section) -> Dataset:
-    path = sec.take("data")
-    family = sec.take("family", EUCLIDEAN)
-    if family == EUCLIDEAN:
-        return read_euclidean_csv(path)
-    return read_matrix_stack(path, family)
-
-
 def _parse_model(sec: _Section) -> tuple[Dataset, dict]:
-    """The dataset, and the kernel and prior fields of its BsfConfig; each
-    command builds the BsfConfig from these and the keys it reads."""
-    data = _load_dataset(sec)
-    return data, {"kernel": _parse_kernel(sec.take("kernel")), **_parse_prior(sec)}
+    """The dataset, read as its kernel's payload family, and the kernel and
+    prior fields of its BsfConfig; each command builds the BsfConfig from
+    these and the keys it reads."""
+    kernel = _parse_kernel(sec.take("kernel"))
+    path = sec.take("data")
+    if not isinstance(path, str):
+        raise ConfigError(f"data must be a path string, got {path!r}")
+    family = kernel.payload_family
+    data = read_euclidean_csv(path) if family == EUCLIDEAN else read_matrix_stack(path, family)
+    return data, {"kernel": kernel, "log_lambda": sec.typed("log_delta_lambda", float, 0.0)}
 
 
 def _parse_gaussian_oracle(raw: dict) -> GaussianOracleSpec:
@@ -373,7 +381,7 @@ def cmd_experiment(args) -> int:
     settings = _parse_mcmc(sec.take("mcmc", None))
     sec.done()
     rows, aggregate = consistency_experiment(
-        spec, schedule, n_grid, replicates, master_seed=args.seed, mode=args.mode or mode,
+        spec, schedule, n_grid, replicates, master_seed=args.seed, mode=mode,
         phi=phi, enum_cap=enum_cap, workers=args.workers, mcmc=settings,
     )
     return _write_harness(args.out, CONSISTENCY_COLUMNS, rows, aggregate,
@@ -460,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="consistency experiment harness")
     common(p_exp, workers=True)
-    p_exp.add_argument("--mode", choices=("exact", "mcmc"), default=None)
     p_exp.set_defaults(fn=cmd_experiment)
 
     p_mis = sub.add_parser("misclass", help="misclassification experiment harness")

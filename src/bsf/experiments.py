@@ -34,13 +34,9 @@ from .oracle import (
     separation_stats,
 )
 from .partitions import Partition, hamming_distance
-from .posterior import (DEFAULT_ENUM_CAP, BlockWeights, BsfConfig, check_cap, exact_posterior,
-                        expected_hamming)
+from .posterior import (DEFAULT_ENUM_CAP, BlockWeights, BsfConfig, ConfigError, check_cap,
+                        exact_posterior, expected_hamming)
 from .sampler import McmcSettings, run_chain
-
-
-class ConfigError(ValueError):
-    """A configuration or design that no run could use."""
 
 
 @contextmanager

@@ -63,8 +63,9 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in KERNEL_FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if not (0 < self.sigma < math.inf):
-            raise ValueError("sigma must be positive and finite")
+        # the kernel divides by sigma^2, which must neither overflow nor vanish
+        if not (self.sigma > 0 and 0 < self.sigma * self.sigma < math.inf):
+            raise ValueError("sigma must be positive, with a finite nonzero square")
         if not math.isfinite(self.eta):
             raise ValueError("eta must be finite")
         if self.family == EUCLIDEAN_GAUSSIAN:
@@ -165,7 +166,11 @@ def log_gaussian_kernel(y_s, y_t, spec: KernelSpec) -> float:
 def pairwise_sq_distances(data: Dataset, spec: KernelSpec) -> np.ndarray:
     """Symmetric matrix of squared distances under the spec's metric.
 
-    Each distance is computed once and mirrored, so symmetry is exact.
+    Euclidean distances sum squared coordinate differences, one coordinate
+    at a time over all pairs, so points far from the origin keep their
+    precision and working memory stays n x n, never n x n x p.  ``x_i - x_j``
+    and ``x_j - x_i`` have equal squares, so symmetry is exact.  The other
+    metrics compute each distance once and mirror it.
     """
     if data.family != spec.payload_family:
         raise ValueError(
@@ -173,12 +178,11 @@ def pairwise_sq_distances(data: Dataset, spec: KernelSpec) -> np.ndarray:
         )
     n = data.n
     if spec.family == EUCLIDEAN_GAUSSIAN:
-        pts = np.stack(data.points)
-        sq = np.sum(pts * pts, axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
-        d2 = np.maximum(d2, 0.0)
-        out = np.triu(d2, 1)
-        return out + out.T
+        out = np.zeros((n, n))
+        for coord in np.stack(data.points).T:
+            diff = coord[:, None] - coord
+            out += diff * diff
+        return out
     out = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):

@@ -63,13 +63,16 @@ class _Sizing:
             raise ValueError("counts need one nonnegative entry per cluster")
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
-            if w.shape != (k,) or w.min() < 0 or not w.sum() > 0:
-                raise ValueError("bad label weights")
+            if (w.shape != (k,) or not np.isfinite(w).all() or w.min() < 0
+                    or not 0 < sum(w.tolist()) < math.inf):
+                raise ValueError("label weights need one finite nonnegative weight per "
+                                 "cluster and a positive finite sum")
 
     def check_size(self, n: int) -> None:
         """Raise ValueError unless the spec's generator can draw n points."""
-        if n < 1:
-            raise ValueError("n must be positive")
+        most = np.iinfo(np.intp).max  # the generators size numpy arrays by n
+        if not 1 <= n <= most:
+            raise ValueError(f"n must be positive and at most {most}")
         if self.counts is not None:
             if sum(self.counts) != n:
                 raise ValueError("counts must sum to n")
@@ -135,10 +138,13 @@ def scale_means_to_snr(spec: GaussianOracleSpec, snr: float) -> GaussianOracleSp
     if not 0 <= snr < math.inf:
         raise ValueError("snr must be finite and nonnegative")
     center = np.mean(np.stack(spec.means), axis=0)
-    if snr == 0:
-        factor = 0.0
-    else:
-        factor = snr / spec.snr
+    factor = 0.0 if snr == 0 else snr / spec.snr
+    # two scaled means lie at most twice the widest offset apart, and the
+    # kernel squares the distances between points
+    widest = max(float(np.dot(m - center, m - center)) for m in spec.means)
+    if not 4.0 * factor * factor * widest < math.inf:
+        raise ValueError(f"snr {snr} puts the cluster means too far apart to square "
+                         "their distance")
     means = tuple(center + factor * (m - center) for m in spec.means)
     return GaussianOracleSpec(means=means, covs=spec.covs,
                               weights=spec.weights, counts=spec.counts)
@@ -188,13 +194,17 @@ class ObjectOracleSpec(_Sizing):
         means = tuple(np.atleast_2d(np.asarray(m, dtype=float)) for m in self.means)
         if not means or len(self.noise_scales) != len(means):
             raise ValueError("need one noise scale per mean")
+        shapes = {m.shape for m in means}
+        if len(shapes) != 1:
+            raise ValueError(f"means disagree on shape: {sorted(shapes)}")
         for m in means:
             if m.shape[0] != m.shape[1] or np.linalg.eigvalsh(m).min() <= 0:
                 raise ValueError("means must be SPD")
-        if min(self.noise_scales) < 0:
-            raise ValueError("noise scales must be nonnegative")
+        scales = tuple(float(s) for s in self.noise_scales)
+        if not all(0 <= s < math.inf for s in scales):
+            raise ValueError("noise scales must be nonnegative and finite")
         object.__setattr__(self, "means", means)
-        object.__setattr__(self, "noise_scales", tuple(float(s) for s in self.noise_scales))
+        object.__setattr__(self, "noise_scales", scales)
         self._check_sizing()
 
     @property

@@ -57,6 +57,10 @@ LOG_DET_CACHE_CAP = 1 << 20
 NEG_INF = float("-inf")
 
 
+class ConfigError(ValueError):
+    """A configuration or design that no run could use."""
+
+
 class CapError(ValueError):
     """n points are beyond the enumeration cap."""
 
@@ -88,14 +92,6 @@ class BsfConfig:
             raise ValueError("log(delta * lambda) must be finite")
         if self.enum_cap < 1:
             raise ValueError("enum_cap must be positive")
-
-    @staticmethod
-    def from_values(kernel: KernelSpec, delta: float = 1.0, lam: float = 1.0,
-                    enum_cap: int = DEFAULT_ENUM_CAP) -> "BsfConfig":
-        if not (delta > 0 and lam > 0):
-            raise ValueError("delta and lambda must be positive")
-        return BsfConfig(kernel=kernel, log_delta=math.log(delta),
-                         log_lambda=math.log(lam), enum_cap=enum_cap)
 
     @property
     def log_delta_lambda(self) -> float:
@@ -130,8 +126,12 @@ class BlockWeights:
         self.n = data.n
         self.logw = log_weight_matrix(data, cfg.kernel)
         if not np.all(np.isfinite(self.logw)):
-            raise ValueError("non-finite kernel value in the weight matrix")
+            raise ConfigError("non-finite kernel value in the weight matrix")
         self._const = cfg.log_lambda + cfg.log_delta
+        # a class weight adds the constant once per block, up to n times
+        if not math.isfinite(self.n * self._const):
+            raise ConfigError(f"log(delta * lambda) = {self._const!r} overflows over "
+                              f"{self.n} blocks")
         self._cache: dict[int, float] = {}
         self._table: np.ndarray | None = None
         self._bytes = (self.n + 7) // 8

@@ -34,6 +34,8 @@ LOG_TOL = 1e-9
 EIGEN_TOL = 1e-8
 DET_TOL = 1e-8
 DEFAULT_TRIALS = 1000
+# largest n whose concatenated forests are enumerated outright
+IDENTITY_CAP = 6
 
 
 @dataclass(frozen=True)
@@ -210,8 +212,7 @@ def verify_ratio_bound_fine(trials: int = DEFAULT_TRIALS, seed: int = 0) -> Lemm
     return _report("ratio-fine", trials, LOG_TOL, violations())
 
 
-def verify_forest_factorization(trials: int = DEFAULT_TRIALS, seed: int = 0,
-                                identity_cap: int = 6) -> LemmaReport:
+def verify_forest_factorization(trials: int = DEFAULT_TRIALS, seed: int = 0) -> LemmaReport:
     """``|L_n[1]|`` dominates the product of within-block minors times the
     minor of the coarsened Laplacian; for small n the concatenated-forest
     subfamily is enumerated outright and its weight equals that product
@@ -226,7 +227,7 @@ def verify_forest_factorization(trials: int = DEFAULT_TRIALS, seed: int = 0,
             lhs = log_det_minor(lap)
             rhs = _concat_forest_log_weight(logw, part)
             worst = rhs - lhs  # violated when the product exceeds the minor
-            if n <= identity_cap:
+            if n <= IDENTITY_CAP:
                 direct = _concat_forest_bruteforce(logw, part)
                 if direct is not None:
                     worst = max(worst, abs(direct - rhs))

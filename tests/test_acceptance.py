@@ -130,7 +130,7 @@ def test_acceptance_04_sampler_exactness():
     # n=3 stationarity of the full transition law
     rng = np.random.default_rng(7)
     data3 = dataset_from_euclidean(rng.normal(size=(3, 1)))
-    cfg3 = BsfConfig.from_values(KernelSpec(EUCLIDEAN_GAUSSIAN, sigma=1.0), lam=0.7)
+    cfg3 = BsfConfig(KernelSpec(EUCLIDEAN_GAUSSIAN, sigma=1.0), log_lambda=math.log(0.7))
     weights = BlockWeights(data3, cfg3)
     pi = np.array(list(class_probabilities(exact_posterior(data3, cfg3, retain=True)).values()))
     combined = combined_transition_matrix(weights)

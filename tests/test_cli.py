@@ -25,13 +25,14 @@ from bsf.cli import (
     build_parser,
     main,
 )
-from bsf.data import read_euclidean_csv, read_matrix_stack, write_matrix_stack
+from bsf.data import (GRAPH_LAPLACIAN, Dataset, read_euclidean_csv, read_matrix_stack,
+                      write_matrix_stack)
 from bsf.experiments import BandwidthRule, FixedSchedule, SnrSchedule
 from bsf.kernels import EUCLIDEAN_GAUSSIAN, GRAPH_LAPLACIAN_GAUSSIAN, KernelSpec, log_gaussian_kernel
 from bsf.oracle import DEFAULT_PHI, GaussianOracleSpec, ObjectOracleSpec, SeparationConstants
 from bsf.partitions import Partition
 from bsf.posterior import BlockWeights, BsfConfig, exact_posterior
-from bsf.sampler import McmcSettings
+from bsf.sampler import McmcSettings, run_chain
 
 
 def write_json(path, payload):
@@ -52,7 +53,6 @@ def exact_config(tmp_path, toy_csv, odds=9.0, **extra):
     )
     cfg = {
         "data": toy_csv,
-        "family": "euclidean",
         "kernel": {"family": "euclidean-gaussian", "sigma": 1.0},
         "log_delta_lambda": log_f12 - math.log(odds),
     }
@@ -284,6 +284,8 @@ def test_exit_codes(tmp_path, toy_csv, capsys):
     capsys.readouterr()
     # values of the wrong type or range, each a config error and no traceback
     model = {"data": toy_csv, "kernel": {"family": "euclidean-gaussian", "sigma": 1.0}}
+    three_points = str(tmp_path / "three.csv")
+    (tmp_path / "three.csv").write_text("0.0\n1.0\n3.0\n")
     two_clusters = {"means": [[0.0], [9.0]], "covs": [[[1.0]], [[1.0]]]}
     one_cluster = {"means": [[0.0]], "covs": [[[1.0]]]}
     three_clusters = {"means": [[0.0], [9.0], [20.0]], "covs": [[[1.0]]] * 3}
@@ -355,6 +357,27 @@ def test_exit_codes(tmp_path, toy_csv, capsys):
                         "schedule": {"kind": "snr", "iota": inf}}),
         ("experiment", {"oracle": two_clusters, "schedule": {"kind": "snr"}, "n_grid": [4],
                         "replicates": 1, "phi": {"c1": inf}}),
+        # the kernel names the payload family and log_delta_lambda is the prior
+        ("exact", {**model, "family": "euclidean"}),
+        ("exact", {**model, "delta": 1.0}),
+        ("mcmc", {**model, "lambda": 1.0}),
+        ("exact", {**model, "log_delta_lambda": None}),
+        # huge finite values: sigma^2 overflows, scaled means too far apart to
+        # square their distance, n past numpy's sizes, and a prior paid once
+        # per block that overflows over three blocks
+        ("exact", {**model, "kernel": {"family": "euclidean-gaussian", "sigma": 1e308}}),
+        ("mcmc", {**model, "kernel": {"family": "euclidean-gaussian", "sigma": 1e308}}),
+        ("misclass", {"oracle": two_clusters, "snr_grid": [1.0, 1e308], "n": 4,
+                      "replicates": 1}),
+        ("gen-data", {"kind": "gaussian", "n": 1e308, "oracle": two_clusters}),
+        ("experiment", {"oracle": two_clusters, "schedule": {"kind": "snr"},
+                        "n_grid": [4, 1e308], "replicates": 1, "mode": "mcmc"}),
+        ("exact", {**model, "data": three_points, "log_delta_lambda": 1e308}),
+        # oracle values no draw could use
+        ("experiment", {"oracle": {**two_clusters, "weights": [inf, 0.5]},
+                        "schedule": {"kind": "snr"}, "n_grid": [4], "replicates": 1}),
+        ("gen-data", {"kind": "spd", "n": 4, "oracle": {
+            "means": [[[1.0]], [[2.0, 0.0], [0.0, 1.0]]], "noise_scales": [0.1, 0.1]}}),
     ]
     for i, (command, payload) in enumerate(bad):
         path = tmp_path / f"bad{i}.json"
@@ -362,9 +385,11 @@ def test_exit_codes(tmp_path, toy_csv, capsys):
         argv = [command, "--config", str(path), "--out", str(tmp_path / "o")]
         if command in ("experiment", "misclass"):
             argv += ["--workers", "1"]
-        assert main(argv) == 2, command
+        assert main(argv) == 2, payload
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err, err
+    # the spd oracle names its own shape fault
+    assert "means disagree on shape" in err
     # a cap above the enumeration core's is a cap violation before any work
     points = tmp_path / "fourteen.csv"
     points.write_text("".join(f"{i}.0\n" for i in range(14)))
@@ -385,11 +410,120 @@ def test_exit_codes(tmp_path, toy_csv, capsys):
         assert not (out / "posterior_table.csv").exists()
 
 
+_EUCLIDEAN_KERNEL = {"family": "euclidean-gaussian", "sigma": 1.0}
+_SPD_KERNEL = {"family": "riemannian-gaussian-spd", "sigma": 1.0}
+
+
+@pytest.mark.parametrize("command", ["exact", "mcmc"])
+@pytest.mark.parametrize("kernel", [_EUCLIDEAN_KERNEL, _SPD_KERNEL], ids=["euclidean", "spd"])
+def test_data_must_be_a_path_string(tmp_path, capsys, command, kernel):
+    # an integer or boolean would open a file descriptor; false is stdin
+    for i, value in enumerate([None, 0, -1, 2.5, True, False, [1], [], {}, {"path": "x"}]):
+        path = tmp_path / f"data{i}.json"
+        write_json(path, {"data": value, "kernel": kernel})
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: data must be a path string"), err
+
+
+def _laplacian_stack(path, n, rng):
+    """n weighted-graph Laplacians on 3 nodes, as a matrix stack."""
+    mats = []
+    for _ in range(n):
+        w = np.triu(rng.uniform(0.2, 2.0, size=(3, 3)), 1)
+        w = w + w.T
+        mats.append(np.diag(w.sum(axis=1)) - w)
+    write_matrix_stack(path, Dataset(GRAPH_LAPLACIAN, tuple(mats)))
+    return str(path)
+
+
+@pytest.mark.parametrize("kernel", [
+    {"family": "riemannian-gaussian-spd", "sigma": 0.8, "zeta": 0.5},
+    {"family": "graph-laplacian-gaussian", "sigma": 1.5, "eta": 0.5},
+    {"family": "graph-laplacian-gaussian", "sigma": 1.5, "graph_mode": "frobenius"},
+], ids=["spd", "laplacian-geodesic", "laplacian-frobenius"])
+def test_matrix_valued_data_through_exact_and_mcmc(tmp_path, kernel):
+    # the kernel alone says how to read the data: no payload family key
+    if kernel["family"] == "riemannian-gaussian-spd":
+        gen = tmp_path / "gen.json"
+        write_json(gen, {"kind": "spd", "n": 6, "oracle": {
+            "means": [[[1.0, 0.0], [0.0, 1.0]], [[3.0, 1.0], [1.0, 2.0]]],
+            "noise_scales": [0.2, 0.3]}})
+        assert main(["gen-data", "--config", str(gen), "--out", str(tmp_path), "--seed", "4"]) == 0
+        points = str(tmp_path / "data.mats")
+    else:
+        points = _laplacian_stack(tmp_path / "graphs.mats", 6, np.random.default_rng(5))
+    model = {"data": points, "kernel": kernel, "log_delta_lambda": -1.5}
+    data = read_matrix_stack(points, KernelSpec(**kernel).payload_family)
+    cfg = BsfConfig(KernelSpec(**kernel), log_lambda=-1.5)
+    exact_cfg, mcmc_cfg = tmp_path / "exact.json", tmp_path / "mcmc.json"
+    write_json(exact_cfg, model)
+    write_json(mcmc_cfg, {**model, "mcmc": {"iters": 300, "burnin": 30, "thin": 1}})
+    out = tmp_path / "exact"
+    assert main(["exact", "--config", str(exact_cfg), "--out", str(out)]) == 0
+    assert (out / "posterior_table.csv").read_bytes() == _reference_table(data, cfg, None)
+    out = tmp_path / "mcmc"
+    assert main(["mcmc", "--config", str(mcmc_cfg), "--out", str(out), "--seed", "9"]) == 0
+    summary = run_chain(data, cfg, 300, 30, 1, seed=9)
+    samples = (out / "samples.csv").read_text().splitlines()[1:]
+    assert samples == [f'{i},"{",".join(map(str, labels))}"'
+                       for i, labels in enumerate(summary.samples)]
+
+
+def test_config_values_sweep_raises_no_traceback(tmp_path, toy_csv, capsys):
+    """Every model-section and oracle key set to each odd JSON value: the
+    command succeeds or names the fault, and nothing escapes main.  Keys whose
+    values only lengthen a valid run (iters, burnin, replicates) are left out."""
+    graphs = _laplacian_stack(tmp_path / "graphs.mats", 3, np.random.default_rng(1))
+    two = {"means": [[0.0], [9.0]], "covs": [[[1.0]], [[1.0]]]}
+    spd = {"means": [[[1.0]], [[2.0]]], "noise_scales": [0.1, 0.2]}
+    model = {"data": toy_csv, "kernel": _EUCLIDEAN_KERNEL, "log_delta_lambda": -1.0}
+    graph_model = {"data": graphs, "kernel": {"family": "graph-laplacian-gaussian",
+                                              "sigma": 1.0, "zeta": 2.0, "eta": 0.5}}
+    # (command, base config, swept key paths)
+    bases = [
+        ("exact", {**model, "enum_cap": 12},
+         ["data", "kernel", "kernel.family", "kernel.sigma", "kernel.zeta", "kernel.eta",
+          "kernel.graph_mode", "log_delta_lambda", "enum_cap"]),
+        ("exact", graph_model, ["kernel.zeta", "kernel.eta", "kernel.graph_mode"]),
+        ("mcmc", {**model, "mcmc": {"iters": 40, "burnin": 4, "thin": 1}},
+         ["data", "kernel.sigma", "log_delta_lambda", "mcmc.thin"]),
+        ("gen-data", {"kind": "gaussian", "n": 4, "oracle": two},
+         ["n", "oracle", "oracle.means", "oracle.covs", "oracle.weights", "oracle.counts"]),
+        ("gen-data", {"kind": "spd", "n": 4, "oracle": spd},
+         ["oracle.means", "oracle.noise_scales", "oracle.counts"]),
+        ("misclass", {"oracle": two, "snr_grid": [1.0], "n": 4, "replicates": 1},
+         ["oracle.means", "oracle.covs", "oracle.weights", "oracle.counts", "snr_grid", "n"]),
+        ("experiment", {"oracle": two, "schedule": {"kind": "snr"}, "n_grid": [4],
+                        "replicates": 1},
+         ["oracle.means", "oracle.covs", "oracle.weights", "oracle.counts", "n_grid"]),
+    ]
+    values = [None, True, "x", [1], {}, -1, 1e308, math.inf, math.nan]
+    path = tmp_path / "sweep.json"
+    for command, base, keys in bases:
+        for key in keys:
+            for value in values:
+                payload = json.loads(json.dumps(base))
+                *outer, last = key.split(".")
+                section = payload
+                for name in outer:
+                    section = section[name]
+                section[last] = value
+                write_json(path, payload)
+                argv = [command, "--config", str(path), "--out", str(tmp_path / "o")]
+                if command in ("experiment", "misclass"):
+                    argv += ["--workers", "1"]
+                code = main(argv)
+                err = capsys.readouterr().err
+                assert code in (0, 2, 3) and "Traceback" not in err, (command, key, value, err)
+
+
 @pytest.mark.parametrize("argv", [
     ["exact", "--seed", "1"],
     ["exact", "--workers", "2"],
     ["mcmc", "--workers", "2"],
     ["gen-data", "--workers", "2"],
+    ["experiment", "--mode", "mcmc"],  # the config's mode is the one source
 ])
 def test_options_a_subcommand_does_not_read_are_rejected(argv, capsys):
     command, *flag = argv
@@ -480,7 +614,7 @@ def test_gen_data_spd_roundtrip(tmp_path):
 
 
 def test_matrix_stack_roundtrip(tmp_path):
-    from bsf.data import SPD, Dataset
+    from bsf.data import SPD
 
     rng = np.random.default_rng(0)
     mats = []

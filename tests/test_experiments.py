@@ -115,6 +115,8 @@ COINCIDENT = GaussianOracleSpec(means=((0.0, 0.0), (0.0, 0.0)), covs=(np.eye(2),
     ("misclass", {"snr_grid": [2.0, math.inf]}, ConfigError),
     ("misclass", {"spec": COINCIDENT}, ConfigError),
     ("misclass", {"n": 13}, CapError),
+    ("misclass", {"snr_grid": [2.0, 1e308]}, ConfigError),  # means too far apart to square
+    ("consistency", {"mode": "mcmc", "n_grid": [6, 10**308]}, ConfigError),
 ])
 def test_harness_checks_its_design_before_any_replicate(monkeypatch, harness, design, error):
     def replicate(args):

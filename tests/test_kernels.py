@@ -50,6 +50,10 @@ def test_kernel_errors():
         log_gaussian_kernel(np.array([np.nan]), np.zeros(1), EUC)
     with pytest.raises(ValueError):
         KernelSpec(EUCLIDEAN_GAUSSIAN, sigma=-1.0)
+    # the kernel divides by sigma^2, which would overflow or vanish
+    for sigma in (1e308, 1e-200):
+        with pytest.raises(ValueError, match="finite nonzero square"):
+            KernelSpec(EUCLIDEAN_GAUSSIAN, sigma=sigma)
     with pytest.raises(ValueError):
         KernelSpec(EUCLIDEAN_GAUSSIAN, sigma=1.0, zeta=2.0)  # derived, not user-set
     with pytest.raises(ValueError):
@@ -165,14 +169,18 @@ def test_bandwidth_halving_quadruples_distance_term():
 
 
 def test_pairwise_matches_single_pair(rng):
-    pts = rng.normal(size=(5, 2))
-    data = dataset_from_euclidean(pts)
+    # far from the origin, |x|^2 + |y|^2 - 2 x.y would lose the digits of
+    # the differences; direct differences keep them
     spec = KernelSpec(EUCLIDEAN_GAUSSIAN, sigma=1.3)
-    d2 = pairwise_sq_distances(data, spec)
-    for i in range(5):
-        for j in range(5):
-            expect = float(np.sum((pts[i] - pts[j]) ** 2))
-            assert d2[i, j] == pytest.approx(expect, abs=1e-10)
+    for offset in (0.0, 1e5):
+        pts = rng.normal(size=(5, 3)) + offset
+        d2 = pairwise_sq_distances(dataset_from_euclidean(pts), spec)
+        for i in range(5):
+            for j in range(5):
+                diff = pts[i] - pts[j]
+                assert d2[i, j] == pytest.approx(float(diff @ diff), rel=1e-15, abs=0.0)
+        assert np.array_equal(d2, d2.T) and not d2.diagonal().any()
+    data = dataset_from_euclidean(pts)
     with pytest.raises(ValueError):
         pairwise_sq_distances(data, KernelSpec(RIEMANNIAN_GAUSSIAN_SPD, sigma=1.0))
 

@@ -238,7 +238,7 @@ def test_stacked_pricing_equals_single_blocks(deep, monkeypatch):
     rng = np.random.default_rng(16)
     n = 16
     x = rng.normal(size=(n, 2)) * (12.0 if deep else 1.0)
-    cfg = BsfConfig.from_values(KernelSpec(EUCLIDEAN_GAUSSIAN, sigma=1.0), lam=0.3)
+    cfg = BsfConfig(KernelSpec(EUCLIDEAN_GAUSSIAN, sigma=1.0), log_lambda=math.log(0.3))
     weights = BlockWeights(dataset_from_euclidean(x), cfg)
     const = cfg.log_delta_lambda
     routed = []

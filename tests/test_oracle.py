@@ -92,6 +92,26 @@ def test_scale_means_to_snr():
     scaled = scale_means_to_snr(spec, 10.0)
     assert scaled.snr == pytest.approx(10.0, rel=1e-12)
     assert scaled.max_cov_eigenvalue == spec.max_cov_eigenvalue
+    # scaled means whose distance would overflow when squared are refused
+    assert np.isfinite(scale_means_to_snr(spec, 1e100).min_mean_separation ** 2)
+    with pytest.raises(ValueError, match="too far apart"):
+        scale_means_to_snr(spec, 1e308)
+
+
+def test_specs_refuse_values_no_draw_could_use():
+    means, covs = ((0.0,), (3.0,)), (((1.0,),), ((1.0,),))
+    for weights in ((math.inf, 0.5), (math.nan, 1.0), (1e308, 1e308)):
+        with pytest.raises(ValueError, match="label weights"):
+            GaussianOracleSpec(means=means, covs=covs, weights=weights)
+    with pytest.raises(ValueError, match="means disagree on shape"):
+        ObjectOracleSpec(means=(np.eye(1), np.eye(2)), noise_scales=(0.1, 0.1))
+    for scale in (math.inf, math.nan, -0.1):
+        with pytest.raises(ValueError, match="noise scales"):
+            ObjectOracleSpec(means=(np.eye(2),), noise_scales=(scale,))
+    # an n past numpy's index range would fail inside the generator
+    for n in (0, 2**63, 10**308):
+        with pytest.raises(ValueError, match="n must be positive and at most"):
+            GaussianOracleSpec(means=means, covs=covs).check_size(n)
 
 
 def test_generate_spd_zero_noise_and_validity():

@@ -12,6 +12,7 @@ from bsf import posterior
 from bsf.posterior import (
     BlockWeights,
     BsfConfig,
+    ConfigError,
     class_weight_chunks,
     exact_posterior,
     expected_hamming,
@@ -64,7 +65,7 @@ def test_all_singletons_weight():
 def test_class_weight_adds_log_k_factorial():
     rng = np.random.default_rng(4)
     data = dataset_from_euclidean(rng.normal(size=(5, 1)))
-    weights = BlockWeights(data, BsfConfig.from_values(SPEC, lam=0.5))
+    weights = BlockWeights(data, BsfConfig(SPEC, log_lambda=math.log(0.5)))
     one = canonicalize([0, 0, 0, 0, 0])
     assert weights.class_weight(one) == pytest.approx(weights.labeled(one), abs=1e-12)
     three = canonicalize([0, 1, 2, 0, 1])
@@ -76,7 +77,7 @@ def test_class_weight_adds_log_k_factorial():
 def test_within_block_index_permutation_invariance():
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(6, 2))
-    cfg = BsfConfig.from_values(SPEC, lam=0.8)
+    cfg = BsfConfig(SPEC, log_lambda=math.log(0.8))
     part = canonicalize([0, 0, 0, 1, 1, 1])
     base = BlockWeights(dataset_from_euclidean(pts), cfg).labeled(part)
     # swap points inside each block; the partition is unchanged
@@ -88,7 +89,7 @@ def test_within_block_index_permutation_invariance():
 def test_global_label_invariance():
     rng = np.random.default_rng(6)
     data = dataset_from_euclidean(rng.normal(size=(7, 2)))
-    weights = BlockWeights(data, BsfConfig.from_values(SPEC, lam=0.4))
+    weights = BlockWeights(data, BsfConfig(SPEC, log_lambda=math.log(0.4)))
     raw = [0, 1, 2, 0, 1, 2, 1]
     base = weights.class_weight(canonicalize(raw))
     for _ in range(20):
@@ -101,7 +102,7 @@ def test_symmetric_three_points_equal_probabilities():
     # equilateral triangle: all pairwise kernels equal
     pts = [[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]]
     data = dataset_from_euclidean(pts)
-    cfg = BsfConfig.from_values(SPEC, lam=0.5)
+    cfg = BsfConfig(SPEC, log_lambda=math.log(0.5))
     table = exact_posterior(data, cfg, retain=True)
     two_cluster = [p for labels, p in class_probabilities(table).items() if max(labels) == 1]
     assert len(two_cluster) == 3
@@ -111,7 +112,7 @@ def test_symmetric_three_points_equal_probabilities():
 def test_map_tie_breaks_to_lexicographic_smallest():
     pts = [[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]]
     data = dataset_from_euclidean(pts)
-    cfg = BsfConfig.from_values(SPEC, lam=0.5)
+    cfg = BsfConfig(SPEC, log_lambda=math.log(0.5))
     table = exact_posterior(data, cfg, only_K=2)
     assert table.map_partition.labels == (0, 0, 1)
 
@@ -119,7 +120,7 @@ def test_map_tie_breaks_to_lexicographic_smallest():
 def test_posterior_ratio_properties():
     rng = np.random.default_rng(7)
     data = dataset_from_euclidean(rng.normal(size=(6, 2)))
-    cfg = BsfConfig.from_values(SPEC, lam=0.6)
+    cfg = BsfConfig(SPEC, log_lambda=math.log(0.6))
     weights = BlockWeights(data, cfg)
 
     def log_ratio(a, b):
@@ -137,7 +138,7 @@ def test_posterior_ratio_properties():
 def test_normalization_and_k_marginals():
     rng = np.random.default_rng(8)
     data = dataset_from_euclidean(rng.normal(size=(7, 1)))
-    cfg = BsfConfig.from_values(SPEC, lam=0.3)
+    cfg = BsfConfig(SPEC, log_lambda=math.log(0.3))
     table = exact_posterior(data, cfg, retain=True)
     assert sum(class_probabilities(table).values()) == pytest.approx(1.0, abs=1e-10)
     assert sum(table.k_marginals().values()) == pytest.approx(1.0, abs=1e-10)
@@ -148,19 +149,43 @@ def test_normalization_and_k_marginals():
     assert table.log_normalizer == pytest.approx(enumerated, abs=1e-10)
 
 
+def test_log_class_weights_do_not_move_with_the_origin():
+    # sigma 0.7 and log(delta lambda) -5, as in the mcmc-mixing benchmark
+    rng = np.random.default_rng(12)
+    # coordinates on a 2^-20 grid, so the shifted points are exact
+    points = np.round(rng.normal(scale=0.7, size=(7, 2)) * 2**20) / 2**20
+    cfg = BsfConfig(KernelSpec(EUCLIDEAN_GAUSSIAN, sigma=0.7), log_lambda=-5.0)
+    near, far = (exact_posterior(dataset_from_euclidean(points + shift), cfg, retain=True)
+                 for shift in (0.0, 1e5))
+    assert np.array_equal(near.labels, far.labels)
+    assert np.abs(near.log_weights - far.log_weights).max() <= 1e-12
+
+
+def test_block_weights_refuse_an_unpriceable_model():
+    data = dataset_from_euclidean([[0.0], [1.0], [3.0]])
+    # a class weight adds log(delta lambda) once per block, here up to three times
+    with pytest.raises(ConfigError, match="overflows over 3 blocks"):
+        BlockWeights(data, BsfConfig(SPEC, log_lambda=1e308))
+    BlockWeights(dataset_from_euclidean([[0.0]]), BsfConfig(SPEC, log_lambda=1e308))
+    # a bandwidth far below the data's scale sends the kernel to -inf
+    with np.errstate(over="ignore"):
+        with pytest.raises(ConfigError, match="non-finite kernel value"):
+            BlockWeights(dataset_from_euclidean([[0.0], [1e300]]), BsfConfig(SPEC))
+
+
 def _map_test_problems():
     rng = np.random.default_rng(9)
     for _ in range(10):
         data = dataset_from_euclidean(rng.normal(size=(6, 2)))
-        yield data, BsfConfig.from_values(SPEC, lam=float(rng.uniform(0.05, 2.0)))
+        yield data, BsfConfig(SPEC, log_lambda=math.log(float(rng.uniform(0.05, 2.0))))
     # points around four centres: some MAPs have three or more mixed blocks,
     # where a block sum in another order than the table's would show as a
     # last-digit difference
     for _ in range(30):
         centres = rng.integers(0, 4, size=7) * 5.0
         points = np.c_[centres + rng.normal(scale=0.4, size=7), rng.normal(scale=0.4, size=7)]
-        yield dataset_from_euclidean(points), BsfConfig.from_values(
-            SPEC, lam=float(rng.uniform(0.01, 0.5)))
+        yield dataset_from_euclidean(points), BsfConfig(
+            SPEC, log_lambda=math.log(float(rng.uniform(0.01, 0.5))))
 
 
 def test_map_from_dp_matches_enumeration():
@@ -179,7 +204,7 @@ def test_map_from_dp_matches_enumeration():
 def test_refinement_cell_decomposition_of_ratio():
     rng = np.random.default_rng(10)
     data = dataset_from_euclidean(rng.normal(size=(8, 2)))
-    cfg = BsfConfig.from_values(SPEC, lam=0.7)
+    cfg = BsfConfig(SPEC, log_lambda=math.log(0.7))
     weights = BlockWeights(data, cfg)
     log_dl = cfg.log_delta_lambda
 
@@ -211,13 +236,13 @@ def test_refinement_cell_decomposition_of_ratio():
 def test_restrictions_and_cap():
     rng = np.random.default_rng(11)
     data = dataset_from_euclidean(rng.normal(size=(6, 1)))
-    cfg = BsfConfig.from_values(SPEC, lam=0.5, enum_cap=6)
+    cfg = BsfConfig(SPEC, log_lambda=math.log(0.5), enum_cap=6)
     only2 = exact_posterior(data, cfg, only_K=2, retain=True)
     assert (only2.labels.max(axis=1) == 1).all()
     assert sum(class_probabilities(only2).values()) == pytest.approx(1.0, abs=1e-10)
     max1 = exact_posterior(data, cfg, max_K=1, retain=True)
     assert list(class_probabilities(max1).values()) == [pytest.approx(1.0)]
-    small_cap = BsfConfig.from_values(SPEC, lam=0.5, enum_cap=5)
+    small_cap = BsfConfig(SPEC, log_lambda=math.log(0.5), enum_cap=5)
     with pytest.raises(ValueError):
         exact_posterior(data, small_cap)
 
@@ -225,7 +250,7 @@ def test_restrictions_and_cap():
 def test_streaming_weights_match_table():
     rng = np.random.default_rng(12)
     data = dataset_from_euclidean(rng.normal(size=(6, 1)))
-    cfg = BsfConfig.from_values(SPEC, lam=0.5)
+    cfg = BsfConfig(SPEC, log_lambda=math.log(0.5))
     weights = BlockWeights(data, cfg)
     block_table = weights.precompute()
     streamed = [
@@ -249,7 +274,7 @@ def test_streaming_weights_match_table():
 def test_retained_table_is_the_concatenated_chunks():
     rng = np.random.default_rng(17)
     data = dataset_from_euclidean(rng.normal(size=(8, 2)))  # 4,140 classes: three chunks
-    weights = BlockWeights(data, BsfConfig.from_values(SPEC, lam=0.5))
+    weights = BlockWeights(data, BsfConfig(SPEC, log_lambda=math.log(0.5)))
     block_table = weights.precompute()
     for max_K, only_K in ((None, None), (3, None), (None, 3), (5, 3), (None, 8)):
         table = exact_posterior(data, weights.cfg, max_K=max_K, only_K=only_K, retain=True,
@@ -301,7 +326,7 @@ def test_map_ties_follow_rgs_order_on_integer_tables():
     rng = np.random.default_rng(14)
     for n in range(3, 8):
         data = dataset_from_euclidean(np.arange(float(n))[:, None])
-        cfg = BsfConfig.from_values(SPEC)
+        cfg = BsfConfig(SPEC)
         for table in _integer_tables(rng, n, 40):
             labels, lw = _first_rgs_maximum(table, n)
             for retain in (False, True):
@@ -319,7 +344,7 @@ def test_map_tie_compares_whole_completions():
         table[block] = 0.0
     data = dataset_from_euclidean(np.arange(5.0)[:, None])
     for retain in (False, True):
-        post = exact_posterior(data, BsfConfig.from_values(SPEC), retain=retain,
+        post = exact_posterior(data, BsfConfig(SPEC), retain=retain,
                                weights=_FixedTable(table))
         assert post.map_partition.labels == (0, 1, 1, 2, 2)
         assert post.map_log_weight == math.lgamma(4)
@@ -333,7 +358,7 @@ def test_map_ties_across_block_counts_follow_rgs_order():
     table[0b0011] = math.lgamma(3) - math.lgamma(4)
     assert math.lgamma(4) + table[0b0011] == math.lgamma(3)
     data = dataset_from_euclidean(np.arange(4.0)[:, None])
-    post = exact_posterior(data, BsfConfig.from_values(SPEC), retain=False,
+    post = exact_posterior(data, BsfConfig(SPEC), retain=False,
                            weights=_FixedTable(table))
     assert post.map_partition.labels == (0, 0, 1, 2)
     assert post.map_log_weight == math.lgamma(3)
@@ -342,7 +367,7 @@ def test_map_ties_across_block_counts_follow_rgs_order():
 def test_expected_hamming_and_block_weights_consistency():
     rng = np.random.default_rng(13)
     data = dataset_from_euclidean(rng.normal(size=(5, 1)))
-    cfg = BsfConfig.from_values(SPEC, lam=0.5)
+    cfg = BsfConfig(SPEC, log_lambda=math.log(0.5))
     weights = BlockWeights(data, cfg)
     truth = canonicalize([0, 0, 1, 1, 1])
     for only_K in (None, 2):
@@ -373,7 +398,8 @@ def test_forward_dp_matches_enumeration():
     rng = np.random.default_rng(15)
     for n in range(1, 9):
         data = dataset_from_euclidean(rng.normal(size=(n, 2)))
-        weights = BlockWeights(data, BsfConfig.from_values(SPEC, lam=float(rng.uniform(0.1, 2.0))))
+        cfg = BsfConfig(SPEC, log_lambda=math.log(float(rng.uniform(0.1, 2.0))))
+        weights = BlockWeights(data, cfg)
         block_table = weights.precompute()
         labeled = {}
         for part in _partitions(n):
@@ -429,7 +455,7 @@ def test_forward_dp_matches_backward_dp(n):
     rng = np.random.default_rng(16 + n)
     centres = rng.integers(0, 3, size=n) * 4.0
     data = dataset_from_euclidean(np.c_[centres + rng.normal(size=n), rng.normal(size=n)])
-    block_table = BlockWeights(data, BsfConfig.from_values(SPEC, lam=0.2)).precompute()
+    block_table = BlockWeights(data, BsfConfig(SPEC, log_lambda=math.log(0.2))).precompute()
     g_sum, g_max = posterior._forward_dp(block_table, n, n)
     # log weights to 1e-12 absolute: the weights to 1e-12 relative
     for reduce, forward in (("sum", g_sum), ("max", g_max)):

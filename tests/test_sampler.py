@@ -35,7 +35,7 @@ def tv_distance(freqs, exact):
 
 def test_single_point_chain_is_absorbing():
     data = dataset_from_euclidean([[0.0]])
-    cfg = BsfConfig.from_values(SPEC, lam=0.5)
+    cfg = BsfConfig(SPEC, log_lambda=math.log(0.5))
     summary = run_chain(data, cfg, iters=50, burnin=0, thin=1, seed=0)
     assert all(labels == (0,) for labels in summary.samples)
 
@@ -43,7 +43,7 @@ def test_single_point_chain_is_absorbing():
 def test_seed_determinism():
     rng = np.random.default_rng(0)
     data = dataset_from_euclidean(rng.normal(size=(6, 1)))
-    cfg = BsfConfig.from_values(SPEC, lam=0.4)
+    cfg = BsfConfig(SPEC, log_lambda=math.log(0.4))
     a = run_chain(data, cfg, iters=800, burnin=100, thin=2, seed=42)
     b = run_chain(data, cfg, iters=800, burnin=100, thin=2, seed=42)
     assert a.samples == b.samples
@@ -55,7 +55,7 @@ def test_seed_determinism():
 
 def test_burnin_schedule_and_validation():
     data = dataset_from_euclidean([[0.0], [2.0]])
-    cfg = BsfConfig.from_values(SPEC, lam=0.5)
+    cfg = BsfConfig(SPEC, log_lambda=math.log(0.5))
     one = run_chain(data, cfg, iters=10, burnin=9, thin=1, seed=1)
     assert one.n_samples == 1
     with pytest.raises(ValueError):
@@ -72,7 +72,7 @@ LOOKUPS = (FULL_TABLE_MAX_N, 0)
 def test_exhaustive_kernels_are_stationary(n, monkeypatch):
     rng = np.random.default_rng(7)
     data = dataset_from_euclidean(rng.normal(size=(n, 1)))
-    cfg = BsfConfig.from_values(SPEC, lam=0.7)
+    cfg = BsfConfig(SPEC, log_lambda=math.log(0.7))
     pi = np.array(list(class_probabilities(exact_posterior(data, cfg, retain=True)).values()))
     for table_max_n in LOOKUPS:
         monkeypatch.setattr(sampler, "FULL_TABLE_MAX_N", table_max_n)
@@ -103,7 +103,7 @@ def test_live_moves_sample_the_exact_kernels(monkeypatch):
     classes, index = _class_index(n)
     for table_max_n in LOOKUPS:
         monkeypatch.setattr(sampler, "FULL_TABLE_MAX_N", table_max_n)
-        weights = BlockWeights(data, BsfConfig.from_values(SPEC, lam=0.7))
+        weights = BlockWeights(data, BsfConfig(SPEC, log_lambda=math.log(0.7)))
         moves = [(split_merge_matrix(weights), split_merge_move),
                  (gibbs_sweep_matrix(weights), gibbs_sweep)]
         for seed, (exact, move) in enumerate(moves):
@@ -161,7 +161,7 @@ def test_split_acceptance_saturates_at_matched_weights():
 def test_empirical_frequencies_match_exact_small_n():
     rng = np.random.default_rng(11)
     data = dataset_from_euclidean(rng.normal(size=(5, 1)))
-    cfg = BsfConfig.from_values(SPEC, lam=0.5)
+    cfg = BsfConfig(SPEC, log_lambda=math.log(0.5))
     exact = class_probabilities(exact_posterior(data, cfg, retain=True))
     summary = run_chain(data, cfg, iters=30_000, burnin=3_000, thin=1, seed=3)
     assert tv_distance(summary.class_frequencies(), exact) < 0.05
@@ -187,7 +187,7 @@ def test_cocluster_blocks_on_separated_data():
 def test_merge_summaries_is_order_respecting():
     rng = np.random.default_rng(2)
     data = dataset_from_euclidean(rng.normal(size=(4, 1)))
-    cfg = BsfConfig.from_values(SPEC, lam=0.5)
+    cfg = BsfConfig(SPEC, log_lambda=math.log(0.5))
     a = run_chain(data, cfg, iters=300, burnin=50, thin=1, seed=1)
     b = run_chain(data, cfg, iters=300, burnin=50, thin=1, seed=2)
     merged = merge_summaries(a, b)
@@ -208,7 +208,7 @@ def test_cache_audit_detects_corruption(monkeypatch):
     # table, the store's dict otherwise
     rng = np.random.default_rng(3)
     data = dataset_from_euclidean(rng.normal(size=(5, 1)))
-    cfg = BsfConfig.from_values(SPEC, lam=0.5)
+    cfg = BsfConfig(SPEC, log_lambda=math.log(0.5))
     for table_max_n in LOOKUPS:
         monkeypatch.setattr(sampler, "FULL_TABLE_MAX_N", table_max_n)
         weights = BlockWeights(data, cfg)
@@ -225,7 +225,7 @@ def test_pricing_window_and_cache_bound_leave_the_chain_unchanged(monkeypatch):
     # n = 16 is above FULL_TABLE_MAX_N, so every block is priced lazily
     rng = np.random.default_rng(11)
     data = dataset_from_euclidean(rng.normal(size=(16, 1)) * 2.0)
-    cfg = BsfConfig.from_values(SPEC, lam=0.3)
+    cfg = BsfConfig(SPEC, log_lambda=math.log(0.3))
 
     def chain():
         return run_chain(data, cfg, iters=60, burnin=10, thin=1, seed=5)
@@ -260,7 +260,7 @@ def test_pricing_window_and_cache_bound_leave_the_chain_unchanged(monkeypatch):
 def test_chain_on_the_full_table_never_misses():
     rng = np.random.default_rng(12)
     data = dataset_from_euclidean(rng.normal(size=(7, 1)))
-    cfg = BsfConfig.from_values(SPEC, lam=0.3)
+    cfg = BsfConfig(SPEC, log_lambda=math.log(0.3))
     summary = run_chain(data, cfg, iters=50, burnin=0, thin=1, seed=1)
     assert summary.pricing == {"alone": 0, "stacked": 0, "stacks": 0, "evicted": 0}
 
@@ -293,7 +293,7 @@ def _reference_iteration(state, probs_seen):
 def test_moves_match_the_reference_sweep_in_lockstep(n):
     rng = np.random.default_rng(n)
     data = dataset_from_euclidean(rng.normal(size=(n, 1)) * 2.0)
-    cfg = BsfConfig.from_values(SPEC, lam=0.3)
+    cfg = BsfConfig(SPEC, log_lambda=math.log(0.3))
     live_weights, ref_weights = BlockWeights(data, cfg), BlockWeights(data, cfg)
     live = ChainState(live_weights, range(n), np.random.default_rng(9))
     ref = ChainState(ref_weights, range(n), np.random.default_rng(9))
