@@ -236,13 +236,21 @@ def _ints(values) -> tuple[int, ...]:
     return tuple(_int(v) for v in values)
 
 
+def _float(value) -> float:
+    """A float config value.  ``float`` alone would take ``true`` as 1.0, so
+    booleans are refused."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _floats(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+    return tuple(_float(v) for v in values)
 
 
 def _parse_kernel(raw: dict) -> KernelSpec:
-    return _Section(raw, "kernel").build(KernelSpec, family=str, sigma=float, zeta=float,
-                                         eta=float, graph_mode=str)
+    return _Section(raw, "kernel").build(KernelSpec, family=str, sigma=_float, zeta=_float,
+                                         eta=_float, graph_mode=str)
 
 
 def _parse_model(sec: _Section) -> tuple[Dataset, dict]:
@@ -255,7 +263,7 @@ def _parse_model(sec: _Section) -> tuple[Dataset, dict]:
         raise ConfigError(f"data must be a path string, got {path!r}")
     family = kernel.payload_family
     data = read_euclidean_csv(path) if family == EUCLIDEAN else read_matrix_stack(path, family)
-    return data, {"kernel": kernel, "log_lambda": sec.typed("log_delta_lambda", float, 0.0)}
+    return data, {"kernel": kernel, "log_lambda": sec.typed("log_delta_lambda", _float, 0.0)}
 
 
 def _parse_gaussian_oracle(raw: dict) -> GaussianOracleSpec:
@@ -272,20 +280,20 @@ def _parse_schedule(raw: dict):
     sec = _Section(raw, "schedule")
     kind = sec.take("kind")
     if kind == "fixed":
-        return sec.build(FixedSchedule, sigma2=float, log_delta_lambda=float)
+        return sec.build(FixedSchedule, sigma2=_float, log_delta_lambda=_float)
     if kind == "geometric":  # the key "base" sets the field geometric_base
-        return sec.build(FixedSchedule, {"geometric_base": sec.typed("base", float)},
-                         sigma2=float)
+        return sec.build(FixedSchedule, {"geometric_base": sec.typed("base", _float)},
+                         sigma2=_float)
     if kind == "snr":
-        return sec.build(SnrSchedule, alpha=float, iota=float)
+        return sec.build(SnrSchedule, alpha=_float, iota=_float)
     raise ConfigError(f"unknown schedule kind {kind!r}")
 
 
 def _parse_phi(raw) -> SeparationConstants:
     if raw is None:
         return DEFAULT_PHI
-    return _Section(raw, "phi").build(SeparationConstants, c1=float, c2=float,
-                                      iota1=float, iota2=float)
+    return _Section(raw, "phi").build(SeparationConstants, c1=_float, c2=_float,
+                                      iota1=_float, iota2=_float)
 
 
 def _parse_mcmc(raw) -> McmcSettings:
@@ -295,7 +303,7 @@ def _parse_mcmc(raw) -> McmcSettings:
 
 
 def _parse_rule(raw: dict) -> BandwidthRule:
-    return _Section(raw, "bandwidth_rule").build(BandwidthRule, fraction=float)
+    return _Section(raw, "bandwidth_rule").build(BandwidthRule, fraction=_float)
 
 
 def _ensure_out(out_dir: str) -> str:

@@ -27,6 +27,16 @@ gives the sum and the max tables; the K-sums are the sum table at ``(K,
 {})``.  The MAP is the max-DP walk-back, which breaks exact ties in the
 max DP to the lexicographically smallest restricted growth string.
 
+The transitions of an m-point universe form a pull table, built once per
+process by recurrence from the table of m - 1 points: segment bounds and
+two int32 columns, R and T, grouped in segments of equal ``Q = R \\ T``
+(ascending Q, then ascending T, the order the sums run in).  A depth runs
+in slabs of whole segments, about ``DP_SLAB_ROWS`` rows each, so its
+temporaries stay a few MB whatever n is.  What grows is the cached tables,
+8 bytes a row: about 86 MB for all tables up to m = 15, which an n = 16
+posterior uses.  Memory is what bounds the DP, so it runs at n <=
+``DP_MAX_N`` = 16 only, whatever the enumeration cap says.
+
 Per-class tables come from one enumeration core, :func:`class_weight_chunks`:
 bounded chunks of RGS label rows from :func:`bsf.partitions.rgs_chunks`,
 weighed by gathering block masks from the dense block table.  It feeds both
@@ -55,6 +65,10 @@ DEFAULT_ENUM_CAP = 12
 LOG_DET_CACHE_CAP = 1 << 20
 
 NEG_INF = float("-inf")
+# largest n the forward DP runs at: its pull tables hold about 86 MB at n = 16
+DP_MAX_N = 16
+# pull-table rows one slab of a forward-DP depth reads at once
+DP_SLAB_ROWS = 1 << 16
 
 
 class ConfigError(ValueError):
@@ -67,8 +81,9 @@ class CapError(ValueError):
 
 def check_cap(n: int, enum_cap: int, enumerates: bool) -> None:
     """Raise CapError unless n fits ``enum_cap``, and the enumeration core's
-    ``ENUM_CAP`` too when every class is enumerated."""
-    cap = min(enum_cap, ENUM_CAP) if enumerates else enum_cap
+    ``ENUM_CAP`` when every class is enumerated, or the forward DP's
+    ``DP_MAX_N`` when only the DP runs."""
+    cap = min(enum_cap, ENUM_CAP if enumerates else DP_MAX_N)
     if n > cap:
         raise CapError(f"n={n} exceeds the enumeration cap {cap}")
 
@@ -220,31 +235,52 @@ def _logsumexp(values: np.ndarray) -> float:
 
 
 # pull tables of the forward DP, keyed by universe size (data independent)
-_PULL_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+_PULL_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
-def _pull_table(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _pull_table(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every transition ``(R, T, Q = R \\ T)`` over an m-point universe with
     ``min R`` in ``T``, grouped by ``Q`` for ``reduceat``.
 
     Each point lies in Q, in T or in neither, and a row is kept when the
     lowest point of ``Q | T`` is in T: (3^m - 1)/2 rows.  Q never holds point
-    0 and every Q has the row ``T = {0}``, so segment i is ``Q = 2i``.
-    Returns segment starts, each row's segment, R and T.
+    0 and every Q has the row ``T = {0}``, so segment i is ``Q = 2i``; rows
+    run in ascending T within a segment.  Returns the 2^(m-1) + 1 segment
+    bounds, R and T (int32).
+
+    Table m grows from table m - 1 with ``b = 1 << (m - 1)``: a segment Q
+    without b is its old rows, then ``T = {b}`` when Q is empty, then its old
+    rows with b added to T; the segments ``Q | b`` follow, with the old T.
     """
     if m not in _PULL_CACHE:
-        t_arr = q_arr = np.zeros(1, dtype=np.intp)
-        for i in range(m):
-            bit = 1 << i
-            t_arr = np.concatenate([t_arr, t_arr | bit, t_arr])
-            q_arr = np.concatenate([q_arr, q_arr, q_arr | bit])
-        r_arr = t_arr | q_arr
-        keep = (r_arr & -r_arr & t_arr) != 0
-        order = np.argsort(q_arr[keep], kind="stable")
-        t_arr, r_arr = t_arr[keep][order], r_arr[keep][order]
-        seg = q_arr[keep][order] >> 1
-        starts = np.flatnonzero(np.diff(seg, prepend=-1))
-        _PULL_CACHE[m] = (starts, seg, r_arr, t_arr)
+        if m == 1:
+            one = np.ones(1, dtype=np.int32)
+            _PULL_CACHE[m] = (np.array([0, 1]), one, one)
+        else:
+            bounds, r_old, t_old = _pull_table(m - 1)
+            bit = 1 << (m - 1)
+            rows = len(r_old)
+            counts = np.diff(bounds)
+            added = counts.copy()
+            added[0] += 1
+            # marks the rows that segments without b copy unchanged from table m - 1
+            kept = np.repeat(np.tile([True, False], len(counts)),
+                             np.column_stack([counts, added]).ravel())
+            moved = ~kept
+            with_b = np.empty(rows + 1, dtype=np.int32)
+            with_b[0] = bit
+            tables = []
+            # R gains b in the segments Q | b, T does not
+            for old, tail_bit in ((r_old, bit), (t_old, 0)):
+                new = np.empty(3 * rows + 1, dtype=np.int32)
+                head = new[:2 * rows + 1]
+                head[kept] = old
+                np.bitwise_or(old, bit, out=with_b[1:])
+                head[moved] = with_b
+                np.bitwise_or(old, tail_bit, out=new[2 * rows + 1:])
+                tables.append(new)
+            segments = np.concatenate((counts + added, counts))
+            _PULL_CACHE[m] = (np.concatenate(([0], np.cumsum(segments))), *tables)
     return _PULL_CACHE[m]
 
 
@@ -260,17 +296,35 @@ def _forward_dp(block_table: np.ndarray, n: int, k_max: int) -> tuple[list, list
     order of :meth:`BlockWeights.class_weight`.  Depth 1 reads the block
     table; depth ``j + 1`` pulls over the (3^(n-j) - 1)/2 transitions of an
     (n-j)-point universe, and both DPs share one gather of block weights.
+
+    A depth runs in slabs of whole segments of about ``DP_SLAB_ROWS`` rows,
+    so its temporaries stay bounded; every ``reduceat`` group is the one a
+    single pass would reduce, so the floats do not depend on the slab size.
+    Each slab's int32 rows are cast to ``intp`` once, not on every gather.
     """
     full = (1 << n) - 1
     first = block_table[full ^ (np.arange(1 << (n - 1)) << 1)]
     g_sum, g_max = [None, first], [None, first]
     for j in range(1, k_max):
-        starts, seg, r_arr, t_arr = _pull_table(n - j)
-        w = block_table[t_arr << j]
-        g_max.append(np.maximum.reduceat(g_max[j][r_arr] + w, starts))
-        vals = g_sum[j][r_arr] + w
-        peak = np.maximum.reduceat(vals, starts)
-        g_sum.append(peak + np.log(np.add.reduceat(np.exp(vals - peak[seg]), starts)))
+        bounds, r_all, t_all = _pull_table(n - j)
+        segs = len(bounds) - 1
+        sum_prev, max_prev = g_sum[j], g_max[j]
+        sum_next, max_next = np.empty(segs), np.empty(segs)
+        # the segment holding every DP_SLAB_ROWS-th row opens a slab
+        firsts = np.searchsorted(bounds, np.arange(0, bounds[-1], DP_SLAB_ROWS), side="right")
+        cuts = list(dict.fromkeys((firsts - 1).tolist()))
+        for lo, hi in zip(cuts, cuts[1:] + [segs]):
+            rows = slice(bounds[lo], bounds[hi])
+            r_arr = r_all[rows].astype(np.intp)
+            w = block_table[np.left_shift(t_all[rows], j, dtype=np.intp)]
+            at = bounds[lo:hi] - bounds[lo]
+            np.maximum.reduceat(max_prev[r_arr] + w, at, out=max_next[lo:hi])
+            vals = sum_prev[r_arr] + w
+            peak = np.maximum.reduceat(vals, at)
+            vals -= np.repeat(peak, np.diff(bounds[lo:hi + 1]))
+            sum_next[lo:hi] = peak + np.log(np.add.reduceat(np.exp(vals, out=vals), at))
+        g_sum.append(sum_next)
+        g_max.append(max_next)
     return g_sum, g_max
 
 

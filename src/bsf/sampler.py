@@ -55,7 +55,7 @@ LOG2 = math.log(2.0)
 # a Gibbs site that misses a block prices it for itself and the next 15 sites
 PRICE_WINDOW = 16
 # largest n at which a ChainState reads the dense 2^n block table
-FULL_TABLE_MAX_N = 13
+FULL_TABLE_MAX_N = 16
 
 
 class ChainState:

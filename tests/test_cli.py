@@ -373,6 +373,25 @@ def test_exit_codes(tmp_path, toy_csv, capsys):
         ("experiment", {"oracle": two_clusters, "schedule": {"kind": "snr"},
                         "n_grid": [4, 1e308], "replicates": 1, "mode": "mcmc"}),
         ("exact", {**model, "data": three_points, "log_delta_lambda": 1e308}),
+        # a float key refuses a boolean, which float() would read as 1.0
+        ("exact", {**model, "kernel": {"family": "euclidean-gaussian", "sigma": True}}),
+        ("mcmc", {**model, "kernel": {"family": "euclidean-gaussian", "sigma": False}}),
+        ("exact", {**model, "log_delta_lambda": True}),
+        ("mcmc", {**model, "log_delta_lambda": True}),
+        ("exact", {**model, "kernel": {"family": "riemannian-gaussian-spd", "sigma": 1.0,
+                                       "zeta": True}}),
+        ("misclass", {"oracle": two_clusters, "snr_grid": [1.0, True], "n": 4,
+                      "replicates": 1}),
+        ("misclass", {"oracle": two_clusters, "snr_grid": [1.0], "n": 4, "replicates": 1,
+                      "bandwidth_rule": {"fraction": True}}),
+        ("experiment", {"oracle": two_clusters, "n_grid": [4], "replicates": 1,
+                        "schedule": {"kind": "fixed", "sigma2": True, "log_delta_lambda": 0.0}}),
+        ("experiment", {"oracle": two_clusters, "n_grid": [4], "replicates": 1,
+                        "schedule": {"kind": "geometric", "sigma2": 1.0, "base": True}}),
+        ("experiment", {"oracle": two_clusters, "schedule": {"kind": "snr", "alpha": True},
+                        "n_grid": [4], "replicates": 1}),
+        ("experiment", {"oracle": two_clusters, "schedule": {"kind": "snr"}, "n_grid": [4],
+                        "replicates": 1, "phi": {"iota2": True}}),
         # oracle values no draw could use
         ("experiment", {"oracle": {**two_clusters, "weights": [inf, 0.5]},
                         "schedule": {"kind": "snr"}, "n_grid": [4], "replicates": 1}),
@@ -390,24 +409,28 @@ def test_exit_codes(tmp_path, toy_csv, capsys):
         assert err.startswith("config error:") and "Traceback" not in err, err
     # the spd oracle names its own shape fault
     assert "means disagree on shape" in err
-    # a cap above the enumeration core's is a cap violation before any work
+    # a cap above the enumeration core's, or above the DP's for a run of the
+    # DP alone, is a cap violation before any work
     points = tmp_path / "fourteen.csv"
     points.write_text("".join(f"{i}.0\n" for i in range(14)))
     capped = [
         ("exact", {**model, "data": str(points), "enum_cap": 14}),
         ("misclass", {"oracle": two_clusters, "snr_grid": [1.0], "n": 14, "replicates": 1,
                       "enum_cap": 14}),
+        ("experiment", {"oracle": two_clusters, "schedule": {"kind": "snr"}, "n_grid": [17],
+                        "replicates": 1, "enum_cap": 17}),
     ]
     for i, (command, payload) in enumerate(capped):
         path, out = tmp_path / f"capped{i}.json", tmp_path / f"capped{i}"
         write_json(path, payload)
         argv = [command, "--config", str(path), "--out", str(out)]
-        if command == "misclass":
+        if command in ("experiment", "misclass"):
             argv += ["--workers", "1"]
         assert main(argv) == 4, command
         err = capsys.readouterr().err
         assert err.startswith("cap violation:") and "Traceback" not in err, err
-        assert not (out / "posterior_table.csv").exists()
+        assert not out.exists()
+    assert "exceeds the enumeration cap 16" in err
 
 
 _EUCLIDEAN_KERNEL = {"family": "euclidean-gaussian", "sigma": 1.0}

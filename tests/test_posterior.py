@@ -450,7 +450,7 @@ def _backward_dp(block_table, n, reduce):
     return table[:, -1]
 
 
-@pytest.mark.parametrize("n", [11, 12, 13])
+@pytest.mark.parametrize("n", [11, 12, 13, 14])
 def test_forward_dp_matches_backward_dp(n):
     rng = np.random.default_rng(16 + n)
     centres = rng.integers(0, 3, size=n) * 4.0
@@ -465,16 +465,40 @@ def test_forward_dp_matches_backward_dp(n):
 
 
 def test_pull_table_structure():
-    for m in range(1, 9):
-        starts, seg, r_arr, t_arr = posterior._pull_table(m)
-        assert len(r_arr) == (3 ** m - 1) // 2
-        pairs = sorted(zip(r_arr.tolist(), t_arr.tolist()))
-        expected = sorted(
-            (r, t) for r in range(1, 1 << m) for t in range(1, 1 << m)
-            if t & r == t and t & r & -r
-        )
-        assert pairs == expected  # each anchored pair exactly once
-        q_arr = r_arr ^ t_arr
-        assert (q_arr == 2 * seg).all()
-        assert (np.diff(seg) >= 0).all()
-        assert starts.tolist() == [int(np.searchsorted(seg, i)) for i in range(1 << (m - 1))]
+    for m in range(1, 10):
+        bounds, r_arr, t_arr = posterior._pull_table(m)
+        assert r_arr.dtype == t_arr.dtype == np.int32
+        assert len(r_arr) == len(t_arr) == bounds[-1] == (3 ** m - 1) // 2
+        # segment i holds Q = 2i, every anchored pair (R, T) with R \ T = Q
+        # in ascending T: the order the DP's sums run in
+        expected, expected_bounds = [], [0]
+        for q in range(0, 1 << m, 2):
+            expected += [(q | t, t) for t in range(1, 1 << m)
+                         if not t & q and (q | t) & -(q | t) & t]
+            expected_bounds.append(len(expected))
+        assert list(zip(r_arr.tolist(), t_arr.tolist())) == expected
+        assert bounds.tolist() == expected_bounds
+
+
+def test_forward_dp_does_not_depend_on_the_slab_size(monkeypatch):
+    rng = np.random.default_rng(18)
+    default = posterior.DP_SLAB_ROWS
+    for n in (1, 2, 5, 8, 10):
+        data = dataset_from_euclidean(rng.normal(size=(n, 2)) * 2.0)
+        cfg = BsfConfig(SPEC, log_lambda=math.log(0.3))
+        weights = BlockWeights(data, cfg)
+        block_table = weights.precompute()
+        runs = {}
+        for slab in (default, 1, 3, 50):
+            monkeypatch.setattr(posterior, "DP_SLAB_ROWS", slab)
+            dps = [posterior._forward_dp(block_table, n, k) for k in range(1, n + 1)]
+            tables = [exact_posterior(data, cfg, **{key: k}, weights=weights)
+                      for k in range(1, n + 1) for key in ("max_K", "only_K")]
+            runs[slab] = (
+                [b"".join(g.tobytes() for g in g_sum[1:] + g_max[1:]) for g_sum, g_max in dps],
+                [(t.log_normalizer, t.k_log_weights, t.map_partition, t.map_log_weight)
+                 for t in tables],
+            )
+        whole = runs.pop(default)
+        for slab, run in runs.items():
+            assert run == whole, (n, slab)

@@ -222,9 +222,9 @@ def test_cache_audit_detects_corruption(monkeypatch):
 
 
 def test_pricing_window_and_cache_bound_leave_the_chain_unchanged(monkeypatch):
-    # n = 16 is above FULL_TABLE_MAX_N, so every block is priced lazily
+    # n = 17 is above FULL_TABLE_MAX_N, so every block is priced lazily
     rng = np.random.default_rng(11)
-    data = dataset_from_euclidean(rng.normal(size=(16, 1)) * 2.0)
+    data = dataset_from_euclidean(rng.normal(size=(17, 1)) * 2.0)
     cfg = BsfConfig(SPEC, log_lambda=math.log(0.3))
 
     def chain():
@@ -255,6 +255,27 @@ def test_pricing_window_and_cache_bound_leave_the_chain_unchanged(monkeypatch):
     assert windowed.pricing["evicted"] == alone.pricing["evicted"] == 0
     assert bounded.pricing["evicted"] > 0
     assert max(stored) <= 0  # never past the cap plus the stack just stored
+
+
+@pytest.mark.parametrize("n", [14, 16])
+def test_chain_is_the_same_on_both_lookups(n, monkeypatch):
+    # up to FULL_TABLE_MAX_N the chain reads the dense table; the lazy store
+    # prices the same blocks to the same bits
+    rng = np.random.default_rng(n)
+    data = dataset_from_euclidean(rng.normal(size=(n, 1)) * 2.0)
+    cfg = BsfConfig(SPEC, log_lambda=math.log(0.3))
+    assert n <= FULL_TABLE_MAX_N
+    chains = []
+    for table_max_n in LOOKUPS:
+        monkeypatch.setattr(sampler, "FULL_TABLE_MAX_N", table_max_n)
+        chains.append(run_chain(data, cfg, iters=40, burnin=5, thin=1, seed=3))
+    full, lazy = chains
+    assert full.samples == lazy.samples
+    assert full.k_counts == lazy.k_counts
+    assert np.array_equal(full.cocluster_counts, lazy.cocluster_counts)
+    assert full.accept_counts == lazy.accept_counts
+    assert full.pricing["stacks"] == 0 < lazy.pricing["stacks"]
+    assert len(set(full.samples)) > 2  # the chain moved
 
 
 def test_chain_on_the_full_table_never_misses():
@@ -289,7 +310,7 @@ def _reference_iteration(state, probs_seen):
     split_merge_move(state)
 
 
-@pytest.mark.parametrize("n", [12, 16])  # the full table; lazy stacked pricing
+@pytest.mark.parametrize("n", [12, 17])  # the full table; lazy stacked pricing
 def test_moves_match_the_reference_sweep_in_lockstep(n):
     rng = np.random.default_rng(n)
     data = dataset_from_euclidean(rng.normal(size=(n, 1)) * 2.0)
