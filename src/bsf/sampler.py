@@ -25,10 +25,14 @@ Split-merge proposals and the exact matrices price a missing block alone.
 A block's value is the same bits whichever way priced it, so neither
 choice changes a chain.
 
-A Gibbs site normalizes its K + 1 scores with one ``np.exp`` and a numpy
-sum, whose bits (SIMD ``exp``, pairwise summation) the chain depends on,
-and does the rest in Python floats: the peak, and the inverse-CDF pick
-against one uniform per site, drawn for the whole sweep at once.
+A state keeps its blocks as bitmasks in ascending order, one form per
+partition.  A Gibbs site's conditional is a function of the other points'
+blocks, which leave out only the site's point, so :class:`ChainState`
+memoizes it on them, within ``MEMO_CAP`` entries.  A site that misses
+normalizes its K + 1 scores with one ``np.exp`` and a numpy sum, whose
+bits (SIMD ``exp``, pairwise summation) the chain depends on, and does
+the rest in Python floats: the peak, and the inverse-CDF pick against one
+uniform per site, drawn for the whole sweep at once.
 
 Determinism contract: a chain is a pure function of (data, config,
 schedule, seed).  Replicate-level streams are derived with
@@ -39,6 +43,7 @@ chains never share a stream.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import permutations
@@ -56,30 +61,37 @@ LOG2 = math.log(2.0)
 PRICE_WINDOW = 16
 # largest n at which a ChainState reads the dense 2^n block table
 FULL_TABLE_MAX_N = 16
+# entries at which a ChainState empties its memo of Gibbs conditionals
+MEMO_CAP = 1 << 11
 
 
 class ChainState:
-    """Mutable sampler state: block assignment plus the block-weight lookup.
+    """Mutable sampler state: the blocks plus the block-weight lookup.
 
-    ``slots[k]`` is the bitmask of block k; slot ids are compact but carry
-    no meaning.  Block weights live in the shared :class:`BlockWeights`
-    store, so coherence is auditable by recomputing the current blocks from
-    scratch.
+    ``slots`` holds the blocks as bitmasks in ascending order, the one
+    canonical form of a partition: a point's block is the mask holding its
+    bit, and every move keeps the list sorted.  Block weights live in the
+    shared :class:`BlockWeights` store, so coherence is auditable by
+    recomputing the current blocks from scratch.
 
     The lookup is chosen here, once, from n.  At n <= ``FULL_TABLE_MAX_N``,
     ``block`` subscripts ``table``, :meth:`BlockWeights.precompute` as a
     Python list, and ``window`` is 0.  Above it ``table`` is None, ``block``
     is :meth:`BlockWeights.block` and ``window`` is ``PRICE_WINDOW - 1``:
     the upcoming sites :func:`gibbs_sweep` passes a site to price ahead for.
+
+    ``memo`` maps ``tuple(slots)`` with a Gibbs site's point out, which names
+    the point too, to its conditional; it is emptied past ``MEMO_CAP``
+    entries, and ``memo_hits`` and ``memo_misses`` count its lookups.
     """
 
     def __init__(self, weights: BlockWeights, labels, rng: np.random.Generator | None = None):
         self.weights = weights
         self.n = weights.n
         self.rng = rng
-        canon = canonicalize(labels)
-        self.assign = list(canon.labels)
-        self.slots = canon.block_masks()
+        self.slots = sorted(canonicalize(labels).block_masks())
+        self.memo: dict[tuple[int, ...], list[float]] = {}
+        self.memo_hits = self.memo_misses = 0
         if self.n <= FULL_TABLE_MAX_N:
             self.table = weights.precompute().tolist()
             self.block = self.table.__getitem__
@@ -94,10 +106,15 @@ class ChainState:
         return len(self.slots)
 
     def rgs(self) -> tuple[int, ...]:
-        """Canonical labels of the current partition: slots renumbered in
-        order of first appearance, as :func:`canonicalize` would."""
-        first: dict[int, int] = {}
-        return tuple([first.setdefault(slot, len(first)) for slot in self.assign])
+        """Canonical labels of the current partition: blocks numbered in
+        order of their least point, as :func:`canonicalize` would."""
+        labels = [0] * self.n
+        for k, mask in enumerate(sorted(self.slots, key=lambda m: m & -m)):
+            while mask:
+                low = mask & -mask
+                labels[low.bit_length() - 1] = k
+                mask ^= low
+        return tuple(labels)
 
     def audit_cache(self, tol: float = CACHE_AUDIT_TOL) -> float:
         """Compare the block weights the moves read against fresh
@@ -110,16 +127,25 @@ class ChainState:
             raise RuntimeError(f"block-weight cache drifted by {worst:.3e}")
         return worst
 
-    def remove(self, i: int, upcoming=()) -> np.ndarray:
+    def find(self, i: int) -> int:
+        """The block holding point i."""
+        for mask in self.slots:
+            if mask >> i & 1:
+                return mask
+
+    def remove(self, i: int, upcoming=()) -> list[float]:
         """Take point i out of its block; return the probabilities of joining
-        each of the K blocks left and, last, of opening a singleton.
+        each of the K blocks left, in ``slots`` order, and, last, of opening
+        a singleton.
 
         Each is proportional to the class weight of the resulting partition:
         joining block B scores the weight increment of B, and a singleton
         scores ``log(K + 1)`` (the label-multiplicity gain) plus its weight.
+        They are a function of the blocks left, which name i too, so blocks
+        seen before return the list ``memo`` holds (shared: callers must not
+        change it), the bits a fresh computation gives, reading no block.
 
-        Scores are read through :attr:`block`, a list subscript on a full
-        table.  The peak is taken and subtracted in Python floats; the one
+        The peak is taken and subtracted in Python floats; the one
         ``np.exp`` and the numpy sum stay, since their bits are the chain's.
 
         ``upcoming`` holds the points the sweep visits next.  When the store
@@ -129,41 +155,47 @@ class ChainState:
         ``upcoming`` (the exact matrices, and chains on a full table) a
         missing block is priced alone.
         """
-        block = self.block
         bit = 1 << i
-        slot = self.assign[i]
-        remaining = self.slots[slot] ^ bit
-        if remaining == 0:
-            self._drop_slot(slot)
-        else:
-            self.slots[slot] = remaining
+        slots = self.slots
+        mask = self.find(i)
+        slots.remove(mask)
+        if mask != bit:
+            insort(slots, mask ^ bit)
+        key = tuple(slots)
+        memo = self.memo
+        probs = memo.get(key)
+        if probs is not None:
+            self.memo_hits += 1
+            return probs
+        self.memo_misses += 1
+        block = self.block
         if upcoming:
             weights = self.weights
-            missed = [mask for mask in self.slots if mask | bit not in weights]
+            missed = [mask for mask in slots if mask | bit not in weights]
             if missed:
                 weights.price([mask ^ (1 << t) for mask in missed for t in (i, *upcoming)])
-        scores = [block(mask | bit) - block(mask) for mask in self.slots]
+        scores = [block(mask | bit) - block(mask) for mask in slots]
         scores.append(math.log(self.K + 1) + block(bit))
         peak = max(scores)
         probs = np.exp(np.array([score - peak for score in scores]))
-        probs /= probs.sum()
+        probs = memo[key] = (probs / probs.sum()).tolist()
+        if len(memo) > MEMO_CAP:
+            memo.clear()
         return probs
 
     def place(self, i: int, choice: int) -> None:
-        """Put the removed point i into block ``choice`` (K: a new singleton)."""
-        if choice == self.K:
-            self.slots.append(1 << i)
-        else:
-            self.slots[choice] |= 1 << i
-        self.assign[i] = choice
+        """Put the removed point i into block ``choice`` of ``slots`` (K: a
+        new singleton)."""
+        slots = self.slots
+        insort(slots, (slots.pop(choice) if choice < len(slots) else 0) | 1 << i)
 
     def route_length(self, i: int, j: int) -> int:
         """Route bits a split of the picked pair takes: the other members of
         their common block, or 0 when they are in different blocks."""
-        slot = self.assign[i]
-        return self.slots[slot].bit_count() - 2 if slot == self.assign[j] else 0
+        mask = self.find(i)
+        return mask.bit_count() - 2 if mask >> j & 1 else 0
 
-    def propose(self, i: int, j: int, route) -> tuple[str, float, tuple[int, int, int]]:
+    def propose(self, i: int, j: int, route) -> tuple[str, float, tuple[tuple[int, ...], ...]]:
         """Split-merge proposal for the picked pair (i, j): the move ("split"
         or "merge"), its log acceptance ratio and the change for :meth:`commit`.
 
@@ -173,9 +205,8 @@ class ChainState:
         and the reverse merge is deterministic given the pair.
         """
         block = self.block
-        slot_i, slot_j = self.assign[i], self.assign[j]
-        if slot_i == slot_j:
-            mask = self.slots[slot_i]
+        mask = self.find(i)
+        if mask >> j & 1:
             m = mask.bit_count()
             part_a, part_b = 1 << i, 1 << j
             free = (t for t in range(self.n) if mask >> t & 1 and t != i and t != j)
@@ -189,41 +220,21 @@ class ChainState:
                 + block(part_a) + block(part_b) - block(mask)
                 + (m - 2) * LOG2
             )
-            return "split", log_acc, (slot_i, part_a, part_b)
-        mask_a, mask_b = self.slots[slot_i], self.slots[slot_j]
-        merged = mask_a | mask_b
+            return "split", log_acc, ((mask,), (part_a, part_b))
+        mask_b = self.find(j)
+        merged = mask | mask_b
         m = merged.bit_count()
         log_acc = (
             -math.log(self.K)
-            + block(merged) - block(mask_a) - block(mask_b)
+            + block(merged) - block(mask) - block(mask_b)
             - (m - 2) * LOG2
         )
-        return "merge", log_acc, (slot_i, slot_j, merged)
+        return "merge", log_acc, ((mask, mask_b), (merged,))
 
-    def commit(self, move: str, change: tuple[int, int, int]) -> None:
-        """Apply an accepted :meth:`propose` change."""
-        if move == "split":
-            slot, part_a, part_b = change
-            self.slots[slot] = part_a
-            self.slots.append(part_b)
-            self._relabel(part_b, len(self.slots) - 1)
-        else:
-            slot_i, slot_j, merged = change
-            self.slots[slot_i] = merged
-            self._relabel(self.slots[slot_j], slot_i)
-            self._drop_slot(slot_j)
-
-    def _relabel(self, mask: int, slot: int) -> None:
-        for t in range(self.n):
-            if mask >> t & 1:
-                self.assign[t] = slot
-
-    def _drop_slot(self, slot: int) -> None:
-        last = len(self.slots) - 1
-        if slot != last:
-            self.slots[slot] = self.slots[last]
-            self._relabel(self.slots[slot], slot)
-        self.slots.pop()
+    def commit(self, change: tuple[tuple[int, ...], ...]) -> None:
+        """Apply an accepted :meth:`propose` change: (blocks out, blocks in)."""
+        gone, made = change
+        self.slots = sorted(set(self.slots).difference(gone).union(made))
 
 
 def _pick(probs: list[float], u: float) -> int:
@@ -253,25 +264,29 @@ def gibbs_sweep(state: ChainState) -> ChainState:
     ahead = state.window
     for pos, i in enumerate(order):
         probs = state.remove(i, order[pos + 1:pos + 1 + ahead])
-        state.place(i, _pick(probs.tolist(), uniforms[pos]))
+        state.place(i, _pick(probs, uniforms[pos]))
     return state
 
 
 def split_merge_move(state: ChainState) -> tuple[ChainState, str, bool]:
-    """One split-merge Metropolis-Hastings proposal: the pair, a fair route
-    bit per other member of a block being split, then the acceptance
-    uniform.  Returns the state, the move type and whether it was accepted.
+    """One split-merge Metropolis-Hastings proposal: the pair, uniform over
+    the n (n - 1) ordered pairs of distinct points from one integer draw, a
+    fair route bit per other member of a block being split, then the
+    acceptance uniform.  Returns the state, the move type and whether it
+    was accepted.
     """
-    if state.n < 2:
+    n = state.n
+    if n < 2:
         raise ValueError("split-merge needs at least 2 points")
     rng = state.rng
-    i, j = (int(x) for x in rng.choice(state.n, size=2, replace=False))
+    i, j = divmod(int(rng.integers(n * (n - 1))), n - 1)
+    j += j >= i
     free = state.route_length(i, j)
     route = rng.random(free) < 0.5 if free else ()
     move, log_acc, change = state.propose(i, j, route)
     accepted = math.log(rng.random() or 5e-324) < log_acc
     if accepted:
-        state.commit(move, change)
+        state.commit(change)
     return state, move, accepted
 
 
@@ -287,6 +302,8 @@ class ChainSummary:
     accept_counts: dict[str, tuple[int, int]] = field(default_factory=dict)
     # block log-dets priced on lazy misses: BlockWeights.counters
     pricing: dict[str, int] = field(default_factory=dict)
+    # Gibbs conditionals read from ChainState.memo ("hits") and computed
+    memo: dict[str, int] = field(default_factory=dict)
 
     @property
     def k_histogram(self) -> dict[int, float]:
@@ -315,23 +332,23 @@ def merge_summaries(a: ChainSummary, b: ChainSummary) -> ChainSummary:
     """Associative reduction of summaries from independent chains."""
     if a.n != b.n:
         raise ValueError("summaries are over different n")
-    k_counts = dict(a.k_counts)
-    for k, c in b.k_counts.items():
-        k_counts[k] = k_counts.get(k, 0) + c
+
+    def add(x: dict, y: dict) -> dict:
+        return {key: x.get(key, 0) + y.get(key, 0) for key in x | y}
+
     accept: dict[str, tuple[int, int]] = dict(a.accept_counts)
     for move, (acc, prop) in b.accept_counts.items():
         a0, p0 = accept.get(move, (0, 0))
         accept[move] = (a0 + acc, p0 + prop)
-    pricing = {key: a.pricing.get(key, 0) + b.pricing.get(key, 0)
-               for key in a.pricing | b.pricing}
     return ChainSummary(
         n=a.n,
         n_samples=a.n_samples + b.n_samples,
-        k_counts=k_counts,
+        k_counts=add(a.k_counts, b.k_counts),
         cocluster_counts=a.cocluster_counts + b.cocluster_counts,
         samples=a.samples + b.samples,
         accept_counts=accept,
-        pricing=pricing,
+        pricing=add(a.pricing, b.pricing),
+        memo=add(a.memo, b.memo),
     )
 
 
@@ -350,17 +367,16 @@ class McmcSettings:
 
 def run_chain(data: Dataset, cfg: BsfConfig, iters: int, burnin: int, thin: int,
               seed: int) -> ChainSummary:
-    """Run one chain from the all-singletons state; deterministic per seed."""
+    """Run one chain from the all-singletons state; deterministic per seed.
+    K and co-clustering counts come from the tally of retained classes."""
     McmcSettings(iters, burnin, thin)  # raises on a bad schedule
     weights = BlockWeights(data, cfg)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     state = ChainState(weights, range(data.n), rng)
     n = data.n
-    k_counts: dict[int, int] = {}
-    cocluster = np.zeros((n, n), dtype=np.int64)
     samples: list[tuple[int, ...]] = []
+    tally: dict[tuple[int, ...], int] = {}
     accept = {"split": [0, 0], "merge": [0, 0]}
-    n_samples = 0
     for it in range(iters):
         gibbs_sweep(state)
         if n >= 2:
@@ -370,21 +386,25 @@ def run_chain(data: Dataset, cfg: BsfConfig, iters: int, burnin: int, thin: int,
         if it >= burnin and (it - burnin) % thin == 0:
             labels = state.rgs()
             samples.append(labels)
-            k = state.K
-            k_counts[k] = k_counts.get(k, 0) + 1
-            z = np.asarray(labels)
-            cocluster += (z[:, None] == z[None, :])
-            n_samples += 1
+            tally[labels] = tally.get(labels, 0) + 1
         if (it + 1) % CACHE_AUDIT_PERIOD == 0:
             state.audit_cache()
+    k_counts: dict[int, int] = {}
+    cocluster = np.zeros((n, n), dtype=np.int64)
+    for labels, count in tally.items():
+        k = max(labels) + 1
+        k_counts[k] = k_counts.get(k, 0) + count
+        z = np.asarray(labels)
+        cocluster += count * (z[:, None] == z[None, :])
     return ChainSummary(
         n=n,
-        n_samples=n_samples,
+        n_samples=len(samples),
         k_counts=k_counts,
         cocluster_counts=cocluster,
         samples=samples,
         accept_counts={move: (acc, prop) for move, (acc, prop) in accept.items()},
         pricing=dict(weights.counters),
+        memo={"hits": state.memo_hits, "misses": state.memo_misses},
     )
 
 
@@ -436,7 +456,7 @@ def split_merge_matrix(weights: BlockWeights) -> np.ndarray:
                 route = [pattern >> pos & 1 for pos in range(free)]
                 move, log_acc, change = state.propose(i, j, route)
                 acc = math.exp(min(0.0, log_acc))
-                state.commit(move, change)
+                state.commit(change)
                 mat[row, index[state.rgs()]] += prob * acc
                 mat[row, row] += prob * (1.0 - acc)
     return mat

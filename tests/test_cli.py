@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -595,8 +596,12 @@ def test_mcmc_outputs_and_determinism(tmp_path, toy_csv, capsys):
     header = (out1 / "samples.csv").read_text().splitlines()[0]
     assert header == "sample,partition_rgs"
     # two points: the full table is in, so no block is priced on a miss
-    assert "block log-dets priced on a miss: 0 alone, 0 in 0 stacks; 0 evicted" \
-        in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "block log-dets priced on a miss: 0 alone, 0 in 0 stacks; 0 evicted" in printed
+    # and each of the 400 x 2 Gibbs sites was a memo hit or a miss
+    hits, misses = (int(x) for x in re.search(
+        r"Gibbs conditionals: (\d+) memo hits, (\d+) misses", printed).groups())
+    assert hits + misses == 800 and hits > misses
 
 
 def test_gen_data_roundtrip(tmp_path):

@@ -198,6 +198,7 @@ def test_merge_summaries_is_order_respecting():
     )
     total_k = sum(merged.k_counts.values())
     assert total_k == merged.n_samples
+    assert merged.memo == {key: a.memo[key] + b.memo[key] for key in ("hits", "misses")}
     a.pricing = {"alone": 1, "stacked": 4, "stacks": 2, "evicted": 0}
     b.pricing = {"alone": 2, "stacked": 0, "stacks": 0, "evicted": 3}
     assert merge_summaries(a, b).pricing == {"alone": 3, "stacked": 4, "stacks": 2, "evicted": 3}
@@ -287,27 +288,32 @@ def test_chain_on_the_full_table_never_misses():
 
 
 def _reference_iteration(state, probs_seen):
-    # One iteration as the sampler ran before it read the block table as a
-    # list: weights.block lookups, numpy normalization, one scalar uniform
-    # per site and searchsorted over the cumulative sums.
+    # One iteration written out without the memo or the ChainState site
+    # methods: the other points' blocks sorted ascending, weights.block
+    # lookups, numpy normalization, one scalar uniform per site and
+    # searchsorted over the cumulative sums.
     rng, w = state.rng, state.weights
     for i in rng.permutation(state.n).tolist():
         bit = 1 << i
-        slot = state.assign[i]
-        remaining = state.slots[slot] ^ bit
-        if remaining == 0:
-            state._drop_slot(slot)
-        else:
-            state.slots[slot] = remaining
-        scores = [w.block(mask | bit) - w.block(mask) for mask in state.slots]
-        scores.append(math.log(state.K + 1) + w.block(bit))
+        others = sorted(mask & ~bit for mask in state.slots if mask & ~bit)
+        scores = [w.block(mask | bit) - w.block(mask) for mask in others]
+        scores.append(math.log(len(others) + 1) + w.block(bit))
         arr = np.asarray(scores, dtype=float)
         probs = np.exp(arr - arr.max())
         probs /= probs.sum()
         probs_seen.append(probs.tolist())
         choice = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-        state.place(i, min(choice, len(probs) - 1))
+        if choice < len(others):
+            others[choice] |= bit
+        else:  # the new singleton, scored last; the clamp
+            others.append(bit)
+        state.slots = sorted(others)
     split_merge_move(state)
+
+
+def _labels_of(blocks, n):
+    return canonicalize([next(k for k, mask in enumerate(blocks) if mask >> t & 1)
+                         for t in range(n)]).labels
 
 
 @pytest.mark.parametrize("n", [12, 17])  # the full table; lazy stacked pricing
@@ -325,7 +331,7 @@ def test_moves_match_the_reference_sweep_in_lockstep(n):
 
     def spy(i, upcoming=()):
         probs = remove(i, upcoming)
-        live_probs.append(probs.tolist())
+        live_probs.append(list(probs))
         return probs
 
     live.remove = spy
@@ -335,11 +341,11 @@ def test_moves_match_the_reference_sweep_in_lockstep(n):
         split_merge_move(live)
         _reference_iteration(ref, ref_probs)
         assert live_probs == ref_probs
-        assert live.assign == ref.assign
-        assert live.slots == ref.slots
-        assert live.rgs() == canonicalize(ref.assign).labels
+        assert live.slots == ref.slots == sorted(ref.slots)
+        assert live.rgs() == _labels_of(ref.slots, n)
         ks.add(live.K)
     assert len(ks) > 2  # the chain moved
+    assert live.memo_hits > 0  # the memo answered some of the sites compared
     assert live.rng.random() == ref.rng.random()  # both used the same draws
 
 
@@ -367,3 +373,54 @@ def test_pick_matches_clamped_searchsorted():
     for probs, u in cases:
         want = int(np.searchsorted(np.cumsum(probs), u, side="right"))
         assert _pick(probs, u) == min(want, len(probs) - 1), (probs, u)
+
+
+@pytest.mark.parametrize("n", [14, 17])  # the full table; the lazy store
+def test_memo_leaves_the_chain_unchanged_and_stays_bounded(n, monkeypatch):
+    rng = np.random.default_rng(n)
+    data = dataset_from_euclidean(rng.normal(size=(n, 1)) * 2.0)
+    cfg = BsfConfig(SPEC, log_lambda=math.log(0.3))
+    sizes = []
+    remove = ChainState.remove
+
+    def spy(self, i, upcoming=()):
+        probs = remove(self, i, upcoming)
+        sizes.append(len(self.memo))
+        return probs
+
+    monkeypatch.setattr(ChainState, "remove", spy)
+    chains, default_cap = {}, sampler.MEMO_CAP
+    for cap in (default_cap, 8, 0):
+        monkeypatch.setattr(sampler, "MEMO_CAP", cap)
+        sizes.clear()
+        chains[cap] = run_chain(data, cfg, iters=60, burnin=5, thin=1, seed=4)
+        assert max(sizes) <= cap
+    default = chains.pop(default_cap)
+    for cap, other in chains.items():
+        assert other.samples == default.samples
+        assert other.k_counts == default.k_counts
+        assert np.array_equal(other.cocluster_counts, default.cocluster_counts)
+        assert other.accept_counts == default.accept_counts
+        assert other.memo["hits"] + other.memo["misses"] == 60 * n
+    assert default.memo["hits"] > chains[8].memo["hits"] > chains[0].memo["hits"] == 0
+    assert len(set(default.samples)) > 2  # the chain moved
+
+
+def test_summary_equals_the_per_sample_accumulation():
+    rng = np.random.default_rng(6)
+    n = 7
+    data = dataset_from_euclidean(rng.normal(size=(n, 1)) * 2.0)
+    cfg = BsfConfig(SPEC, log_lambda=math.log(0.3))
+    summary = run_chain(data, cfg, iters=300, burnin=20, thin=3, seed=2)
+    k_counts: dict[int, int] = {}
+    cocluster = np.zeros((n, n), dtype=np.int64)
+    for labels in summary.samples:
+        k = max(labels) + 1
+        k_counts[k] = k_counts.get(k, 0) + 1
+        z = np.asarray(labels)
+        cocluster += (z[:, None] == z[None, :])
+    assert summary.n_samples == len(summary.samples) == 94
+    assert list(summary.k_counts.items()) == list(k_counts.items())
+    assert summary.cocluster_counts.dtype == cocluster.dtype
+    assert summary.cocluster_counts.tobytes() == cocluster.tobytes()
+    assert len(set(summary.samples)) > 2  # the chain moved
