@@ -30,15 +30,16 @@ Config keys, and flags besides ``--config`` (the JSON file) and ``--out``
 - ``verify``: no config.  Flags ``--trials`` and ``--seed``.
 
 Exit codes, each from one error class: 0 success; 1 a failed ``verify``
-check; 2 a ConfigError, raised while parsing here, by a harness's design
-check in ``experiments``, by ``experiments.config_check`` from a library
-type's own check, or by ``posterior.BlockWeights`` for a kernel or prior that
-overflows on the data; 3 an IngestionError from the ``data`` readers; 4 a
-CapError from ``posterior.check_cap``.  Unknown config keys are rejected.
-Each config section is built into its library type, whose field defaults and
-range checks are the section's own; the commands only parse and call the
-library.  Floats have 17 significant digits, so equal runs write
-byte-identical files.
+check; 2 a flag argparse refuses (a negative ``--seed``, or ``--trials`` or
+``--max-k`` below 1) or a ConfigError, raised while parsing here, by a
+harness's design check in ``experiments``, by ``experiments.config_check``
+from a library type's own check, or by ``posterior.BlockWeights`` for a
+kernel or prior that overflows on the data; 3 an IngestionError from the
+``data`` readers; 4 a CapError from ``posterior.check_cap``.  Unknown config
+keys are rejected.  Each config section is built into its library type, whose
+field defaults and range checks are the section's own; the commands only
+parse and call the library.  Floats have 17 significant digits, so equal runs
+write byte-identical files.
 """
 
 from __future__ import annotations
@@ -306,6 +307,17 @@ def _parse_rule(raw: dict) -> BandwidthRule:
     return _Section(raw, "bandwidth_rule").build(BandwidthRule, fraction=_float)
 
 
+def _flag_int(low: int):
+    """An argparse type: an integer of at least ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "integer"  # argparse names it in "invalid integer value"
+    return parse
+
+
 def _ensure_out(out_dir: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     return out_dir
@@ -320,13 +332,10 @@ def cmd_exact(args) -> int:
     data, model_fields = _parse_model(sec)
     model = sec.build(BsfConfig, model_fields, enum_cap=_int)
     check_cap(data.n, model.enum_cap, enumerates=True)
-    max_k = args.max_k
-    if max_k is not None and max_k < 1:
-        raise ConfigError("--max-k must be at least 1")
     out = _ensure_out(args.out)
     weights = BlockWeights(data, model)
-    table = exact_posterior(data, model, max_K=max_k, retain=False, weights=weights)
-    chunks = class_weight_chunks(weights.precompute(), data.n, max_K=max_k)
+    table = exact_posterior(data, model, max_K=args.max_k, retain=False, weights=weights)
+    chunks = class_weight_chunks(weights.precompute(), data.n, max_K=args.max_k)
     write_csv(os.path.join(out, "posterior_table.csv"),
               ("partition_rgs", "K", "log_weight", "probability"),
               chunks=_table_chunks(chunks, table.log_normalizer))
@@ -460,14 +469,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default="out", help="output directory")
         if seed:
-            p.add_argument("--seed", type=int, default=0, help="master seed")
+            p.add_argument("--seed", type=_flag_int(0), default=0, help="master seed")
         if workers:
             p.add_argument("--workers", type=int, default=max(1, os.cpu_count() or 1),
                            help="parallel replicate workers")
 
     p_exact = sub.add_parser("exact", help="enumerated posterior tables")
     common(p_exact, seed=False)
-    p_exact.add_argument("--max-k", type=int, default=None,
+    p_exact.add_argument("--max-k", type=_flag_int(1), default=None,
                          help="restrict to partitions with at most this many blocks")
     p_exact.set_defaults(fn=cmd_exact)
 
@@ -484,8 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mis.set_defaults(fn=cmd_misclass)
 
     p_ver = sub.add_parser("verify", help="determinant identity/inequality checks")
-    p_ver.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--trials", type=_flag_int(1), default=DEFAULT_TRIALS)
+    p_ver.add_argument("--seed", type=_flag_int(0), default=0)
     p_ver.set_defaults(fn=cmd_verify)
 
     p_gen = sub.add_parser("gen-data", help="sample an oracle dataset to disk")

@@ -171,15 +171,22 @@ def spanning_tree_log_weights(logw: np.ndarray) -> np.ndarray:
     return vals.sum(axis=1)
 
 
+def logsumexp(values: np.ndarray) -> float:
+    """``log(sum(exp(values)))``, shifted by the peak; -inf for an empty or
+    all -inf array."""
+    peak = float(values.max()) if values.size else -math.inf
+    if peak == -math.inf:
+        return -math.inf
+    return peak + math.log(float(np.exp(values - peak).sum()))
+
+
 def spanning_tree_weight_bruteforce(logw: np.ndarray) -> float:
     """Log of the sum over all labeled spanning trees of edge-weight products.
 
     Independent oracle for ``log |L[i]|``; capped at small n by the
     n^(n-2) enumeration.
     """
-    tree_logs = spanning_tree_log_weights(logw)
-    peak = float(tree_logs.max())
-    return peak + math.log(float(np.exp(tree_logs - peak).sum()))
+    return logsumexp(spanning_tree_log_weights(logw))
 
 
 def coarsened_laplacian(logw: np.ndarray, partition) -> WeightedLaplacian:
@@ -196,9 +203,7 @@ def coarsened_laplacian(logw: np.ndarray, partition) -> WeightedLaplacian:
     log_tau = np.zeros((k, k))
     for s in range(k):
         for t in range(s + 1, k):
-            vals = logw[np.ix_(blocks[s], blocks[t])].ravel()
-            peak = float(vals.max())
-            log_tau[s, t] = peak + math.log(float(np.exp(vals - peak).sum()))
+            log_tau[s, t] = logsumexp(logw[np.ix_(blocks[s], blocks[t])].ravel())
             log_tau[t, s] = log_tau[s, t]
     return laplacian_from_log_weights(log_tau)
 

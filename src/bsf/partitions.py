@@ -67,10 +67,6 @@ class Partition:
     def to_string(self) -> str:
         return ",".join(str(lab) for lab in self.labels)
 
-    @staticmethod
-    def from_string(text: str) -> "Partition":
-        return canonicalize([int(tok) for tok in text.split(",")])
-
 
 def canonicalize(raw_labels) -> Partition:
     """Relabel to restricted growth form; invariant under label bijections."""
@@ -133,62 +129,40 @@ def _grow(labels: np.ndarray, peaks: np.ndarray, pos: int, cap: int) -> Iterator
 
 
 def _max_assignments(mats: np.ndarray) -> np.ndarray:
-    """Largest total of each square integer matrix in a ``(B, k, k)`` stack
-    over permutations of its columns, by shortest augmenting paths with dual
-    potentials (the Hungarian method): O(k^3) per matrix, all B in step.
+    """Largest total of each matrix in a ``(B, rows, cols)`` stack of
+    non-negative integers over matchings of rows to columns, by a dynamic
+    program over column sets (Held and Karp), all B in step.
 
-    Rows join one at a time.  Each grows a tree of tight columns until it
-    reaches a free one, then flips the assignments along that path; the
-    potentials ``u`` and ``v`` keep every reduced cost ``-mat - u - v``
-    non-negative and zero on assigned pairs.  A matrix whose path is
-    complete sits out the rest of the steps of that row.
+    The stack is first turned so that ``cols <= rows``; the cost is then
+    O(rows cols 2^cols) per matrix, exponential in the smaller side only.
+    ``best[:, S]`` is the largest total of the rows seen so far matched into
+    the set ``S`` of columns.  Each row either stays unmatched or extends a
+    set by one column it lacks.  The entries are non-negative, so ``best``
+    may start at 0, and an optimum can always be grown to use every column:
+    ``best[:, -1]``, the set of all columns, is the answer.
     """
     mats = np.asarray(mats, dtype=np.int64)
-    B, k = mats.shape[:2]
-    cost = np.zeros((B, k + 1, k + 1))  # 1-based; column 0 is the root
-    cost[:, 1:, 1:] = -mats
-    u = np.zeros((B, k + 1))
-    v = np.zeros((B, k + 1))
-    owner = np.zeros((B, k + 1), dtype=np.int64)  # owner[b, j]: row assigned to column j
-    every = np.arange(B)
-    for row in range(1, k + 1):
-        owner[:, 0] = row
-        col = np.zeros(B, dtype=np.int64)
-        slack = np.full((B, k + 1), np.inf)
-        via = np.zeros((B, k + 1), dtype=np.int64)
-        used = np.zeros((B, k + 1), dtype=bool)
-        while (growing := owner[every, col] != 0).any():
-            b, c = every[growing], col[growing]
-            used[b, c] = True
-            i = owner[b, c]
-            reduced = cost[b, i] - u[b, i][:, None] - v[b]
-            free = ~used[b]
-            closer = free & (reduced < slack[b])
-            slack[b] = np.where(closer, reduced, slack[b])
-            via[b] = np.where(closer, c[:, None], via[b])
-            reach = np.where(free, slack[b], np.inf)
-            nxt = reach.argmin(axis=1)
-            delta = reach[np.arange(len(b)), nxt][:, None]
-            # the owners of one matrix's used columns are distinct rows
-            tree_b, tree_j = np.nonzero(~free)
-            u[b[tree_b], owner[b[tree_b], tree_j]] += delta[tree_b, 0]
-            v[b] -= np.where(free, 0.0, delta)
-            slack[b] -= np.where(free, delta, 0.0)
-            col[growing] = nxt
-        while (flipping := col != 0).any():
-            b, c = every[flipping], col[flipping]
-            prev = via[b, c]
-            owner[b, c] = owner[b, prev]
-            col[flipping] = prev
-    return mats[every[:, None], owner[:, 1:] - 1, np.arange(k)].sum(axis=1)
+    if mats.shape[2] > mats.shape[1]:
+        mats = mats.swapaxes(1, 2)
+    B, rows, cols = mats.shape
+    best = np.zeros((B, 1 << cols), dtype=np.int64)
+    for r in range(rows):
+        prev = best.copy()
+        for j in range(cols):
+            # axis 2 of these views is bit j of the set index
+            into, out_of = best.reshape(B, -1, 2, 1 << j), prev.reshape(B, -1, 2, 1 << j)
+            np.maximum(into[:, :, 1], out_of[:, :, 0] + mats[:, r, j, None, None],
+                       out=into[:, :, 1])
+    return best[:, -1]
 
 
 def hamming_distances(labels: np.ndarray, truth: Partition) -> np.ndarray:
     """Hamming distance to ``truth`` of each row of a ``(rows, n)`` array of
     non-negative labels, as in :func:`hamming_distance`.
 
-    The confusion counts of a run of rows are taken in one ``bincount`` and
-    their assignments solved together, ``RGS_CHUNK_ROWS`` rows at a time.
+    The ``(rows, K, truth.K)`` confusion counts of a run of rows are taken in
+    one ``bincount`` and their assignments solved together, ``RGS_CHUNK_ROWS``
+    rows at a time, in a table of ``2^min(K, truth.K)`` entries per row.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 2 or labels.shape[1] != truth.n:
@@ -197,19 +171,20 @@ def hamming_distances(labels: np.ndarray, truth: Partition) -> np.ndarray:
     out = np.empty(len(labels), dtype=np.int64)
     for start in range(0, len(labels), RGS_CHUNK_ROWS):
         chunk = labels[start:start + RGS_CHUNK_ROWS]
-        k = max(int(chunk.max()) + 1, truth.K)  # pad the smaller label set with empty blocks
-        cells = (np.arange(len(chunk))[:, None] * k + chunk) * k + np.asarray(truth.labels)
-        counts = np.bincount(cells.ravel(), minlength=len(chunk) * k * k)
-        out[start:start + len(chunk)] = n - _max_assignments(counts.reshape(-1, k, k))
+        k = int(chunk.max()) + 1
+        cells = (np.arange(len(chunk))[:, None] * k + chunk) * truth.K + np.asarray(truth.labels)
+        counts = np.bincount(cells.ravel(), minlength=len(chunk) * k * truth.K)
+        out[start:start + len(chunk)] = n - _max_assignments(counts.reshape(-1, k, truth.K))
     return out
 
 
 def hamming_distance(p1: Partition, p2: Partition) -> int:
     """Minimum label disagreements over bijections of cluster labels.
 
-    Solved exactly as ``n`` minus a maximum-weight assignment on the
-    confusion matrix; when the block counts differ the smaller label set is
-    padded with empty blocks so the distance stays well defined.
+    Solved exactly as ``n`` minus a maximum-weight matching on the confusion
+    matrix; when the block counts differ, the unmatched blocks of the larger
+    side count as disagreements, as if the smaller side were padded with
+    empty blocks.  The cost grows as 2 to the smaller block count.
     """
     if p1.n != p2.n:
         raise ValueError(f"length mismatch {p1.n} vs {p2.n}")

@@ -56,7 +56,7 @@ import numpy as np
 
 from .data import Dataset
 from .kernels import KernelSpec, log_weight_matrix
-from .linalg import all_block_log_dets, block_log_dets, subset_log_det
+from .linalg import all_block_log_dets, block_log_dets, logsumexp, subset_log_det
 from .partitions import ENUM_CAP, Partition, hamming_distances, rgs_chunks
 
 DEFAULT_ENUM_CAP = 12
@@ -225,13 +225,6 @@ class BlockWeights:
 
     def class_weight(self, partition: Partition) -> float:
         return math.lgamma(partition.K + 1) + self.labeled(partition)
-
-
-def _logsumexp(values: np.ndarray) -> float:
-    peak = float(values.max()) if values.size else NEG_INF
-    if peak == NEG_INF:
-        return NEG_INF
-    return peak + math.log(float(np.exp(values - peak).sum()))
 
 
 # pull tables of the forward DP, keyed by universe size (data independent)
@@ -464,7 +457,7 @@ def exact_posterior(data: Dataset, cfg: BsfConfig, max_K: int | None = None,
 
     g_sum, g_max = _forward_dp(block_table, n, max(allowed))
     k_log_weights = {k: math.lgamma(k + 1) + float(g_sum[k][0]) for k in allowed}
-    log_normalizer = _logsumexp(np.array(list(k_log_weights.values())))
+    log_normalizer = logsumexp(np.array(list(k_log_weights.values())))
     map_lws = {k: math.lgamma(k + 1) + float(g_max[k][0]) for k in allowed}
     map_lw = max(map_lws.values())
     memo: dict = {}

@@ -23,6 +23,7 @@ from .linalg import (
     laplacian_from_log_weights,
     log_det_L_plus_J,
     log_det_minor,
+    logsumexp,
     shifted_spectrum,
     spanning_tree_log_weights,
     spanning_tree_weight_bruteforce,
@@ -264,9 +265,7 @@ def _concat_forest_bruteforce(logw: np.ndarray, part) -> float | None:
     qualifies = (within_counts == (sizes - 1)[None, :]).all(axis=1)
     if not qualifies.any():
         return None
-    vals = tree_logs[qualifies]
-    peak = float(vals.max())
-    return peak + math.log(float(np.exp(vals - peak).sum()))
+    return logsumexp(tree_logs[qualifies])
 
 
 ALL_CHECKS = (

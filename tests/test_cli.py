@@ -557,6 +557,25 @@ def test_options_a_subcommand_does_not_read_are_rejected(argv, capsys):
     assert flag[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    *[(command, "--seed", "-1") for command in ("mcmc", "experiment", "misclass", "gen-data",
+                                                "verify")],
+    ("verify", "--trials", "0"),
+    ("verify", "--trials", "-1"),
+    ("exact", "--max-k", "0"),
+])
+def test_out_of_range_flags_exit_2_before_any_output(tmp_path, capsys, command, flag, value):
+    out = tmp_path / "o"
+    argv = [command, flag, value]
+    if command != "verify":
+        argv += ["--config", str(tmp_path / "c.json"), "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:  # from the parser, before the command runs
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and f"argument {flag}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["experiment", "misclass"])
 def test_replicate_harnesses_take_workers(command):
     args = build_parser().parse_args(

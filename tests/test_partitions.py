@@ -13,6 +13,7 @@ from bsf.partitions import (
     hamming_distance,
     rgs_chunks,
 )
+from bsf.posterior import DP_MAX_N
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 
@@ -52,7 +53,7 @@ def test_partition_validation():
     assert part.K == 3 and part.sizes == (2, 1, 1)
     assert part.blocks() == [[0, 2], [1], [3]]
     assert part.block_masks() == [0b0101, 0b0010, 0b1000]
-    assert Partition.from_string(part.to_string()) == part
+    assert part.to_string() == "0,1,0,2"
 
 
 def _block_counts(n, k_cap=None):
@@ -123,6 +124,9 @@ def test_hamming_examples():
     assert hamming_distance(Partition((0, 0, 0, 1)), Partition((0, 0, 1, 1))) == 1
     # unequal block counts get padded with empty blocks
     assert hamming_distance(Partition((0, 0, 0, 0)), Partition((0, 1, 2, 3))) == 3
+    # 40 blocks on one side: the matching table is indexed by the 2-block side
+    singletons, halves = Partition(tuple(range(40))), Partition((0,) * 20 + (1,) * 20)
+    assert hamming_distance(singletons, halves) == hamming_distance(halves, singletons) == 38
 
 
 def brute_force_hamming(p1, p2):
@@ -175,9 +179,17 @@ def test_assignment_solver_matches_scipy(rng):
         np.add.at(mat, (list(p1.labels), list(p2.labels)), 1)
         rows, cols = linear_sum_assignment(mat, maximize=True)
         assert hamming_distance(p1, p2) == n - mat[rows, cols].sum(), (p1, p2)
-    for k in range(1, 16):
-        # one stack, solved in step; small values give many tied optima
-        mats = rng.integers(0, 4, size=(40, k, k))
+    for k in range(1, DP_MAX_N + 1):
+        # one square stack, solved in step; small values give many tied optima, all
+        # zeros check the DP's zero start, and permutations a single optimum
+        perms = np.eye(k, dtype=np.int64)[np.array([rng.permutation(k) for _ in range(8)])]
+        for mats in (rng.integers(0, 4, size=(40, k, k)), np.zeros((8, k, k), dtype=np.int64),
+                     perms):
+            best = [mat[linear_sum_assignment(mat, maximize=True)].sum() for mat in mats]
+            assert partitions._max_assignments(mats).tolist() == best
+    for shape in [(40, 3, 9), (40, 9, 3), (8, 1, 12), (3, 40, 2)]:
+        # rectangular stacks: the DP runs over the sets of the smaller side
+        mats = rng.integers(0, 4, size=shape)
         best = [mat[linear_sum_assignment(mat, maximize=True)].sum() for mat in mats]
         assert partitions._max_assignments(mats).tolist() == best
 
