@@ -30,16 +30,16 @@ Config keys, and flags besides ``--config`` (the JSON file) and ``--out``
 - ``verify``: no config.  Flags ``--trials`` and ``--seed``.
 
 Exit codes, each from one error class: 0 success; 1 a failed ``verify``
-check; 2 a flag argparse refuses (a negative ``--seed``, or ``--trials`` or
-``--max-k`` below 1) or a ConfigError, raised while parsing here, by a
-harness's design check in ``experiments``, by ``experiments.config_check``
-from a library type's own check, or by ``posterior.BlockWeights`` for a
-kernel or prior that overflows on the data; 3 an IngestionError from the
-``data`` readers; 4 a CapError from ``posterior.check_cap``.  Unknown config
-keys are rejected.  Each config section is built into its library type, whose
-field defaults and range checks are the section's own; the commands only
-parse and call the library.  Floats have 17 significant digits, so equal runs
-write byte-identical files.
+check; 2 a flag argparse refuses (a negative ``--seed``, or ``--trials``,
+``--max-k`` or ``--workers`` below 1) or a ConfigError, raised while parsing
+here, by a harness's design check in ``experiments``, by
+``experiments.config_check`` from a library type's own check, or by
+``posterior.BlockWeights`` for a kernel or prior that overflows on the data;
+3 an IngestionError from the ``data`` readers; 4 a CapError from
+``posterior.check_cap``.  Unknown config keys are rejected.  Each config
+section is built into its library type, whose field defaults and range
+checks are the section's own; the commands only parse and call the library.
+Floats have 17 significant digits, so equal runs write byte-identical files.
 """
 
 from __future__ import annotations
@@ -471,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=_flag_int(0), default=0, help="master seed")
         if workers:
-            p.add_argument("--workers", type=int, default=max(1, os.cpu_count() or 1),
+            p.add_argument("--workers", type=_flag_int(1), default=max(1, os.cpu_count() or 1),
                            help="parallel replicate workers")
 
     p_exact = sub.add_parser("exact", help="enumerated posterior tables")

@@ -1,4 +1,4 @@
-"""Weighted graph Laplacians and stable log-determinants.
+"""Stable log-determinants of weighted graph Laplacian blocks.
 
 The clustering posterior is a product of determinants ``|L_V + J/|V||``
 over cluster blocks, where ``L_V`` is the Laplacian of the complete graph
@@ -22,153 +22,20 @@ does not depend on the stack it rides in, so every caller gets the same
 bits for it.
 
 The matrix-tree identity ``|L + J/n| = n |L[i]| = n * (sum over spanning
-trees of edge-weight products)`` is the correctness anchor.  The dense
-Cholesky determinants and a vectorized Prufer-sequence enumerator of all
-spanning trees are independent legs that check the kernel.
+trees of edge-weight products)`` is the correctness anchor.  The reference
+legs that check the kernel against it (dense Cholesky determinants, the
+eigen-shift prediction and spanning-tree enumeration) live in
+:mod:`bsf.theory`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-BRUTE_FORCE_CAP = 9  # n^(n-2) labeled trees; 9 -> 4.8e6
-
-# all-spanning-trees edge tables, keyed by node count (data independent)
-_TREE_CACHE: dict[int, np.ndarray] = {}
 # per-size subset masks and their members for the block table, keyed by n
 _MASK_CACHE: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-
-
-@dataclass(frozen=True)
-class WeightedLaplacian:
-    """Laplacian of a complete weighted graph, stored at unit scale.
-
-    ``scaled`` is the Laplacian of the weights ``exp(logw - log_scale)``;
-    ``log_scale`` is the factored-out maximum log weight, so determinant
-    results of (n-1)-degree in the weights are corrected by adding
-    ``(n - 1) * log_scale``.
-    """
-
-    scaled: np.ndarray
-    log_scale: float
-
-    def __post_init__(self):
-        mat = np.asarray(self.scaled, dtype=float)
-        object.__setattr__(self, "scaled", mat)
-
-    @property
-    def n(self) -> int:
-        return self.scaled.shape[0]
-
-    def dense(self) -> np.ndarray:
-        """Laplacian in the original weights; overflows for extreme scales."""
-        return self.scaled * math.exp(self.log_scale)
-
-
-def laplacian_from_log_weights(logw: np.ndarray) -> WeightedLaplacian:
-    """Build a scaled Laplacian from a symmetric matrix of log edge weights."""
-    logw = np.asarray(logw, dtype=float)
-    m = logw.shape[0]
-    if m == 1:
-        return WeightedLaplacian(np.zeros((1, 1)), 0.0)
-    off = ~np.eye(m, dtype=bool)
-    scale = float(logw[off].max())
-    w = np.zeros((m, m))
-    w[off] = np.exp(logw[off] - scale)
-    lap = -w
-    np.fill_diagonal(lap, w.sum(axis=1))
-    return WeightedLaplacian(lap, scale)
-
-
-def log_det_L_plus_J(lap: WeightedLaplacian) -> float:
-    """``log |L + J/n|`` in the original weights.
-
-    ``L + J/n`` is symmetric positive definite for strictly positive
-    weights, so a Cholesky factorization of the scaled matrix succeeds;
-    failure signals a numerically indefinite input.
-    """
-    m = lap.n
-    if m == 1:
-        return 0.0
-    chol = np.linalg.cholesky(lap.scaled + 1.0 / m)
-    return 2.0 * float(np.log(np.diag(chol)).sum()) + (m - 1) * lap.log_scale
-
-
-def log_det_minor(lap: WeightedLaplacian, drop: int = 0) -> float:
-    """``log |L[drop]|`` in the original weights; independent of ``drop``."""
-    m = lap.n
-    if m < 2:
-        raise ValueError("principal minor needs at least 2 nodes")
-    if not 0 <= drop < m:
-        raise ValueError(f"drop index {drop} out of range for n={m}")
-    keep = [i for i in range(m) if i != drop]
-    chol = np.linalg.cholesky(lap.scaled[np.ix_(keep, keep)])
-    return 2.0 * float(np.log(np.diag(chol)).sum()) + (m - 1) * lap.log_scale
-
-
-def shifted_spectrum(lap: WeightedLaplacian, a: float, b: float) -> np.ndarray:
-    """Predicted eigenvalues of ``L + aI + bJ`` from the spectrum of ``L``.
-
-    The constant vector is an eigenvector of both ``L`` (eigenvalue 0) and
-    ``J`` (eigenvalue n), so the predicted multiset is ``{lambda_i + a}``
-    over the n-1 non-constant eigendirections plus ``n b + a``.  Returned
-    sorted; intended for diagnostics at moderate weight scales.
-    """
-    dense = lap.dense()
-    ev = np.linalg.eigvalsh(dense)
-    predicted = np.concatenate([ev[1:] + a, [lap.n * b + a]])
-    return np.sort(predicted)
-
-
-def _all_tree_edges(n: int) -> np.ndarray:
-    """Edge lists of all n^(n-2) labeled spanning trees on [n].
-
-    Decodes every Prufer sequence at once with vectorized bookkeeping.
-    Returns an int array of shape ``(n^(n-2), n-1, 2)``.
-    """
-    if n == 2:
-        return np.array([[[0, 1]]], dtype=np.int8)
-    count = n ** (n - 2)
-    seqs = np.indices((n,) * (n - 2), dtype=np.int8).reshape(n - 2, count).T
-    degree = np.ones((count, n), dtype=np.int16)
-    np.add.at(degree, (np.arange(count)[:, None], seqs.astype(np.intp)), 1)
-    edges = np.empty((count, n - 1, 2), dtype=np.int8)
-    rows = np.arange(count)
-    for k in range(n - 2):
-        leaf = np.argmax(degree == 1, axis=1)
-        other = seqs[:, k].astype(np.intp)
-        edges[:, k, 0] = leaf
-        edges[:, k, 1] = other
-        degree[rows, leaf] -= 1
-        degree[rows, other] -= 1
-    first = np.argmax(degree == 1, axis=1)
-    degree[rows, first] -= 1
-    second = np.argmax(degree == 1, axis=1)
-    edges[:, n - 2, 0] = first
-    edges[:, n - 2, 1] = second
-    return edges
-
-
-def all_spanning_tree_edges(n: int) -> np.ndarray:
-    if n < 2:
-        raise ValueError("spanning trees need at least 2 nodes")
-    if n > BRUTE_FORCE_CAP:
-        raise ValueError(f"brute-force enumeration capped at n <= {BRUTE_FORCE_CAP}")
-    if n not in _TREE_CACHE:
-        _TREE_CACHE[n] = _all_tree_edges(n)
-    return _TREE_CACHE[n]
-
-
-def spanning_tree_log_weights(logw: np.ndarray) -> np.ndarray:
-    """Log weight (sum of log edge weights) of every labeled spanning tree."""
-    logw = np.asarray(logw, dtype=float)
-    n = logw.shape[0]
-    edges = all_spanning_tree_edges(n)
-    vals = logw[edges[..., 0].astype(np.intp), edges[..., 1].astype(np.intp)]
-    return vals.sum(axis=1)
 
 
 def logsumexp(values: np.ndarray) -> float:
@@ -178,34 +45,6 @@ def logsumexp(values: np.ndarray) -> float:
     if peak == -math.inf:
         return -math.inf
     return peak + math.log(float(np.exp(values - peak).sum()))
-
-
-def spanning_tree_weight_bruteforce(logw: np.ndarray) -> float:
-    """Log of the sum over all labeled spanning trees of edge-weight products.
-
-    Independent oracle for ``log |L[i]|``; capped at small n by the
-    n^(n-2) enumeration.
-    """
-    return logsumexp(spanning_tree_log_weights(logw))
-
-
-def coarsened_laplacian(logw: np.ndarray, partition) -> WeightedLaplacian:
-    """Laplacian on the K blocks with aggregated cross weights.
-
-    Edge weight between blocks s and t is the sum of all kernel values
-    over cross pairs, accumulated in the log domain.
-    """
-    logw = np.asarray(logw, dtype=float)
-    blocks = partition.blocks()
-    k = len(blocks)
-    if k == 1:
-        return WeightedLaplacian(np.zeros((1, 1)), 0.0)
-    log_tau = np.zeros((k, k))
-    for s in range(k):
-        for t in range(s + 1, k):
-            log_tau[s, t] = logsumexp(logw[np.ix_(blocks[s], blocks[t])].ravel())
-            log_tau[t, s] = log_tau[s, t]
-    return laplacian_from_log_weights(log_tau)
 
 
 # scaled weights below the smallest normal float (e^-708) lose precision

@@ -439,32 +439,9 @@ def posterior_concentration_log_bound(stats: SeparationStats, k_true: int, n: in
     if not finite:
         return NEG_INF
     peak = max(finite)
-    total = peak + math.log(sum(math.exp(t - peak) for t in finite))
+    mass = 0.0  # left to right: sum() compensates floats on Python >= 3.12
+    for t in finite:
+        mass += math.exp(t - peak)
+    total = peak + math.log(mass)
     inflation = (k_true - 1) * math.exp(log_n_eps_over_gamma)
     return total + inflation - math.lgamma(k_true + 1)
-
-
-def estimate_pair_tail_probs(spec: GaussianOracleSpec, thresholds: SeparationThresholds,
-                             draws: int, seed) -> tuple[float, float]:
-    """Monte Carlo estimates of the two pair-level tail probabilities:
-    the worst chance a cross-cluster squared distance falls under the floor
-    and the worst chance a within-cluster squared distance clears the
-    ceiling.  The component distributions are arbitrary by design, so this
-    is estimated rather than computed in closed form."""
-    rng = np.random.default_rng(seed)
-    chols = [np.linalg.cholesky(c) for c in spec.covs]
-
-    def draw(k):
-        return spec.means[k] + rng.standard_normal((draws, spec.dim)) @ chols[k].T
-
-    worst_cross = 0.0
-    if thresholds.cross_min_sq is not None:
-        for a in range(spec.k_true):
-            for b in range(a + 1, spec.k_true):
-                d2 = np.sum((draw(a) - draw(b)) ** 2, axis=1)
-                worst_cross = max(worst_cross, float((d2 < thresholds.cross_min_sq).mean()))
-    worst_within = 0.0
-    for k in range(spec.k_true):
-        d2 = np.sum((draw(k) - draw(k)) ** 2, axis=1)
-        worst_within = max(worst_within, float((d2 > thresholds.within_max_sq).mean()))
-    return worst_cross, worst_within

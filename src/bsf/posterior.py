@@ -486,5 +486,7 @@ def expected_hamming(table: PosteriorTable, truth: Partition) -> float:
     if table.labels is None:
         raise ValueError("expected_hamming needs a retained table")
     dists = hamming_distances(table.labels, truth)
-    return sum(math.exp(lw - table.log_normalizer) * d
-               for lw, d in zip(table.log_weights.tolist(), dists.tolist()))
+    total = 0.0  # left to right: sum() compensates floats on Python >= 3.12
+    for lw, d in zip(table.log_weights.tolist(), dists.tolist()):
+        total += math.exp(lw - table.log_normalizer) * d
+    return total

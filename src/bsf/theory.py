@@ -7,6 +7,11 @@ plain determinants, brute-force tree enumeration), and reports the worst
 signed violation.  Inequalities are asserted in the log domain with an
 additive tolerance, which sidesteps catastrophic cancellation when an
 instance sits near equality.
+
+The reference legs that check the block log-det kernel of :mod:`bsf.linalg`
+live here, and the kernel's tests use them too: dense Cholesky determinants,
+the eigen-shift prediction, Prufer enumeration of all labeled spanning trees
+(up to ``BRUTE_FORCE_CAP`` nodes) and the block-coarsened Laplacian.
 """
 
 from __future__ import annotations
@@ -16,19 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    WeightedLaplacian,
-    all_spanning_tree_edges,
-    coarsened_laplacian,
-    laplacian_from_log_weights,
-    log_det_L_plus_J,
-    log_det_minor,
-    logsumexp,
-    shifted_spectrum,
-    spanning_tree_log_weights,
-    spanning_tree_weight_bruteforce,
-    subset_log_det,
-)
+from .linalg import logsumexp, subset_log_det
 from .partitions import canonicalize
 
 LOG_TOL = 1e-9
@@ -37,6 +30,161 @@ DET_TOL = 1e-8
 DEFAULT_TRIALS = 1000
 # largest n whose concatenated forests are enumerated outright
 IDENTITY_CAP = 6
+BRUTE_FORCE_CAP = 9  # n^(n-2) labeled trees; 9 -> 4.8e6
+
+# all-spanning-trees edge tables, keyed by node count (data independent)
+_TREE_CACHE: dict[int, np.ndarray] = {}
+
+
+@dataclass(frozen=True)
+class WeightedLaplacian:
+    """Laplacian of a complete weighted graph, stored at unit scale.
+
+    ``scaled`` is the Laplacian of the weights ``exp(logw - log_scale)``;
+    ``log_scale`` is the factored-out maximum log weight, so determinant
+    results of (n-1)-degree in the weights are corrected by adding
+    ``(n - 1) * log_scale``.
+    """
+
+    scaled: np.ndarray
+    log_scale: float
+
+    @property
+    def n(self) -> int:
+        return self.scaled.shape[0]
+
+    def dense(self) -> np.ndarray:
+        """Laplacian in the original weights; overflows for extreme scales."""
+        return self.scaled * math.exp(self.log_scale)
+
+
+def laplacian_from_log_weights(logw: np.ndarray) -> WeightedLaplacian:
+    """Build a scaled Laplacian from a symmetric matrix of log edge weights."""
+    logw = np.asarray(logw, dtype=float)
+    m = logw.shape[0]
+    if m == 1:
+        return WeightedLaplacian(np.zeros((1, 1)), 0.0)
+    off = ~np.eye(m, dtype=bool)
+    scale = float(logw[off].max())
+    w = np.zeros((m, m))
+    w[off] = np.exp(logw[off] - scale)
+    lap = -w
+    np.fill_diagonal(lap, w.sum(axis=1))
+    return WeightedLaplacian(lap, scale)
+
+
+def log_det_L_plus_J(lap: WeightedLaplacian) -> float:
+    """``log |L + J/n|`` in the original weights.
+
+    ``L + J/n`` is symmetric positive definite for strictly positive
+    weights, so a Cholesky factorization of the scaled matrix succeeds;
+    failure signals a numerically indefinite input.
+    """
+    m = lap.n
+    if m == 1:
+        return 0.0
+    chol = np.linalg.cholesky(lap.scaled + 1.0 / m)
+    return 2.0 * float(np.log(np.diag(chol)).sum()) + (m - 1) * lap.log_scale
+
+
+def log_det_minor(lap: WeightedLaplacian, drop: int = 0) -> float:
+    """``log |L[drop]|`` in the original weights; independent of ``drop``."""
+    m = lap.n
+    if m < 2:
+        raise ValueError("principal minor needs at least 2 nodes")
+    if not 0 <= drop < m:
+        raise ValueError(f"drop index {drop} out of range for n={m}")
+    keep = [i for i in range(m) if i != drop]
+    chol = np.linalg.cholesky(lap.scaled[np.ix_(keep, keep)])
+    return 2.0 * float(np.log(np.diag(chol)).sum()) + (m - 1) * lap.log_scale
+
+
+def shifted_spectrum(lap: WeightedLaplacian, a: float, b: float) -> np.ndarray:
+    """Predicted eigenvalues of ``L + aI + bJ`` from the spectrum of ``L``.
+
+    The constant vector is an eigenvector of both ``L`` (eigenvalue 0) and
+    ``J`` (eigenvalue n), so the predicted multiset is ``{lambda_i + a}``
+    over the n-1 non-constant eigendirections plus ``n b + a``.  Returned
+    sorted; intended for diagnostics at moderate weight scales.
+    """
+    dense = lap.dense()
+    ev = np.linalg.eigvalsh(dense)
+    predicted = np.concatenate([ev[1:] + a, [lap.n * b + a]])
+    return np.sort(predicted)
+
+
+def _all_tree_edges(n: int) -> np.ndarray:
+    """Edge lists of all n^(n-2) labeled spanning trees on [n].
+
+    Decodes every Prufer sequence at once with vectorized bookkeeping.
+    Returns an int array of shape ``(n^(n-2), n-1, 2)``.
+    """
+    if n == 2:
+        return np.array([[[0, 1]]], dtype=np.int8)
+    count = n ** (n - 2)
+    seqs = np.indices((n,) * (n - 2), dtype=np.int8).reshape(n - 2, count).T
+    degree = np.ones((count, n), dtype=np.int16)
+    np.add.at(degree, (np.arange(count)[:, None], seqs.astype(np.intp)), 1)
+    edges = np.empty((count, n - 1, 2), dtype=np.int8)
+    rows = np.arange(count)
+    for k in range(n - 2):
+        leaf = np.argmax(degree == 1, axis=1)
+        other = seqs[:, k].astype(np.intp)
+        edges[:, k, 0] = leaf
+        edges[:, k, 1] = other
+        degree[rows, leaf] -= 1
+        degree[rows, other] -= 1
+    first = np.argmax(degree == 1, axis=1)
+    degree[rows, first] -= 1
+    second = np.argmax(degree == 1, axis=1)
+    edges[:, n - 2, 0] = first
+    edges[:, n - 2, 1] = second
+    return edges
+
+
+def all_spanning_tree_edges(n: int) -> np.ndarray:
+    if n < 2:
+        raise ValueError("spanning trees need at least 2 nodes")
+    if n > BRUTE_FORCE_CAP:
+        raise ValueError(f"brute-force enumeration capped at n <= {BRUTE_FORCE_CAP}")
+    if n not in _TREE_CACHE:
+        _TREE_CACHE[n] = _all_tree_edges(n)
+    return _TREE_CACHE[n]
+
+
+def spanning_tree_log_weights(logw: np.ndarray) -> np.ndarray:
+    """Log weight (sum of log edge weights) of every labeled spanning tree."""
+    logw = np.asarray(logw, dtype=float)
+    n = logw.shape[0]
+    edges = all_spanning_tree_edges(n)
+    vals = logw[edges[..., 0].astype(np.intp), edges[..., 1].astype(np.intp)]
+    return vals.sum(axis=1)
+
+
+def spanning_tree_weight_bruteforce(logw: np.ndarray) -> float:
+    """Log of the sum over all labeled spanning trees of edge-weight products.
+
+    Independent oracle for ``log |L[i]|``; capped at small n by the
+    n^(n-2) enumeration.
+    """
+    return logsumexp(spanning_tree_log_weights(logw))
+
+
+def coarsened_laplacian(logw: np.ndarray, partition) -> WeightedLaplacian:
+    """Laplacian on the K blocks with aggregated cross weights.
+
+    Edge weight between blocks s and t is the sum of all kernel values
+    over cross pairs, accumulated in the log domain.
+    """
+    logw = np.asarray(logw, dtype=float)
+    blocks = partition.blocks()
+    k = len(blocks)
+    log_tau = np.zeros((k, k))
+    for s in range(k):
+        for t in range(s + 1, k):
+            log_tau[s, t] = logsumexp(logw[np.ix_(blocks[s], blocks[t])].ravel())
+            log_tau[t, s] = log_tau[s, t]
+    return laplacian_from_log_weights(log_tau)
 
 
 @dataclass(frozen=True)
@@ -164,9 +312,10 @@ def verify_ratio_bound_coarse(trials: int = DEFAULT_TRIALS, seed: int = 0) -> Le
             logw = np.log(w + w.T + np.eye(n))
             np.fill_diagonal(logw, 0.0)
             part = canonicalize(_random_partition_labels(rng, n, k))
-            lhs = sum(
-                subset_log_det(logw, block) for block in part.blocks()
-            ) - log_det_L_plus_J(laplacian_from_log_weights(logw))
+            blocks = 0.0  # left to right: sum() compensates floats on Python >= 3.12
+            for block in part.blocks():
+                blocks += subset_log_det(logw, block)
+            lhs = blocks - log_det_L_plus_J(laplacian_from_log_weights(logw))
             rhs = -(part.K - 1) * math.log(n * gamma)
             yield t, float(lhs - rhs)
 
@@ -194,9 +343,10 @@ def verify_ratio_bound_fine(trials: int = DEFAULT_TRIALS, seed: int = 0) -> Lemm
             w = w + w.T
             logw = np.log(w + np.eye(n))
             np.fill_diagonal(logw, 0.0)
-            lhs = log_det_L_plus_J(laplacian_from_log_weights(logw)) - sum(
-                subset_log_det(logw, block) for block in part.blocks()
-            )
+            blocks = 0.0  # left to right: sum() compensates floats on Python >= 3.12
+            for block in part.blocks():
+                blocks += subset_log_det(logw, block)
+            lhs = log_det_L_plus_J(laplacian_from_log_weights(logw)) - blocks
             rhs = (part.K - 1) * math.log(n * eps)
             for block in part.blocks():
                 if len(block) < 2:

@@ -25,12 +25,6 @@ from bsf.kernels import (
     log_gaussian_kernel,
     spd_geodesic_distance,
 )
-from bsf.linalg import (
-    laplacian_from_log_weights,
-    log_det_L_plus_J,
-    log_det_minor,
-    spanning_tree_weight_bruteforce,
-)
 from bsf.oracle import (
     GaussianOracleSpec,
     ObjectOracleSpec,
@@ -42,6 +36,10 @@ from bsf.oracle import (
 from bsf.posterior import BlockWeights, BsfConfig, exact_posterior
 from bsf.sampler import combined_transition_matrix, run_chain
 from bsf.theory import (
+    laplacian_from_log_weights,
+    log_det_L_plus_J,
+    log_det_minor,
+    spanning_tree_weight_bruteforce,
     verify_eigen_shift,
     verify_forest_factorization,
     verify_matrix_det_lemma,

@@ -97,6 +97,7 @@ def test_tracer_targets_the_program_lacks_are_pinned():
                if tracer._resolve(importlib.import_module(mod), path) == (None, None)}
     assert missing == {
         "bsf.linalg.log_minor_star_mesh",
+        "bsf.linalg.log_det_L_plus_J",
         "bsf.linalg.anchored_subset_pairs",
         "bsf.linalg.LogDetCache.__init__",
         "bsf.linalg.LogDetCache.get",

@@ -563,6 +563,8 @@ def test_options_a_subcommand_does_not_read_are_rejected(argv, capsys):
     ("verify", "--trials", "0"),
     ("verify", "--trials", "-1"),
     ("exact", "--max-k", "0"),
+    ("experiment", "--workers", "0"),
+    ("misclass", "--workers", "-1"),
 ])
 def test_out_of_range_flags_exit_2_before_any_output(tmp_path, capsys, command, flag, value):
     out = tmp_path / "o"

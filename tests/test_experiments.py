@@ -3,7 +3,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import stats as scipy_stats
 
 from bsf import experiments
 from bsf.experiments import (
@@ -23,10 +22,8 @@ from bsf.oracle import (
     check_D_membership,
     compute_thresholds,
     corollary_schedule,
-    estimate_pair_tail_probs,
     generate_gaussian,
     posterior_concentration_log_bound,
-    scale_means_to_snr,
 )
 from bsf.posterior import BlockWeights, BsfConfig, CapError, exact_posterior
 from bsf.sampler import run_chain
@@ -200,31 +197,6 @@ def test_concentration_bound_without_guarantee_is_inf():
     )
     # n eps > gamma: no finite-n surrogate
     assert posterior_concentration_log_bound(stats_like, 2, 10, 0.0) == math.inf
-
-
-def test_pair_tail_estimates_behave():
-    spec = TWO_CLUSTERS
-    n = 10
-    sigma2, log_dl = corollary_schedule(spec, n, alpha=0.5, iota=1.0)
-    kernel = KernelSpec(EUCLIDEAN_GAUSSIAN, sigma=math.sqrt(sigma2))
-    phi = SeparationConstants(1.0, math.exp(8.0), 1.0, 0.5)
-    th = compute_thresholds(sigma2, 2, phi, log_dl, kernel.log_zeta(2), n)
-    draws = 20_000
-    cross, within = estimate_pair_tail_probs(spec, th, draws=draws, seed=0)
-    # identity covariances give closed-form tails: a cross difference is
-    # N(mu_a - mu_b, 2I), so |d|^2 / 2 ~ ncx2(p, |mu_a - mu_b|^2 / 2), and a
-    # within difference gives |d|^2 / 2 ~ chi2_p
-    p = spec.dim
-    offset_sq = float(np.sum((spec.means[0] - spec.means[1]) ** 2))
-    cross_exact = scipy_stats.ncx2.cdf(th.cross_min_sq / 2, p, offset_sq / 2)
-    within_exact = scipy_stats.chi2.sf(th.within_max_sq / 2, p)
-    for estimate, exact in ((cross, cross_exact), (within, within_exact)):
-        mc_se = math.sqrt(exact * (1.0 - exact) / draws)
-        assert abs(estimate - exact) <= 4.0 * mc_se, (estimate, exact)
-    tight = scale_means_to_snr(spec, 2.0)
-    th2 = compute_thresholds(sigma2, 2, phi, log_dl, kernel.log_zeta(2), n)
-    cross2, _ = estimate_pair_tail_probs(tight, th2, draws=draws, seed=0)
-    assert cross2 > cross  # weaker separation fails the floor more often
 
 
 def test_sampler_k_mass_matches_exact_on_single_cluster():

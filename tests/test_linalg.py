@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from bsf import linalg
 from bsf.data import dataset_from_euclidean
 from bsf.kernels import EUCLIDEAN_GAUSSIAN, KernelSpec
-from bsf.linalg import (
-    all_block_log_dets,
+from bsf.linalg import all_block_log_dets, subset_log_det
+from bsf.partitions import Partition
+from bsf.posterior import BlockWeights, BsfConfig
+from bsf.theory import (
     all_spanning_tree_edges,
     coarsened_laplacian,
     laplacian_from_log_weights,
@@ -18,10 +20,7 @@ from bsf.linalg import (
     log_det_minor,
     shifted_spectrum,
     spanning_tree_weight_bruteforce,
-    subset_log_det,
 )
-from bsf.partitions import Partition
-from bsf.posterior import BlockWeights, BsfConfig
 
 
 def random_logw(rng, n, low=0.1, high=2.0):

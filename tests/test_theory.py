@@ -3,15 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from bsf.linalg import (
+from bsf.partitions import Partition
+from bsf.theory import (
     coarsened_laplacian,
     laplacian_from_log_weights,
     log_det_minor,
-    shifted_spectrum,
-)
-from bsf.partitions import Partition
-from bsf.theory import (
     run_all,
+    shifted_spectrum,
     verify_det_identity,
     verify_eigen_shift,
     verify_forest_factorization,
@@ -64,7 +62,7 @@ def test_fine_bound_near_equality_regime():
     eps = 0.3
     n = 4
     logw = math.log(eps) * (1 - np.eye(n))
-    from bsf.linalg import log_det_L_plus_J
+    from bsf.theory import log_det_L_plus_J
 
     part = Partition((0, 0, 1, 1))
     lap = laplacian_from_log_weights(logw)
