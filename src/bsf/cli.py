@@ -29,6 +29,10 @@ Config keys, and flags besides ``--config`` (the JSON file) and ``--out``
   ``--seed``.
 - ``verify``: no config.  Flags ``--trials`` and ``--seed``.
 
+``--workers`` N counts the processes that run replicates in all, this one
+included, so N = 1 starts no pool.  It defaults to the CPUs this process may
+run on (its affinity mask where the platform has one).
+
 Exit codes, each from one error class: 0 success; 1 a failed ``verify``
 check; 2 a flag argparse refuses (a negative ``--seed``, or ``--trials``,
 ``--max-k`` or ``--workers`` below 1) or a ConfigError, raised while parsing
@@ -457,6 +461,15 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has
+    one, else the host's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bsf",
@@ -471,8 +484,9 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=_flag_int(0), default=0, help="master seed")
         if workers:
-            p.add_argument("--workers", type=_flag_int(1), default=max(1, os.cpu_count() or 1),
-                           help="parallel replicate workers")
+            p.add_argument("--workers", type=_flag_int(1), default=_usable_cpus(),
+                           help="processes that run replicates, in all, this one included "
+                                "(default: the CPUs this process may run on)")
 
     p_exact = sub.add_parser("exact", help="enumerated posterior tables")
     common(p_exact, seed=False)

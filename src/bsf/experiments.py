@@ -2,8 +2,13 @@
 decay, with replicate-level parallelism and deterministic reduction.
 
 Every replicate is an independent task whose RNG stream is derived from
-the master seed with ``SeedSequence(master, spawn_key=...)``; results are
-reduced in task order, so outputs are identical for any worker count.
+the master seed with ``SeedSequence(master, spawn_key=...)``.  With
+``workers`` N > 1, a pool of N - 1 processes and the calling process share
+the tasks: each takes the next task not yet taken from the back of the list
+(the largest n first), so a run uses at most N processes in all and N = 1
+starts no pool.  Results are reduced in task order whoever ran them, so
+outputs are identical for any worker count, and a failing run raises the
+error of the first failing task in task order.
 Aggregates use medians and quartiles, which are robust to the occasional
 replicate that lands outside the separation set.  A harness checks its whole
 design before any replicate: ConfigError for a design no replicate could
@@ -13,7 +18,7 @@ run, CapError for an n past the enumeration cap.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -112,11 +117,37 @@ class BandwidthRule:
         return self.fraction * min(budget, spec.max_cov_eigenvalue)
 
 
-def _run_parallel(fn, tasks, workers: int):
-    if workers <= 1:
+def _run_here(fn, task) -> Future:
+    """``fn(task)`` run in this process, as a finished future."""
+    done = Future()
+    try:
+        done.set_result(fn(task))
+    except Exception as exc:
+        done.set_exception(exc)
+    return done
+
+
+def _run_parallel(fn, tasks: list, workers: int) -> list:
+    """``[fn(task) for task in tasks]`` in ``min(workers, len(tasks))``
+    processes, this one included.
+
+    The pool of the other processes and this one both take tasks from the
+    back of the list, where the consistency harness puts its largest n, so
+    the cheapest tasks start last and the processes finish close together.
+    This process runs each task whose ``cancel()`` succeeds, that is, each
+    task the pool has not taken.  Results are read in task order, so the
+    first failing task in task order raises, as in a serial run.
+    """
+    spawned = min(workers, len(tasks)) - 1
+    if spawned < 1:
         return [fn(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=1))
+    last_first = range(len(tasks) - 1, -1, -1)
+    with ProcessPoolExecutor(max_workers=spawned) as pool:
+        futures = {i: pool.submit(fn, tasks[i]) for i in last_first}
+        for i in last_first:
+            if futures[i].cancel():
+                futures[i] = _run_here(fn, tasks[i])
+        return [futures[i].result() for i in range(len(tasks))]
 
 
 def _replicate_seed(master_seed: int, *key: int) -> np.random.SeedSequence:

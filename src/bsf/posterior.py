@@ -130,8 +130,10 @@ class BlockWeights:
       :meth:`price` fills the dict for many masks at once, one stack per
       block size.
 
-    Before a stack would take the dict past ``LOG_DET_CACHE_CAP`` entries,
-    it drops its oldest half in insertion order.  ``counters`` holds the
+    :meth:`labeled` and :meth:`class_weight` read the table once it is built
+    and the dict before.  Before a stack would take the dict past
+    ``LOG_DET_CACHE_CAP`` entries, it drops its oldest half in insertion
+    order.  ``counters`` holds the
     blocks the dict priced alone and in stacks of two or more, those stacks
     and the entries evicted; the dense table is not counted.
     """
@@ -217,10 +219,11 @@ class BlockWeights:
 
     def labeled(self, partition: Partition) -> float:
         # left to right on purpose: sum() compensates floats on Python >= 3.12
+        read = self.block if self._table is None else self._table.item
         masks = partition.block_masks()
-        total = self.block(masks[0])
+        total = read(masks[0])
         for mask in masks[1:]:
-            total += self.block(mask)
+            total += read(mask)
         return total
 
     def class_weight(self, partition: Partition) -> float:

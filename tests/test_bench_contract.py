@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -23,6 +24,7 @@ import tracer  # noqa: E402
 import workloads  # noqa: E402
 
 import bsf.cli  # noqa: E402
+from bsf import experiments  # noqa: E402
 
 SEED = 1
 
@@ -48,6 +50,29 @@ def test_workload_operation_passes_its_checks(name, tmp_path):
         # one chain is too few for the pooled gate; the pooled path must run
         _, pooled = workload.pooled(prep, [figures])
         assert math.isfinite(pooled["tv_k"])
+
+
+def _pid(task):
+    return os.getpid()
+
+
+@pytest.mark.parametrize("workers, tasks", [(2, 24), (3, 24), (4, 2), (1, 24), (2, 1)])
+def test_harness_runs_in_at_most_workers_processes_the_caller_included(
+        monkeypatch, workers, tasks):
+    # bench/run.py's peak_rss_mb sums the high-water marks of the process and of
+    # every pool process it starts
+    sizes = []
+
+    class Recording(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recording)
+    pids = set(experiments._run_parallel(_pid, list(range(tasks)), workers))
+    spawned = min(workers, tasks) - 1
+    assert sizes == ([spawned] if spawned else [])
+    assert os.getpid() in pids and len(pids) <= spawned + 1
 
 
 def _traced_operation(name, tmp_path):

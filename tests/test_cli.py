@@ -585,6 +585,21 @@ def test_replicate_harnesses_take_workers(command):
     assert (args.workers, args.seed) == (3, 4)
 
 
+@pytest.mark.parametrize("command", ["experiment", "misclass"])
+def test_workers_default_to_the_cpus_the_process_may_run_on(command, monkeypatch):
+    def workers():
+        return build_parser().parse_args([command, "--config", "c.json"]).workers
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 5}, raising=False)
+    assert workers() == 2
+    # a platform without affinity masks falls back to the host's count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert workers() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert workers() == 1
+
+
 def test_malformed_json_is_config_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

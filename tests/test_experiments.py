@@ -52,6 +52,34 @@ def test_worker_counts_agree():
     assert serial == parallel
 
 
+def _failure(index):
+    return (KeyError if index % 2 else ValueError)(f"task {index} failed")
+
+
+def _fail_at(args):
+    """A task that returns its index, or raises for the indices it lists."""
+    index, failing = args
+    if index in failing:
+        raise _failure(index)
+    return index
+
+
+@pytest.mark.parametrize("failing", [
+    {11}, {10, 11}, {0, 11}, {0}, {5, 6},
+    # failures in every share, this process's included; tasks 0 and 1 are
+    # the last to start, so later tasks fail first in time
+    set(range(12)), set(range(1, 12)),
+])
+def test_first_failing_task_in_task_order_raises(failing):
+    tasks = [(index, failing) for index in range(12)]
+    expected = _failure(min(failing))
+    for workers in (1, 2, 3):
+        with pytest.raises(type(expected)) as exc:
+            experiments._run_parallel(_fail_at, tasks, workers)
+        assert (exc.type, str(exc.value)) == (type(expected), str(expected)), workers
+    assert experiments._run_parallel(_fail_at, [(i, set()) for i in range(12)], 2) == list(range(12))
+
+
 def test_mcmc_mode_tracks_exact_mode():
     schedule = SnrSchedule(alpha=0.5, iota=1.0)
     exact_rows, _ = consistency_experiment(

@@ -74,6 +74,22 @@ def test_class_weight_adds_log_k_factorial():
     )
 
 
+def test_class_weight_reads_the_dense_table_once_built():
+    rng = np.random.default_rng(7)
+    data = dataset_from_euclidean(rng.normal(size=(7, 2)))
+    cfg = BsfConfig(SPEC, log_lambda=math.log(0.3))
+    part = canonicalize([0, 1, 0, 2, 1, 1, 2])
+    weights = BlockWeights(data, cfg)
+    weights.precompute()
+    counters = dict(weights.counters)
+    got = weights.class_weight(part)
+    assert type(got) is float
+    assert weights.counters == counters
+    assert not any(mask in weights for mask in range(1 << data.n))
+    # the same bits as a store that prices the blocks on demand
+    assert got == BlockWeights(data, cfg).class_weight(part)
+
+
 def test_within_block_index_permutation_invariance():
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(6, 2))
