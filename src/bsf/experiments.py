@@ -2,13 +2,17 @@
 decay, with replicate-level parallelism and deterministic reduction.
 
 Every replicate is an independent task whose RNG stream is derived from
-the master seed with ``SeedSequence(master, spawn_key=...)``.  With
-``workers`` N > 1, a pool of N - 1 processes and the calling process share
-the tasks: each takes the next task not yet taken from the back of the list
-(the largest n first), so a run uses at most N processes in all and N = 1
-starts no pool.  Results are reduced in task order whoever ran them, so
-outputs are identical for any worker count, and a failing run raises the
-error of the first failing task in task order.
+the master seed with ``SeedSequence(master, spawn_key=...)``.  The calling
+process draws every replicate's data from its stream, in task order, before
+any task runs, so an exact-mode pool process never starts a random
+generator or factors a covariance, and stays smaller; an mcmc-mode task
+seeds its chain from the same stream itself.  With ``workers`` N > 1, a
+pool of N - 1 processes and the calling process share the tasks: each takes
+the next task not yet taken from the back of the list (the largest n
+first), so a run uses at most N processes in all and N = 1 starts no pool.
+Results are reduced in task order whoever ran them, so outputs are
+identical for any worker count, and a failing run raises the error of the
+first failing task in task order.
 Aggregates use medians and quartiles, which are robust to the occasional
 replicate that lands outside the separation set.  A harness checks its whole
 design before any replicate: ConfigError for a design no replicate could
@@ -170,9 +174,7 @@ def _check_runs(grid: list, name: str, replicates: int, enum_cap: int) -> None:
 
 
 def _consistency_task(args) -> dict:
-    (spec, schedule, phi, n, rep, master_seed, mode, enum_cap, mcmc) = args
-    seed = _replicate_seed(master_seed, n, rep)
-    data, truth = generate_gaussian(spec, n, seed)
+    (spec, schedule, phi, n, rep, master_seed, mode, enum_cap, mcmc, data, truth) = args
     sigma2, log_dl = schedule.resolve(spec, n)
     kernel = KernelSpec(EUCLIDEAN_GAUSSIAN, sigma=math.sqrt(sigma2))
     cfg = BsfConfig(kernel=kernel, log_delta=0.0, log_lambda=log_dl, enum_cap=enum_cap)
@@ -188,6 +190,7 @@ def _consistency_task(args) -> dict:
         prob_k = table.prob_of_k(spec.k_true)
         map_part = table.map_partition
     else:
+        seed = _replicate_seed(master_seed, n, rep)
         summary = run_chain(data, cfg, mcmc.iters, mcmc.burnin, mcmc.thin,
                             seed=int(seed.generate_state(1)[0]))
         freqs = summary.class_frequencies()
@@ -232,7 +235,8 @@ def consistency_experiment(spec: GaussianOracleSpec, schedule, n_grid, replicate
             schedule.resolve(spec, n)
     if mode == "exact":
         check_cap(max(n_grid), enum_cap, enumerates=False)
-    tasks = [(spec, schedule, phi, n, rep, master_seed, mode, enum_cap, mcmc)
+    tasks = [(spec, schedule, phi, n, rep, master_seed, mode, enum_cap, mcmc,
+              *generate_gaussian(spec, n, _replicate_seed(master_seed, n, rep)))
              for n in n_grid for rep in range(replicates)]
     rows = _run_parallel(_consistency_task, tasks, workers)
     return rows, [_consistency_aggregate([row for row in rows if row["n"] == n], n)
@@ -263,10 +267,7 @@ MISCLASS_COLUMNS = (
 
 
 def _misclass_task(args) -> dict:
-    (spec, snr, rule, n, rep, master_seed, enum_cap) = args
-    seed = _replicate_seed(master_seed, rep)  # shared across the snr grid
-    spec_snr = scale_means_to_snr(spec, snr)
-    data, truth = generate_gaussian(spec_snr, n, seed)
+    (spec, spec_snr, snr, rule, n, rep, enum_cap, data, truth) = args
     sigma2 = rule.resolve(spec_snr, n) if snr > 0 else rule.resolve(spec, n)
     kernel = KernelSpec(EUCLIDEAN_GAUSSIAN, sigma=math.sqrt(sigma2))
     # the prior product cancels in the known-K restricted posterior
@@ -306,12 +307,15 @@ def misclassification_experiment(spec: GaussianOracleSpec, rule: BandwidthRule,
     with config_check("oracle"):
         spec.check_size(n)
         rule.resolve(spec, n)
+    spec_snrs = []
     for snr in snr_grid:
         with config_check(f"snr_grid entry {snr}"):
-            scale_means_to_snr(spec, snr)
+            spec_snrs.append(scale_means_to_snr(spec, snr))
     check_cap(n, enum_cap, enumerates=True)
-    tasks = [(spec, snr, rule, n, rep, master_seed, enum_cap)
-             for snr in snr_grid for rep in range(replicates)]
+    # replicate seeds are shared across the snr grid
+    tasks = [(spec, spec_snr, snr, rule, n, rep, enum_cap,
+              *generate_gaussian(spec_snr, n, _replicate_seed(master_seed, rep)))
+             for snr, spec_snr in zip(snr_grid, spec_snrs) for rep in range(replicates)]
     rows = _run_parallel(_misclass_task, tasks, workers)
     return rows, [_misclass_aggregate([row for row in rows if row["snr"] == snr], snr)
                   for snr in snr_grid]

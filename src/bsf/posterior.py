@@ -29,13 +29,14 @@ max DP to the lexicographically smallest restricted growth string.
 
 The transitions of an m-point universe form a pull table, built once per
 process by recurrence from the table of m - 1 points: segment bounds and
-two int32 columns, R and T, grouped in segments of equal ``Q = R \\ T``
-(ascending Q, then ascending T, the order the sums run in).  A depth runs
-in slabs of whole segments, about ``DP_SLAB_ROWS`` rows each, so its
-temporaries stay a few MB whatever n is.  What grows is the cached tables,
-8 bytes a row: about 86 MB for all tables up to m = 15, which an n = 16
-posterior uses.  Memory is what bounds the DP, so it runs at n <=
-``DP_MAX_N`` = 16 only, whatever the enumeration cap says.
+one uint16 column, T, grouped in segments of equal ``Q = R \\ T``
+(ascending Q, then ascending T, the order the sums run in); segment i has
+``Q = 2i``, so the DP rebuilds ``R = Q | T`` as it reads.  A depth runs in
+slabs of whole segments, about ``DP_SLAB_ROWS`` rows each, so its
+temporaries stay under a MB whatever n is.  What grows is the cached
+tables, 2 bytes a row: about 22 MB for all tables up to m = 15, which an
+n = 16 posterior uses.  Table 16 alone would hold 43 MB, so the DP runs at
+n <= ``DP_MAX_N`` = 16 only, whatever the enumeration cap says.
 
 Per-class tables come from one enumeration core, :func:`class_weight_chunks`:
 bounded chunks of RGS label rows from :func:`bsf.partitions.rgs_chunks`,
@@ -65,10 +66,10 @@ DEFAULT_ENUM_CAP = 12
 LOG_DET_CACHE_CAP = 1 << 20
 
 NEG_INF = float("-inf")
-# largest n the forward DP runs at: its pull tables hold about 86 MB at n = 16
+# largest n the forward DP runs at: its pull tables hold about 22 MB at n = 16
 DP_MAX_N = 16
 # pull-table rows one slab of a forward-DP depth reads at once
-DP_SLAB_ROWS = 1 << 16
+DP_SLAB_ROWS = 1 << 14
 
 
 class ConfigError(ValueError):
@@ -231,52 +232,50 @@ class BlockWeights:
 
 
 # pull tables of the forward DP, keyed by universe size (data independent)
-_PULL_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_PULL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _pull_table(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pull_table(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Every transition ``(R, T, Q = R \\ T)`` over an m-point universe with
     ``min R`` in ``T``, grouped by ``Q`` for ``reduceat``.
 
     Each point lies in Q, in T or in neither, and a row is kept when the
     lowest point of ``Q | T`` is in T: (3^m - 1)/2 rows.  Q never holds point
-    0 and every Q has the row ``T = {0}``, so segment i is ``Q = 2i``; rows
-    run in ascending T within a segment.  Returns the 2^(m-1) + 1 segment
-    bounds, R and T (int32).
+    0 and every Q has the row ``T = {0}``, so segment i is ``Q = 2i``, and
+    ``R = 2i | T`` need not be stored; rows run in ascending T within a
+    segment.  Returns the 2^(m-1) + 1 segment bounds and T (uint16, which
+    holds every T while m <= 16).
 
     Table m grows from table m - 1 with ``b = 1 << (m - 1)``: a segment Q
     without b is its old rows, then ``T = {b}`` when Q is empty, then its old
     rows with b added to T; the segments ``Q | b`` follow, with the old T.
+    The old rows with b added are staged in the new table's tail, which the
+    segments ``Q | b`` overwrite last, so the only temporary is a mask.
     """
     if m not in _PULL_CACHE:
         if m == 1:
-            one = np.ones(1, dtype=np.int32)
-            _PULL_CACHE[m] = (np.array([0, 1]), one, one)
+            _PULL_CACHE[m] = (np.array([0, 1]), np.ones(1, dtype=np.uint16))
         else:
-            bounds, r_old, t_old = _pull_table(m - 1)
+            bounds, old = _pull_table(m - 1)
             bit = 1 << (m - 1)
-            rows = len(r_old)
+            rows = len(old)
             counts = np.diff(bounds)
             added = counts.copy()
             added[0] += 1
             # marks the rows that segments without b copy unchanged from table m - 1
             kept = np.repeat(np.tile([True, False], len(counts)),
                              np.column_stack([counts, added]).ravel())
-            moved = ~kept
-            with_b = np.empty(rows + 1, dtype=np.int32)
-            with_b[0] = bit
-            tables = []
-            # R gains b in the segments Q | b, T does not
-            for old, tail_bit in ((r_old, bit), (t_old, 0)):
-                new = np.empty(3 * rows + 1, dtype=np.int32)
-                head = new[:2 * rows + 1]
-                head[kept] = old
-                np.bitwise_or(old, bit, out=with_b[1:])
-                head[moved] = with_b
-                np.bitwise_or(old, tail_bit, out=new[2 * rows + 1:])
-                tables.append(new)
+            table = np.empty(3 * rows + 1, dtype=np.uint16)
+            head, tail = table[:2 * rows + 1], table[2 * rows + 1:]
+            head[kept] = old
+            # then the other rows, but for T = {b}, which follows segment 0's old rows
+            kept[counts[0]] = True
+            np.bitwise_or(old, bit, out=tail)
+            head[np.logical_not(kept, out=kept)] = tail
+            head[counts[0]] = bit
+            tail[:] = old
             segments = np.concatenate((counts + added, counts))
-            _PULL_CACHE[m] = (np.concatenate(([0], np.cumsum(segments))), *tables)
+            _PULL_CACHE[m] = (np.concatenate(([0], np.cumsum(segments))), table)
     return _PULL_CACHE[m]
 
 
@@ -296,13 +295,14 @@ def _forward_dp(block_table: np.ndarray, n: int, k_max: int) -> tuple[list, list
     A depth runs in slabs of whole segments of about ``DP_SLAB_ROWS`` rows,
     so its temporaries stay bounded; every ``reduceat`` group is the one a
     single pass would reduce, so the floats do not depend on the slab size.
-    Each slab's int32 rows are cast to ``intp`` once, not on every gather.
+    Each slab rebuilds its R column, ``2i | T`` in segment i, as ``intp``
+    from the segment counts its sums repeat by.
     """
     full = (1 << n) - 1
     first = block_table[full ^ (np.arange(1 << (n - 1)) << 1)]
     g_sum, g_max = [None, first], [None, first]
     for j in range(1, k_max):
-        bounds, r_all, t_all = _pull_table(n - j)
+        bounds, t_all = _pull_table(n - j)
         segs = len(bounds) - 1
         sum_prev, max_prev = g_sum[j], g_max[j]
         sum_next, max_next = np.empty(segs), np.empty(segs)
@@ -310,14 +310,16 @@ def _forward_dp(block_table: np.ndarray, n: int, k_max: int) -> tuple[list, list
         firsts = np.searchsorted(bounds, np.arange(0, bounds[-1], DP_SLAB_ROWS), side="right")
         cuts = list(dict.fromkeys((firsts - 1).tolist()))
         for lo, hi in zip(cuts, cuts[1:] + [segs]):
-            rows = slice(bounds[lo], bounds[hi])
-            r_arr = r_all[rows].astype(np.intp)
-            w = block_table[np.left_shift(t_all[rows], j, dtype=np.intp)]
+            t_arr = t_all[bounds[lo]:bounds[hi]]
+            counts = np.diff(bounds[lo:hi + 1])
+            r_arr = np.repeat(2 * np.arange(lo, hi), counts)
+            r_arr |= t_arr
+            w = block_table[np.left_shift(t_arr, j, dtype=np.intp)]
             at = bounds[lo:hi] - bounds[lo]
             np.maximum.reduceat(max_prev[r_arr] + w, at, out=max_next[lo:hi])
             vals = sum_prev[r_arr] + w
             peak = np.maximum.reduceat(vals, at)
-            vals -= np.repeat(peak, np.diff(bounds[lo:hi + 1]))
+            vals -= np.repeat(peak, counts)
             sum_next[lo:hi] = peak + np.log(np.add.reduceat(np.exp(vals, out=vals), at))
         g_sum.append(sum_next)
         g_max.append(max_next)

@@ -1,4 +1,6 @@
+import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +52,24 @@ def test_worker_counts_agree():
     serial = consistency_experiment(spec, schedule, [5, 6], 5, master_seed=3, workers=1)
     parallel = consistency_experiment(spec, schedule, [5, 6], 5, master_seed=3, workers=4)
     assert serial == parallel
+
+
+def test_the_caller_draws_every_replicate(monkeypatch, tmp_path):
+    log = tmp_path / "draws.jsonl"  # a file, so a draw in a pool process shows too
+
+    def recording(spec, n, seed):
+        with open(log, "a") as fh:
+            fh.write(json.dumps([os.getpid(), n, list(seed.spawn_key)]) + "\n")
+        return generate_gaussian(spec, n, seed)
+
+    monkeypatch.setattr(experiments, "generate_gaussian", recording)
+    me = os.getpid()
+    consistency_experiment(TWO_CLUSTERS, SnrSchedule(), [5, 6], 3, master_seed=2, workers=2)
+    misclassification_experiment(TWO_CLUSTERS, BandwidthRule(0.2), [1.0, 4.0], 6, 3,
+                                 master_seed=2, workers=2)
+    draws = [json.loads(line) for line in log.read_text().splitlines()]
+    assert draws == ([[me, n, [n, rep]] for n in (5, 6) for rep in range(3)]
+                     + [[me, 6, [rep]] for _ in range(2) for rep in range(3)])
 
 
 def _failure(index):

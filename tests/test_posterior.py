@@ -488,16 +488,20 @@ def test_forward_dp_matches_backward_dp(n):
 
 def test_pull_table_structure():
     for m in range(1, 10):
-        bounds, r_arr, t_arr = posterior._pull_table(m)
-        assert r_arr.dtype == t_arr.dtype == np.int32
-        assert len(r_arr) == len(t_arr) == bounds[-1] == (3 ** m - 1) // 2
-        # segment i holds Q = 2i, every anchored pair (R, T) with R \ T = Q
+        table = posterior._pull_table(m)
+        bounds, t_arr = table
+        assert t_arr.dtype == np.uint16
+        assert len(t_arr) == bounds[-1] == (3 ** m - 1) // 2
+        # T alone is kept: 2 bytes a row plus the segment bounds
+        assert sum(arr.nbytes for arr in table) == 2 * len(t_arr) + bounds.nbytes
+        # segment i holds Q = 2i, every anchored pair (R, T) with R \\ T = Q
         # in ascending T: the order the DP's sums run in
         expected, expected_bounds = [], [0]
         for q in range(0, 1 << m, 2):
             expected += [(q | t, t) for t in range(1, 1 << m)
                          if not t & q and (q | t) & -(q | t) & t]
             expected_bounds.append(len(expected))
+        r_arr = np.repeat(2 * np.arange(len(bounds) - 1), np.diff(bounds)) | t_arr
         assert list(zip(r_arr.tolist(), t_arr.tolist())) == expected
         assert bounds.tolist() == expected_bounds
 
