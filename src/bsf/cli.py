@@ -360,8 +360,7 @@ def cmd_mcmc(args) -> int:
     settings = _parse_mcmc(sec.take("mcmc", None))
     model = sec.build(BsfConfig, model_fields)
     out = _ensure_out(args.out)
-    summary = run_chain(data, model, settings.iters, settings.burnin,
-                        settings.thin, seed=args.seed)
+    summary = run_chain(data, model, settings, seed=args.seed)
     n = data.n
     write_csv(os.path.join(out, "cocluster.csv"),
               tuple(f"p{i}" for i in range(n)),

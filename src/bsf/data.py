@@ -39,29 +39,28 @@ def validate_euclidean(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-def validate_spd(mat: np.ndarray) -> np.ndarray:
+def _square_symmetric(mat: np.ndarray, what: str) -> tuple[np.ndarray, float]:
+    """The payload as a finite symmetric square matrix, and its entry scale."""
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise IngestionError(f"SPD payload must be square, got shape {mat.shape}")
+        raise IngestionError(f"{what} payload must be square, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
-        raise IngestionError("SPD payload has non-finite entries")
+        raise IngestionError(f"{what} payload has non-finite entries")
     scale = max(1.0, float(np.abs(mat).max()))
     if np.abs(mat - mat.T).max() > SYMMETRY_TOL * scale:
-        raise IngestionError("SPD payload is not symmetric")
+        raise IngestionError(f"{what} payload is not symmetric")
+    return mat, scale
+
+
+def validate_spd(mat: np.ndarray) -> np.ndarray:
+    mat, _ = _square_symmetric(mat, "SPD")
     if np.linalg.eigvalsh(mat).min() <= SPD_EIG_FLOOR:
         raise IngestionError("SPD payload has an eigenvalue at or below the floor")
     return mat
 
 
 def validate_graph_laplacian(mat: np.ndarray) -> np.ndarray:
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise IngestionError(f"Laplacian payload must be square, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise IngestionError("Laplacian payload has non-finite entries")
-    scale = max(1.0, float(np.abs(mat).max()))
-    if np.abs(mat - mat.T).max() > SYMMETRY_TOL * scale:
-        raise IngestionError("Laplacian payload is not symmetric")
+    mat, scale = _square_symmetric(mat, "Laplacian")
     if np.abs(mat.sum(axis=1)).max() > ROWSUM_TOL * scale:
         raise IngestionError("Laplacian payload has non-zero row sums")
     return mat

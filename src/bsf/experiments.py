@@ -191,8 +191,7 @@ def _consistency_task(args) -> dict:
         map_part = table.map_partition
     else:
         seed = _replicate_seed(master_seed, n, rep)
-        summary = run_chain(data, cfg, mcmc.iters, mcmc.burnin, mcmc.thin,
-                            seed=int(seed.generate_state(1)[0]))
+        summary = run_chain(data, cfg, mcmc, seed=int(seed.generate_state(1)[0]))
         freqs = summary.class_frequencies()
         prob_truth = freqs.get(truth.labels, 0.0)
         prob_k = summary.k_histogram.get(truth.K, 0.0)
@@ -307,6 +306,8 @@ def misclassification_experiment(spec: GaussianOracleSpec, rule: BandwidthRule,
     with config_check("oracle"):
         spec.check_size(n)
         rule.resolve(spec, n)
+        if n < spec.k_true:  # the known-K posterior needs a point per cluster
+            raise ValueError(f"n = {n} is below the {spec.k_true} clusters")
     spec_snrs = []
     for snr in snr_grid:
         with config_check(f"snr_grid entry {snr}"):

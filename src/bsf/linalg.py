@@ -14,12 +14,12 @@ equal-size blocks, :func:`block_log_dets`: node elimination in linear
 arithmetic whose pivots are sums of positive weights (GTH elimination), so
 it never subtracts and is accurate to rounding at any weight range.
 ``subset_log_det`` runs it on a stack of one, ``all_block_log_dets`` on
-one stack per block size, and :class:`bsf.posterior.BlockWeights` on the
-stacks of blocks it prices lazily.  Blocks whose scaled weights would fall
-below the smallest normal float (about 708 nats of in-block range) are
-handed to the same elimination done in the log domain.  A block's value
-does not depend on the stack it rides in, so every caller gets the same
-bits for it.
+bounded stacks of each block size, and :class:`bsf.posterior.BlockWeights`
+on the stacks of blocks it prices lazily.  Blocks whose scaled weights
+would fall below the smallest normal float (about 708 nats of in-block
+range) are handed to the same elimination done in the log domain.  A
+block's value does not depend on the stack it rides in, so every caller
+gets the same bits for it.
 
 The matrix-tree identity ``|L + J/n| = n |L[i]| = n * (sum over spanning
 trees of edge-weight products)`` is the correctness anchor.  The reference
@@ -36,6 +36,10 @@ import numpy as np
 
 # per-size subset masks and their members for the block table, keyed by n
 _MASK_CACHE: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+# most blocks the block table prices in one stack: a whole size at n = 16 is
+# up to C(16, 8) = 12,870 blocks, 6.6 MB a temporary, while every size up to
+# n = 13 (at most C(13, 6) = 1,716 blocks) still fits in one stack
+TABLE_STACK_MAX = 1 << 11
 
 
 def logsumexp(values: np.ndarray) -> float:
@@ -142,9 +146,10 @@ def _masks_by_size(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def all_block_log_dets(logw: np.ndarray) -> np.ndarray:
-    """``log |L_T + J/|T||`` for every subset mask T of [n], one stack per size.
+    """``log |L_T + J/|T||`` for every subset mask T of [n], in stacks of
+    at most ``TABLE_STACK_MAX`` blocks of one size.
 
-    Each size is one call of :func:`block_log_dets`, the kernel that
+    Each stack is one call of :func:`block_log_dets`, the kernel that
     ``subset_log_det`` uses, so table entries and single blocks have the
     same bits.  Entry 0 and all singleton masks are 0 (the one-point
     Laplacian is the 1x1 zero matrix and ``|0 + 1| = 1``).  Intended for the
@@ -154,6 +159,8 @@ def all_block_log_dets(logw: np.ndarray) -> np.ndarray:
     n = logw.shape[0]
     out = np.zeros(1 << n)
     for masks, idx in _masks_by_size(n):
-        out[masks] = block_log_dets(logw, idx)
+        for lo in range(0, len(masks), TABLE_STACK_MAX):
+            hi = lo + TABLE_STACK_MAX
+            out[masks[lo:hi]] = block_log_dets(logw, idx[lo:hi])
     return out
 

@@ -55,6 +55,14 @@ class _Sizing:
 
     weights = None
 
+    @property
+    def k_true(self) -> int:
+        return len(self.means)
+
+    @property
+    def dim(self) -> int:
+        return self.means[0].shape[0]
+
     def _check_sizing(self) -> None:
         k = self.k_true
         if self.weights is not None and self.counts is not None:
@@ -103,14 +111,6 @@ class GaussianOracleSpec(_Sizing):
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "covs", covs)
         self._check_sizing()
-
-    @property
-    def k_true(self) -> int:
-        return len(self.means)
-
-    @property
-    def dim(self) -> int:
-        return self.means[0].shape[0]
 
     @property
     def max_cov_eigenvalue(self) -> float:
@@ -206,14 +206,6 @@ class ObjectOracleSpec(_Sizing):
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "noise_scales", scales)
         self._check_sizing()
-
-    @property
-    def k_true(self) -> int:
-        return len(self.means)
-
-    @property
-    def dim(self) -> int:
-        return self.means[0].shape[0]
 
 
 def _expm_sym(mat: np.ndarray) -> np.ndarray:

@@ -25,7 +25,8 @@ lowest point left, so ``R`` lies in ``{j..n-1}`` and depth ``j`` has
 (3^(n-j) - 1)/2 transitions, 402,670 over all depths at n = 13.  One pass
 gives the sum and the max tables; the K-sums are the sum table at ``(K,
 {})``.  The MAP is the max-DP walk-back, which breaks exact ties in the
-max DP to the lexicographically smallest restricted growth string.
+max DP to the lexicographically smallest restricted growth string, taking
+a state's candidate last blocks from the pull-table segment the DP reduced.
 
 The transitions of an m-point universe form a pull table, built once per
 process by recurrence from the table of m - 1 points: segment bounds and
@@ -66,7 +67,8 @@ DEFAULT_ENUM_CAP = 12
 LOG_DET_CACHE_CAP = 1 << 20
 
 NEG_INF = float("-inf")
-# largest n the forward DP runs at: its pull tables hold about 22 MB at n = 16
+# largest n the forward DP runs at: its pull tables hold about 22 MB at n = 16.
+# A sampler chain reads the dense 2^n block table up to the same n.
 DP_MAX_N = 16
 # pull-table rows one slab of a forward-DP depth reads at once
 DP_SLAB_ROWS = 1 << 14
@@ -335,6 +337,8 @@ def _smallest_map_labels(block_table: np.ndarray, g_max: list, n: int, j: int, q
     completion of ``(j, Q)`` labels only points in ``Q``, so the smallest
     RGS through the state extends these labels; each step keeps the
     smallest over the tied last blocks, memoized per ``(j, Q)`` in ``memo``.
+    The candidates are the transitions the max DP reduced into the state,
+    segment ``Q >> j`` of ``_pull_table(n - j + 1)``.
     """
     key = (j, q_mask)
     if key in memo:
@@ -343,13 +347,12 @@ def _smallest_map_labels(block_table: np.ndarray, g_max: list, n: int, j: int, q
         best = tuple(n if q_mask >> i & 1 else 0 for i in range(n))
     else:
         shift = j - 1
-        q_local = q_mask >> shift
-        cand = np.arange(1, 1 << (n - shift))
-        r_local = cand | q_local
-        cand = cand[((cand & q_local) == 0) & ((r_local & -r_local & cand) != 0)]
-        vals = g_max[shift][cand | q_local] + block_table[cand << shift]
+        bounds, t_all = _pull_table(n - shift)
+        seg = q_mask >> j
+        cand = t_all[bounds[seg]:bounds[seg + 1]].astype(np.intp)
+        vals = g_max[shift][cand | (q_mask >> shift)] + block_table[cand << shift]
         best = None
-        for t_local in cand[vals == g_max[j][q_mask >> j]].tolist():
+        for t_local in cand[vals == g_max[j][seg]].tolist():
             t_mask = t_local << shift
             prev = _smallest_map_labels(block_table, g_max, n, shift, q_mask | t_mask, memo)
             labels = tuple(shift if t_mask >> i & 1 else lab for i, lab in enumerate(prev))
@@ -447,12 +450,9 @@ def exact_posterior(data: Dataset, cfg: BsfConfig, max_K: int | None = None,
     """
     n = data.n
     check_cap(n, cfg.enum_cap, enumerates=retain)
-    if only_K is not None:
-        if max_K is not None and max_K < only_K:
-            raise ValueError("max_K is below only_K")
-        allowed = [only_K] if only_K <= n else []
-    else:
-        allowed = list(range(1, _k_cap(n, max_K, None) + 1))
+    if None not in (only_K, max_K) and max_K < only_K:
+        raise ValueError("max_K is below only_K")
+    allowed = [k for k in range(1, _k_cap(n, max_K, only_K) + 1) if only_K in (None, k)]
     if not allowed:
         raise ValueError("no admissible number of blocks")
 

@@ -16,14 +16,14 @@ stationarity tests check the code the chain runs.
 
 Block weights come from the one store, :class:`~bsf.posterior.BlockWeights`,
 and :class:`ChainState` picks how to read them from n alone.  At n <=
-``FULL_TABLE_MAX_N`` it reads the dense 2^n table as one Python list, one
-subscript per block, and nothing is priced during the chain.  Above that it
-reads the store's lazy dict, and a Gibbs site that misses a block prices
-it together with the blocks the next ``PRICE_WINDOW - 1`` sites of the
-sweep would score against it, one kernel stack per block size.
-Split-merge proposals and the exact matrices price a missing block alone.
-A block's value is the same bits whichever way priced it, so neither
-choice changes a chain.
+``DP_MAX_N``, where the exact DP runs, it reads the dense 2^n table as one
+Python list, one subscript per block, and nothing is priced during the
+chain.  Above that it reads the store's lazy dict, and a Gibbs site that
+misses a block prices it together with the blocks the next
+``PRICE_WINDOW - 1`` sites of the sweep would score against it, one kernel
+stack per block size.  Split-merge proposals and the exact matrices price a
+missing block alone.  A block's value is the same bits whichever way priced
+it, so neither choice changes a chain.
 
 A state keeps its blocks as bitmasks in ascending order, one form per
 partition.  A Gibbs site's conditional is a function of the other points'
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from itertools import permutations
 
@@ -52,15 +52,13 @@ import numpy as np
 
 from .data import Dataset
 from .partitions import canonicalize, rgs_chunks
-from .posterior import BlockWeights, BsfConfig
+from .posterior import DP_MAX_N, BlockWeights, BsfConfig
 
 CACHE_AUDIT_PERIOD = 1000
 CACHE_AUDIT_TOL = 1e-9
 LOG2 = math.log(2.0)
 # a Gibbs site that misses a block prices it for itself and the next 15 sites
 PRICE_WINDOW = 16
-# largest n at which a ChainState reads the dense 2^n block table
-FULL_TABLE_MAX_N = 16
 # entries at which a ChainState empties its memo of Gibbs conditionals
 MEMO_CAP = 1 << 11
 
@@ -74,7 +72,7 @@ class ChainState:
     shared :class:`BlockWeights` store, so coherence is auditable by
     recomputing the current blocks from scratch.
 
-    The lookup is chosen here, once, from n.  At n <= ``FULL_TABLE_MAX_N``,
+    The lookup is chosen here, once, from n.  At n <= ``DP_MAX_N``,
     ``block`` subscripts ``table``, :meth:`BlockWeights.precompute` as a
     Python list, and ``window`` is 0.  Above it ``table`` is None, ``block``
     is :meth:`BlockWeights.block` and ``window`` is ``PRICE_WINDOW - 1``:
@@ -92,7 +90,7 @@ class ChainState:
         self.slots = sorted(canonicalize(labels).block_masks())
         self.memo: dict[tuple[int, ...], list[float]] = {}
         self.memo_hits = self.memo_misses = 0
-        if self.n <= FULL_TABLE_MAX_N:
+        if self.n <= DP_MAX_N:
             self.table = weights.precompute().tolist()
             self.block = self.table.__getitem__
             self.window = 0
@@ -152,7 +150,7 @@ class ChainState:
         lacks ``B | {i}`` for a block B, it prices ``B ^ {t}`` for i and
         every upcoming t in one stack per size: the block each of those
         sites scores B against, unless a move changes B first.  Without
-        ``upcoming`` (the exact matrices, and chains on a full table) a
+        ``upcoming`` (the exact matrices, and chains at n <= ``DP_MAX_N``) a
         missing block is priced alone.
         """
         bit = 1 << i
@@ -292,18 +290,18 @@ def split_merge_move(state: ChainState) -> tuple[ChainState, str, bool]:
 
 @dataclass
 class ChainSummary:
-    """Post-burnin record of a chain (or a merged set of chains)."""
+    """Post-burnin record of a chain."""
 
     n: int
     n_samples: int
     k_counts: dict[int, int]
     cocluster_counts: np.ndarray
     samples: list[tuple[int, ...]]
-    accept_counts: dict[str, tuple[int, int]] = field(default_factory=dict)
+    accept_counts: dict[str, tuple[int, int]]
     # block log-dets priced on lazy misses: BlockWeights.counters
-    pricing: dict[str, int] = field(default_factory=dict)
+    pricing: dict[str, int]
     # Gibbs conditionals read from ChainState.memo ("hits") and computed
-    memo: dict[str, int] = field(default_factory=dict)
+    memo: dict[str, int]
 
     @property
     def k_histogram(self) -> dict[int, float]:
@@ -328,30 +326,6 @@ class ChainSummary:
         return freqs
 
 
-def merge_summaries(a: ChainSummary, b: ChainSummary) -> ChainSummary:
-    """Associative reduction of summaries from independent chains."""
-    if a.n != b.n:
-        raise ValueError("summaries are over different n")
-
-    def add(x: dict, y: dict) -> dict:
-        return {key: x.get(key, 0) + y.get(key, 0) for key in x | y}
-
-    accept: dict[str, tuple[int, int]] = dict(a.accept_counts)
-    for move, (acc, prop) in b.accept_counts.items():
-        a0, p0 = accept.get(move, (0, 0))
-        accept[move] = (a0 + acc, p0 + prop)
-    return ChainSummary(
-        n=a.n,
-        n_samples=a.n_samples + b.n_samples,
-        k_counts=add(a.k_counts, b.k_counts),
-        cocluster_counts=a.cocluster_counts + b.cocluster_counts,
-        samples=a.samples + b.samples,
-        accept_counts=accept,
-        pricing=add(a.pricing, b.pricing),
-        memo=add(a.memo, b.memo),
-    )
-
-
 @dataclass(frozen=True)
 class McmcSettings:
     """A chain's length, burn-in and thinning."""
@@ -365,11 +339,9 @@ class McmcSettings:
             raise ValueError("need iters > burnin >= 0 and thin >= 1")
 
 
-def run_chain(data: Dataset, cfg: BsfConfig, iters: int, burnin: int, thin: int,
-              seed: int) -> ChainSummary:
-    """Run one chain from the all-singletons state; deterministic per seed.
-    K and co-clustering counts come from the tally of retained classes."""
-    McmcSettings(iters, burnin, thin)  # raises on a bad schedule
+def run_chain(data: Dataset, cfg: BsfConfig, settings: McmcSettings, seed: int) -> ChainSummary:
+    """Run one chain of ``settings`` from the all-singletons state; deterministic
+    per seed.  K and co-clustering counts come from the tally of retained classes."""
     weights = BlockWeights(data, cfg)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     state = ChainState(weights, range(data.n), rng)
@@ -377,13 +349,13 @@ def run_chain(data: Dataset, cfg: BsfConfig, iters: int, burnin: int, thin: int,
     samples: list[tuple[int, ...]] = []
     tally: dict[tuple[int, ...], int] = {}
     accept = {"split": [0, 0], "merge": [0, 0]}
-    for it in range(iters):
+    for it in range(settings.iters):
         gibbs_sweep(state)
         if n >= 2:
             _, move, ok = split_merge_move(state)
             accept[move][1] += 1
             accept[move][0] += int(ok)
-        if it >= burnin and (it - burnin) % thin == 0:
+        if it >= settings.burnin and (it - settings.burnin) % settings.thin == 0:
             labels = state.rgs()
             samples.append(labels)
             tally[labels] = tally.get(labels, 0) + 1

@@ -34,7 +34,7 @@ from bsf.oracle import (
     generate_spd,
 )
 from bsf.posterior import BlockWeights, BsfConfig, exact_posterior
-from bsf.sampler import combined_transition_matrix, run_chain
+from bsf.sampler import McmcSettings, combined_transition_matrix, run_chain
 from bsf.theory import (
     laplacian_from_log_weights,
     log_det_L_plus_J,
@@ -121,7 +121,7 @@ def test_acceptance_04_sampler_exactness():
         data, _ = generate_gaussian(spec, n, seed=100 + n)
         exact = class_probabilities(exact_posterior(data, cfg, retain=True))
         for seed in (0, 1, 2):
-            summary = run_chain(data, cfg, iters=50_000, burnin=5_000, thin=1, seed=seed)
+            summary = run_chain(data, cfg, McmcSettings(50_000, 5_000, 1), seed=seed)
             tv = _tv(summary.class_frequencies(), exact)
             worst = max(worst, tv)
             assert tv <= 0.05, (n, seed, tv)

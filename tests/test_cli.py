@@ -308,6 +308,11 @@ def test_exit_codes(tmp_path, toy_csv, capsys):
         ("misclass", {"oracle": one_cluster, "snr_grid": [1.0], "n": 4, "replicates": 1}),
         ("experiment", {"oracle": three_clusters, "schedule": {"kind": "snr"},
                         "n_grid": [2], "replicates": 1}),
+        # the known-K posterior needs as many points as clusters, whatever the sizing
+        ("misclass", {"oracle": {**three_clusters, "weights": [1, 1, 1]}, "snr_grid": [1.0],
+                      "n": 2, "replicates": 1}),
+        ("misclass", {"oracle": {**three_clusters, "counts": [2, 0, 0]}, "snr_grid": [1.0],
+                      "n": 2, "replicates": 1}),
         # label weights and counts are checked when the oracle is built
         ("experiment", {"oracle": {**two_clusters, "weights": [1.0, -1.0]},
                         "schedule": {"kind": "snr"}, "n_grid": [4], "replicates": 1}),
@@ -488,7 +493,7 @@ def test_matrix_valued_data_through_exact_and_mcmc(tmp_path, kernel):
     assert (out / "posterior_table.csv").read_bytes() == _reference_table(data, cfg, None)
     out = tmp_path / "mcmc"
     assert main(["mcmc", "--config", str(mcmc_cfg), "--out", str(out), "--seed", "9"]) == 0
-    summary = run_chain(data, cfg, 300, 30, 1, seed=9)
+    summary = run_chain(data, cfg, McmcSettings(300, 30, 1), seed=9)
     samples = (out / "samples.csv").read_text().splitlines()[1:]
     assert samples == [f'{i},"{",".join(map(str, labels))}"'
                        for i, labels in enumerate(summary.samples)]

@@ -142,6 +142,7 @@ def test_validation_errors():
 
 
 COINCIDENT = GaussianOracleSpec(means=((0.0, 0.0), (0.0, 0.0)), covs=(np.eye(2), np.eye(2)))
+THREE_MEANS = {"means": ((0.0, 0.0), (8.0, 0.0), (16.0, 0.0)), "covs": (np.eye(2),) * 3}
 
 
 @pytest.mark.parametrize("harness, design, error", [
@@ -162,6 +163,11 @@ COINCIDENT = GaussianOracleSpec(means=((0.0, 0.0), (0.0, 0.0)), covs=(np.eye(2),
     ("misclass", {"n": 13}, CapError),
     ("misclass", {"snr_grid": [2.0, 1e308]}, ConfigError),  # means too far apart to square
     ("consistency", {"mode": "mcmc", "n_grid": [6, 10**308]}, ConfigError),
+    # fewer points than the known-K posterior's clusters, under either sizing
+    ("misclass", {"spec": GaussianOracleSpec(**THREE_MEANS, weights=(1, 1, 1)), "n": 2},
+     ConfigError),
+    ("misclass", {"spec": GaussianOracleSpec(**THREE_MEANS, counts=(2, 0, 0)), "n": 2},
+     ConfigError),
 ])
 def test_harness_checks_its_design_before_any_replicate(monkeypatch, harness, design, error):
     def replicate(args):
@@ -253,7 +259,7 @@ def test_sampler_k_mass_matches_exact_on_single_cluster():
     cfg = BsfConfig(kernel=KernelSpec(EUCLIDEAN_GAUSSIAN, sigma=1.0),
                     log_delta=0.0, log_lambda=-10 * math.log(3.0))
     table = exact_posterior(data, cfg, retain=False)
-    summary = run_chain(data, cfg, iters=20_000, burnin=2_000, thin=1, seed=4)
+    summary = run_chain(data, cfg, McmcSettings(20_000, 2_000, 1), seed=4)
     mass = summary.k_histogram.get(1, 0.0)
     assert mass >= 0.95
     assert abs(mass - table.prob_of_k(1)) < 0.03

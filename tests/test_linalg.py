@@ -230,6 +230,20 @@ def test_block_table_matches_subsets(rng):
             assert table[mask] == subset_log_det(logw, members), (scale, mask)
 
 
+def test_block_table_chunks_keep_every_entry(rng, monkeypatch):
+    # a block's bits do not depend on its stack, so pricing each size in
+    # stacks of 7 blocks gives the default table, at a normal and at a deep
+    # weight range, where both routes run
+    n = 8
+    for scale in (1.0, 1000.0):
+        logw = random_logw(rng, n) * scale
+        whole = all_block_log_dets(logw)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "TABLE_STACK_MAX", 7)
+            chunked = all_block_log_dets(logw)
+        assert np.array_equal(chunked, whole), scale
+
+
 @pytest.mark.parametrize("deep", [False, True])
 def test_stacked_pricing_equals_single_blocks(deep, monkeypatch):
     # one price() call over mixed sizes, repeats, singletons, mask 0 and

@@ -9,16 +9,15 @@ from bsf.data import dataset_from_euclidean
 from bsf.kernels import EUCLIDEAN_GAUSSIAN, KernelSpec, log_gaussian_kernel
 from bsf.oracle import GaussianOracleSpec, generate_gaussian
 from bsf.partitions import Partition, canonicalize
-from bsf.posterior import BlockWeights, BsfConfig, exact_posterior
+from bsf.posterior import DP_MAX_N, BlockWeights, BsfConfig, exact_posterior
 from bsf.sampler import (
-    FULL_TABLE_MAX_N,
     ChainState,
+    McmcSettings,
     _class_index,
     _pick,
     combined_transition_matrix,
     gibbs_sweep,
     gibbs_sweep_matrix,
-    merge_summaries,
     run_chain,
     single_site_matrix,
     split_merge_matrix,
@@ -36,7 +35,7 @@ def tv_distance(freqs, exact):
 def test_single_point_chain_is_absorbing():
     data = dataset_from_euclidean([[0.0]])
     cfg = BsfConfig(SPEC, log_lambda=math.log(0.5))
-    summary = run_chain(data, cfg, iters=50, burnin=0, thin=1, seed=0)
+    summary = run_chain(data, cfg, McmcSettings(50, 0, 1), seed=0)
     assert all(labels == (0,) for labels in summary.samples)
 
 
@@ -44,28 +43,28 @@ def test_seed_determinism():
     rng = np.random.default_rng(0)
     data = dataset_from_euclidean(rng.normal(size=(6, 1)))
     cfg = BsfConfig(SPEC, log_lambda=math.log(0.4))
-    a = run_chain(data, cfg, iters=800, burnin=100, thin=2, seed=42)
-    b = run_chain(data, cfg, iters=800, burnin=100, thin=2, seed=42)
+    a = run_chain(data, cfg, McmcSettings(800, 100, 2), seed=42)
+    b = run_chain(data, cfg, McmcSettings(800, 100, 2), seed=42)
     assert a.samples == b.samples
     assert np.array_equal(a.cocluster_counts, b.cocluster_counts)
     assert a.accept_counts == b.accept_counts
-    c = run_chain(data, cfg, iters=800, burnin=100, thin=2, seed=43)
+    c = run_chain(data, cfg, McmcSettings(800, 100, 2), seed=43)
     assert c.samples != a.samples
 
 
 def test_burnin_schedule_and_validation():
     data = dataset_from_euclidean([[0.0], [2.0]])
     cfg = BsfConfig(SPEC, log_lambda=math.log(0.5))
-    one = run_chain(data, cfg, iters=10, burnin=9, thin=1, seed=1)
+    one = run_chain(data, cfg, McmcSettings(10, 9, 1), seed=1)
     assert one.n_samples == 1
     with pytest.raises(ValueError):
-        run_chain(data, cfg, iters=5, burnin=5, thin=1, seed=1)
+        McmcSettings(5, 5, 1)
     with pytest.raises(ValueError):
-        run_chain(data, cfg, iters=5, burnin=1, thin=0, seed=1)
+        McmcSettings(5, 1, 0)
 
 
 # the dense table's list lookup, and the lazy store's lookup and window
-LOOKUPS = (FULL_TABLE_MAX_N, 0)
+LOOKUPS = (DP_MAX_N, 0)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])  # Bell(n) = 5, 15, 52 classes
@@ -75,7 +74,7 @@ def test_exhaustive_kernels_are_stationary(n, monkeypatch):
     cfg = BsfConfig(SPEC, log_lambda=math.log(0.7))
     pi = np.array(list(class_probabilities(exact_posterior(data, cfg, retain=True)).values()))
     for table_max_n in LOOKUPS:
-        monkeypatch.setattr(sampler, "FULL_TABLE_MAX_N", table_max_n)
+        monkeypatch.setattr(sampler, "DP_MAX_N", table_max_n)
         weights = BlockWeights(data, cfg)
         combined = combined_transition_matrix(weights)
         assert np.abs(combined.sum(axis=1) - 1.0).max() < 1e-12
@@ -102,7 +101,7 @@ def test_live_moves_sample_the_exact_kernels(monkeypatch):
     data = dataset_from_euclidean(rng.normal(size=(n, 1)))
     classes, index = _class_index(n)
     for table_max_n in LOOKUPS:
-        monkeypatch.setattr(sampler, "FULL_TABLE_MAX_N", table_max_n)
+        monkeypatch.setattr(sampler, "DP_MAX_N", table_max_n)
         weights = BlockWeights(data, BsfConfig(SPEC, log_lambda=math.log(0.7)))
         moves = [(split_merge_matrix(weights), split_merge_move),
                  (gibbs_sweep_matrix(weights), gibbs_sweep)]
@@ -129,7 +128,7 @@ def test_two_point_chain_matches_stationary_odds():
     stat = stat / stat.sum()
     # classes in RGS order: together (0,0) then split (0,1); odds f12/(dl) = 3
     assert stat[0] / stat[1] == pytest.approx(3.0, abs=1e-10)
-    summary = run_chain(data, cfg, iters=40_000, burnin=2_000, thin=1, seed=5)
+    summary = run_chain(data, cfg, McmcSettings(40_000, 2_000, 1), seed=5)
     freqs = summary.class_frequencies()
     assert freqs[(0, 0)] / freqs[(0, 1)] == pytest.approx(3.0, rel=0.1)
 
@@ -163,7 +162,7 @@ def test_empirical_frequencies_match_exact_small_n():
     data = dataset_from_euclidean(rng.normal(size=(5, 1)))
     cfg = BsfConfig(SPEC, log_lambda=math.log(0.5))
     exact = class_probabilities(exact_posterior(data, cfg, retain=True))
-    summary = run_chain(data, cfg, iters=30_000, burnin=3_000, thin=1, seed=3)
+    summary = run_chain(data, cfg, McmcSettings(30_000, 3_000, 1), seed=3)
     assert tv_distance(summary.class_frequencies(), exact) < 0.05
 
 
@@ -175,33 +174,13 @@ def test_cocluster_blocks_on_separated_data():
     data, truth = generate_gaussian(spec, 8, seed=21)
     cfg = BsfConfig(kernel=KernelSpec(EUCLIDEAN_GAUSSIAN, sigma=1.0),
                     log_delta=0.0, log_lambda=-40.0)
-    summary = run_chain(data, cfg, iters=4_000, burnin=500, thin=1, seed=9)
+    summary = run_chain(data, cfg, McmcSettings(4_000, 500, 1), seed=9)
     co = summary.cocluster
     assert np.allclose(np.diag(co), 1.0)
     labels = np.asarray(truth.labels)
     same = labels[:, None] == labels[None, :]
     assert co[~same].max() < 0.01
     assert co[same].min() > 0.95
-
-
-def test_merge_summaries_is_order_respecting():
-    rng = np.random.default_rng(2)
-    data = dataset_from_euclidean(rng.normal(size=(4, 1)))
-    cfg = BsfConfig(SPEC, log_lambda=math.log(0.5))
-    a = run_chain(data, cfg, iters=300, burnin=50, thin=1, seed=1)
-    b = run_chain(data, cfg, iters=300, burnin=50, thin=1, seed=2)
-    merged = merge_summaries(a, b)
-    assert merged.n_samples == a.n_samples + b.n_samples
-    assert merged.samples == a.samples + b.samples
-    assert np.array_equal(
-        merged.cocluster_counts, a.cocluster_counts + b.cocluster_counts
-    )
-    total_k = sum(merged.k_counts.values())
-    assert total_k == merged.n_samples
-    assert merged.memo == {key: a.memo[key] + b.memo[key] for key in ("hits", "misses")}
-    a.pricing = {"alone": 1, "stacked": 4, "stacks": 2, "evicted": 0}
-    b.pricing = {"alone": 2, "stacked": 0, "stacks": 0, "evicted": 3}
-    assert merge_summaries(a, b).pricing == {"alone": 3, "stacked": 4, "stacks": 2, "evicted": 3}
 
 
 def test_cache_audit_detects_corruption(monkeypatch):
@@ -211,7 +190,7 @@ def test_cache_audit_detects_corruption(monkeypatch):
     data = dataset_from_euclidean(rng.normal(size=(5, 1)))
     cfg = BsfConfig(SPEC, log_lambda=math.log(0.5))
     for table_max_n in LOOKUPS:
-        monkeypatch.setattr(sampler, "FULL_TABLE_MAX_N", table_max_n)
+        monkeypatch.setattr(sampler, "DP_MAX_N", table_max_n)
         weights = BlockWeights(data, cfg)
         state = ChainState(weights, [0, 0, 1, 1, 2], np.random.default_rng(0))
         assert (state.table is None) == (table_max_n == 0)
@@ -223,13 +202,13 @@ def test_cache_audit_detects_corruption(monkeypatch):
 
 
 def test_pricing_window_and_cache_bound_leave_the_chain_unchanged(monkeypatch):
-    # n = 17 is above FULL_TABLE_MAX_N, so every block is priced lazily
+    # n = 17 is above DP_MAX_N, so every block is priced lazily
     rng = np.random.default_rng(11)
     data = dataset_from_euclidean(rng.normal(size=(17, 1)) * 2.0)
     cfg = BsfConfig(SPEC, log_lambda=math.log(0.3))
 
     def chain():
-        return run_chain(data, cfg, iters=60, burnin=10, thin=1, seed=5)
+        return run_chain(data, cfg, McmcSettings(60, 10, 1), seed=5)
 
     windowed = chain()
     monkeypatch.setattr(sampler, "PRICE_WINDOW", 1)
@@ -260,16 +239,16 @@ def test_pricing_window_and_cache_bound_leave_the_chain_unchanged(monkeypatch):
 
 @pytest.mark.parametrize("n", [14, 16])
 def test_chain_is_the_same_on_both_lookups(n, monkeypatch):
-    # up to FULL_TABLE_MAX_N the chain reads the dense table; the lazy store
+    # up to DP_MAX_N the chain reads the dense table; the lazy store
     # prices the same blocks to the same bits
     rng = np.random.default_rng(n)
     data = dataset_from_euclidean(rng.normal(size=(n, 1)) * 2.0)
     cfg = BsfConfig(SPEC, log_lambda=math.log(0.3))
-    assert n <= FULL_TABLE_MAX_N
+    assert n <= DP_MAX_N
     chains = []
     for table_max_n in LOOKUPS:
-        monkeypatch.setattr(sampler, "FULL_TABLE_MAX_N", table_max_n)
-        chains.append(run_chain(data, cfg, iters=40, burnin=5, thin=1, seed=3))
+        monkeypatch.setattr(sampler, "DP_MAX_N", table_max_n)
+        chains.append(run_chain(data, cfg, McmcSettings(40, 5, 1), seed=3))
     full, lazy = chains
     assert full.samples == lazy.samples
     assert full.k_counts == lazy.k_counts
@@ -283,7 +262,7 @@ def test_chain_on_the_full_table_never_misses():
     rng = np.random.default_rng(12)
     data = dataset_from_euclidean(rng.normal(size=(7, 1)))
     cfg = BsfConfig(SPEC, log_lambda=math.log(0.3))
-    summary = run_chain(data, cfg, iters=50, burnin=0, thin=1, seed=1)
+    summary = run_chain(data, cfg, McmcSettings(50, 0, 1), seed=1)
     assert summary.pricing == {"alone": 0, "stacked": 0, "stacks": 0, "evicted": 0}
 
 
@@ -325,7 +304,7 @@ def test_moves_match_the_reference_sweep_in_lockstep(n):
     live = ChainState(live_weights, range(n), np.random.default_rng(9))
     ref = ChainState(ref_weights, range(n), np.random.default_rng(9))
     ref.block = ref_weights.block  # split-merge through BlockWeights too
-    assert (live.table is not None) == (n <= FULL_TABLE_MAX_N)
+    assert (live.table is not None) == (n <= DP_MAX_N)
     live_probs, ref_probs = [], []
     remove = live.remove
 
@@ -393,7 +372,7 @@ def test_memo_leaves_the_chain_unchanged_and_stays_bounded(n, monkeypatch):
     for cap in (default_cap, 8, 0):
         monkeypatch.setattr(sampler, "MEMO_CAP", cap)
         sizes.clear()
-        chains[cap] = run_chain(data, cfg, iters=60, burnin=5, thin=1, seed=4)
+        chains[cap] = run_chain(data, cfg, McmcSettings(60, 5, 1), seed=4)
         assert max(sizes) <= cap
     default = chains.pop(default_cap)
     for cap, other in chains.items():
@@ -411,7 +390,7 @@ def test_summary_equals_the_per_sample_accumulation():
     n = 7
     data = dataset_from_euclidean(rng.normal(size=(n, 1)) * 2.0)
     cfg = BsfConfig(SPEC, log_lambda=math.log(0.3))
-    summary = run_chain(data, cfg, iters=300, burnin=20, thin=3, seed=2)
+    summary = run_chain(data, cfg, McmcSettings(300, 20, 3), seed=2)
     k_counts: dict[int, int] = {}
     cocluster = np.zeros((n, n), dtype=np.int64)
     for labels in summary.samples:
