@@ -68,8 +68,6 @@ from .data import (
     write_matrix_stack,
 )
 from .experiments import (
-    CONSISTENCY_COLUMNS,
-    MISCLASS_COLUMNS,
     BandwidthRule,
     FixedSchedule,
     SnrSchedule,
@@ -107,19 +105,17 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: str, columns, rows=(), chunks=()) -> None:
-    """Write ``rows`` (sequences or dicts keyed by column) through
-    ``csv.writer``, formatting each value with :func:`_fmt`, then
-    ``chunks``: strings of whole CSV lines, written as they are.  Each
-    chunk is dropped before the next one is made.  A chunk's quoting is its
-    maker's job; :func:`_table_chunks` quotes as ``csv.writer`` would."""
+    """Write the header ``columns``, then ``rows``, sequences of values in
+    column order, through ``csv.writer``, formatting each value with
+    :func:`_fmt`, then ``chunks``: strings of whole CSV lines, written as
+    they are.  Each chunk is dropped before the next one is made.  A chunk's
+    quoting is its maker's job; :func:`_table_chunks` quotes as
+    ``csv.writer`` would."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            if isinstance(row, dict):
-                writer.writerow([_fmt(row[c]) for c in columns])
-            else:
-                writer.writerow([_fmt(v) for v in row])
+            writer.writerow([_fmt(v) for v in row])
         fh.writelines(chunks)
 
 
@@ -379,12 +375,13 @@ def cmd_mcmc(args) -> int:
     return EXIT_OK
 
 
-def _write_harness(out_dir: str, columns, rows, aggregate, line: str) -> int:
-    """A replicate harness's ``replicates.csv`` and ``aggregate.csv``, and
+def _write_harness(out_dir: str, rows, aggregate, line: str) -> int:
+    """A replicate harness's ``replicates.csv`` and ``aggregate.csv``, each
+    headed by its first row's keys, the order every row's dict keeps, and
     ``line`` formatted with each aggregate row."""
     out = _ensure_out(out_dir)
-    write_csv(os.path.join(out, "replicates.csv"), columns, rows)
-    write_csv(os.path.join(out, "aggregate.csv"), tuple(aggregate[0]), aggregate)
+    for name, table in (("replicates.csv", rows), ("aggregate.csv", aggregate)):
+        write_csv(os.path.join(out, name), tuple(table[0]), (row.values() for row in table))
     for agg in aggregate:
         print(line.format(**agg))
     return EXIT_OK
@@ -405,7 +402,7 @@ def cmd_experiment(args) -> int:
         spec, schedule, n_grid, replicates, master_seed=args.seed, mode=mode,
         phi=phi, enum_cap=enum_cap, workers=args.workers, mcmc=settings,
     )
-    return _write_harness(args.out, CONSISTENCY_COLUMNS, rows, aggregate,
+    return _write_harness(args.out, rows, aggregate,
                           "n={n}: median prob_truth={prob_truth_median:.4f} "
                           "median prob_k_true={prob_k_true_median:.4f} "
                           "membership_rate={membership_rate:.2f}")
@@ -424,7 +421,7 @@ def cmd_misclass(args) -> int:
         spec, rule, snr_grid, n, replicates, master_seed=args.seed,
         enum_cap=enum_cap, workers=args.workers,
     )
-    return _write_harness(args.out, MISCLASS_COLUMNS, rows, aggregate,
+    return _write_harness(args.out, rows, aggregate,
                           "snr={snr}: median expected_hamming={expected_hamming_median:.6g}")
 
 

@@ -17,8 +17,6 @@ EUCLIDEAN = "euclidean"
 SPD = "spd"
 GRAPH_LAPLACIAN = "graph-laplacian"
 
-FAMILIES = (EUCLIDEAN, SPD, GRAPH_LAPLACIAN)
-
 # Ingestion tolerances: symmetry / row-sum checks are absolute up to the
 # matrix entry scale; SPD eigenvalues must clear a hard floor.
 SYMMETRY_TOL = 1e-10
@@ -85,7 +83,7 @@ class Dataset:
     points: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in _VALIDATORS:
             raise IngestionError(f"unknown payload family {self.family!r}")
         if not self.points:
             raise IngestionError("dataset is empty")

@@ -158,14 +158,6 @@ def _replicate_seed(master_seed: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(master_seed, spawn_key=tuple(key))
 
 
-CONSISTENCY_COLUMNS = (
-    "n", "replicate", "sigma2", "log_delta_lambda", "in_separation_set",
-    "cross_min_sq_threshold", "within_max_sq_threshold", "min_cross_sq",
-    "max_within_sq", "log_kernel_ratio", "prob_truth", "prob_k_true",
-    "map_hamming",
-)
-
-
 def _check_runs(grid: list, name: str, replicates: int, enum_cap: int) -> None:
     if not grid or replicates < 1:
         raise ConfigError(f"need a non-empty {name} and at least one replicate")
@@ -187,7 +179,7 @@ def _consistency_task(args) -> dict:
         table = exact_posterior(data, cfg, retain=False, weights=weights)
         truth_lw = weights.class_weight(truth)
         prob_truth = table.probability_of_log_weight(truth_lw)
-        prob_k = table.prob_of_k(spec.k_true)
+        prob_k = table.prob_of_k(truth.K)
         map_part = table.map_partition
     else:
         seed = _replicate_seed(master_seed, n, rep)
@@ -257,12 +249,6 @@ def _consistency_aggregate(rows: list[dict], n: int) -> dict:
         "membership_rate": float(np.mean([row["in_separation_set"] for row in rows])),
         "map_hamming_median": float(np.median([row["map_hamming"] for row in rows])),
     }
-
-
-MISCLASS_COLUMNS = (
-    "snr", "replicate", "sigma2", "expected_hamming", "map_hamming",
-    "log_kernel_ratio", "log_bound", "bound_below_n", "estimate_within_bound",
-)
 
 
 def _misclass_task(args) -> dict:

@@ -29,8 +29,6 @@ EUCLIDEAN_GAUSSIAN = "euclidean-gaussian"
 RIEMANNIAN_GAUSSIAN_SPD = "riemannian-gaussian-spd"
 GRAPH_LAPLACIAN_GAUSSIAN = "graph-laplacian-gaussian"
 
-KERNEL_FAMILIES = (EUCLIDEAN_GAUSSIAN, RIEMANNIAN_GAUSSIAN_SPD, GRAPH_LAPLACIAN_GAUSSIAN)
-
 # payload family each kernel family operates on
 _PAYLOAD_OF = {
     EUCLIDEAN_GAUSSIAN: EUCLIDEAN,
@@ -61,7 +59,7 @@ class KernelSpec:
     graph_mode: str = "geodesic"  # or "frobenius"
 
     def __post_init__(self):
-        if self.family not in KERNEL_FAMILIES:
+        if self.family not in _PAYLOAD_OF:
             raise ValueError(f"unknown kernel family {self.family!r}")
         # the kernel divides by sigma^2, which must neither overflow nor vanish
         if not (self.sigma > 0 and 0 < self.sigma * self.sigma < math.inf):

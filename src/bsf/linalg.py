@@ -25,12 +25,16 @@ The matrix-tree identity ``|L + J/n| = n |L[i]| = n * (sum over spanning
 trees of edge-weight products)`` is the correctness anchor.  The reference
 legs that check the kernel against it (dense Cholesky determinants, the
 eigen-shift prediction and spanning-tree enumeration) live in
-:mod:`bsf.theory`.
+:mod:`bsf.theory`.  The two scalar reductions the other modules share live
+here too: :func:`logsumexp` and :func:`sum_in_order`, the one float sum
+whose bits do not depend on the Python version.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from functools import reduce
 
 import numpy as np
 
@@ -49,6 +53,13 @@ def logsumexp(values: np.ndarray) -> float:
     if peak == -math.inf:
         return -math.inf
     return peak + math.log(float(np.exp(values - peak).sum()))
+
+
+def sum_in_order(values) -> float:
+    """The sum of one or more floats, added left to right.  The builtin
+    ``sum()`` compensates floats from Python 3.12 on, which would change
+    the bits of every sum that must match another one added in order."""
+    return reduce(operator.add, values)
 
 
 # scaled weights below the smallest normal float (e^-708) lose precision

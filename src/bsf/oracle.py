@@ -23,6 +23,7 @@ import numpy as np
 
 from .data import EUCLIDEAN, SPD, Dataset
 from .kernels import KernelSpec, pairwise_sq_distances
+from .linalg import sum_in_order
 from .partitions import Partition, canonicalize
 
 NEG_INF = float("-inf")
@@ -72,7 +73,7 @@ class _Sizing:
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
             if (w.shape != (k,) or not np.isfinite(w).all() or w.min() < 0
-                    or not 0 < sum(w.tolist()) < math.inf):
+                    or not 0 < sum_in_order(w.tolist()) < math.inf):
                 raise ValueError("label weights need one finite nonnegative weight per "
                                  "cluster and a positive finite sum")
 
@@ -431,9 +432,6 @@ def posterior_concentration_log_bound(stats: SeparationStats, k_true: int, n: in
     if not finite:
         return NEG_INF
     peak = max(finite)
-    mass = 0.0  # left to right: sum() compensates floats on Python >= 3.12
-    for t in finite:
-        mass += math.exp(t - peak)
-    total = peak + math.log(mass)
+    total = peak + math.log(sum_in_order(math.exp(t - peak) for t in finite))
     inflation = (k_true - 1) * math.exp(log_n_eps_over_gamma)
     return total + inflation - math.lgamma(k_true + 1)

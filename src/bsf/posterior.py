@@ -58,7 +58,7 @@ import numpy as np
 
 from .data import Dataset
 from .kernels import KernelSpec, log_weight_matrix
-from .linalg import all_block_log_dets, block_log_dets, logsumexp, subset_log_det
+from .linalg import all_block_log_dets, block_log_dets, logsumexp, subset_log_det, sum_in_order
 from .partitions import ENUM_CAP, Partition, hamming_distances, rgs_chunks
 
 DEFAULT_ENUM_CAP = 12
@@ -147,7 +147,7 @@ class BlockWeights:
         self.logw = log_weight_matrix(data, cfg.kernel)
         if not np.all(np.isfinite(self.logw)):
             raise ConfigError("non-finite kernel value in the weight matrix")
-        self._const = cfg.log_lambda + cfg.log_delta
+        self._const = cfg.log_delta_lambda
         # a class weight adds the constant once per block, up to n times
         if not math.isfinite(self.n * self._const):
             raise ConfigError(f"log(delta * lambda) = {self._const!r} overflows over "
@@ -221,13 +221,8 @@ class BlockWeights:
         return subset_log_det(self.logw, indices) + self._const
 
     def labeled(self, partition: Partition) -> float:
-        # left to right on purpose: sum() compensates floats on Python >= 3.12
         read = self.block if self._table is None else self._table.item
-        masks = partition.block_masks()
-        total = read(masks[0])
-        for mask in masks[1:]:
-            total += read(mask)
-        return total
+        return sum_in_order(map(read, partition.block_masks()))
 
     def class_weight(self, partition: Partition) -> float:
         return math.lgamma(partition.K + 1) + self.labeled(partition)
@@ -431,8 +426,7 @@ class PosteriorTable:
         return {k: math.exp(lw - self.log_normalizer) for k, lw in self.k_log_weights.items()}
 
     def prob_of_k(self, k: int) -> float:
-        lw = self.k_log_weights.get(k, NEG_INF)
-        return math.exp(lw - self.log_normalizer) if lw > NEG_INF else 0.0
+        return math.exp(self.k_log_weights.get(k, NEG_INF) - self.log_normalizer)
 
     def probability_of_log_weight(self, log_class_weight: float) -> float:
         return math.exp(log_class_weight - self.log_normalizer)
@@ -491,7 +485,5 @@ def expected_hamming(table: PosteriorTable, truth: Partition) -> float:
     if table.labels is None:
         raise ValueError("expected_hamming needs a retained table")
     dists = hamming_distances(table.labels, truth)
-    total = 0.0  # left to right: sum() compensates floats on Python >= 3.12
-    for lw, d in zip(table.log_weights.tolist(), dists.tolist()):
-        total += math.exp(lw - table.log_normalizer) * d
-    return total
+    return sum_in_order(math.exp(lw - table.log_normalizer) * d
+                        for lw, d in zip(table.log_weights.tolist(), dists.tolist()))

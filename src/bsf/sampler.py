@@ -114,14 +114,14 @@ class ChainState:
                 mask ^= low
         return tuple(labels)
 
-    def audit_cache(self, tol: float = CACHE_AUDIT_TOL) -> float:
+    def audit_cache(self) -> float:
         """Compare the block weights the moves read against fresh
-        recomputation."""
+        recomputation; raise past ``CACHE_AUDIT_TOL``."""
         worst = 0.0
         for mask in self.slots:
             diff = abs(self.block(mask) - self.weights.fresh(mask))
             worst = max(worst, diff)
-        if worst > tol:
+        if worst > CACHE_AUDIT_TOL:
             raise RuntimeError(f"block-weight cache drifted by {worst:.3e}")
         return worst
 

@@ -4,9 +4,12 @@ that make the spanning-forest posterior tractable and analyzable.
 Each check draws seeded random instances whose preconditions hold by
 construction, evaluates both sides independently (eigendecompositions,
 plain determinants, brute-force tree enumeration), and reports the worst
-signed violation.  Inequalities are asserted in the log domain with an
-additive tolerance, which sidesteps catastrophic cancellation when an
-instance sits near equality.
+signed violation.  All six run one trial protocol, :func:`_check`: trial
+``t`` draws its instance from ``SeedSequence(seed, spawn_key=(t,))``, so a
+report's ``worst_seed`` replays the first worst trial on its own.
+Inequalities are asserted in the log domain with an additive tolerance,
+which sidesteps catastrophic cancellation when an instance sits near
+equality.
 
 The reference legs that check the block log-det kernel of :mod:`bsf.linalg`
 live here, and the kernel's tests use them too: dense Cholesky determinants,
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import logsumexp, subset_log_det
+from .linalg import logsumexp, subset_log_det, sum_in_order
 from .partitions import canonicalize
 
 LOG_TOL = 1e-9
@@ -209,18 +212,14 @@ class LemmaReport:
         )
 
 
-def _trial_rngs(trials: int, seed: int):
+def _check(lemma_id: str, tol: float, violation, trials: int, seed: int) -> LemmaReport:
+    """Report the first worst ``violation(rng)`` over ``trials`` trials of
+    the module's trial protocol."""
+    worst, worst_seed = -math.inf, 0
     for t in range(trials):
-        yield t, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
-
-
-def _report(lemma_id: str, trials: int, tol: float, violations) -> LemmaReport:
-    worst = -math.inf
-    worst_seed = 0
-    for t, v in violations:
+        v = violation(np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,))))
         if v > worst:
-            worst = v
-            worst_seed = t
+            worst, worst_seed = v, t
     return LemmaReport(lemma_id, trials, worst, tol, worst_seed)
 
 
@@ -244,82 +243,75 @@ def _random_partition_labels(rng, n: int, k: int) -> list[int]:
 def verify_eigen_shift(trials: int = DEFAULT_TRIALS, seed: int = 0) -> LemmaReport:
     """Spectrum of ``L + aI + bJ`` equals the shifted spectrum of ``L``
     with the constant-vector eigenvalue replaced by ``nb + a``."""
-    def violations():
-        for t, rng in _trial_rngs(trials, seed):
-            n = int(rng.integers(2, 9))
-            lap = laplacian_from_log_weights(_random_log_weights(rng, n))
-            a = float(rng.uniform(-2.0, 2.0))
-            b = float(rng.uniform(-2.0, 2.0))
-            predicted = shifted_spectrum(lap, a, b)
-            direct = np.linalg.eigvalsh(
-                lap.dense() + a * np.eye(n) + b * np.ones((n, n))
-            )
-            yield t, float(np.abs(np.sort(direct) - predicted).max())
+    def violation(rng):
+        n = int(rng.integers(2, 9))
+        lap = laplacian_from_log_weights(_random_log_weights(rng, n))
+        a = float(rng.uniform(-2.0, 2.0))
+        b = float(rng.uniform(-2.0, 2.0))
+        predicted = shifted_spectrum(lap, a, b)
+        direct = np.linalg.eigvalsh(
+            lap.dense() + a * np.eye(n) + b * np.ones((n, n))
+        )
+        return float(np.abs(np.sort(direct) - predicted).max())
 
-    return _report("eigen-shift", trials, EIGEN_TOL, violations())
+    return _check("eigen-shift", EIGEN_TOL, violation, trials, seed)
 
 
 def verify_det_identity(trials: int = DEFAULT_TRIALS, seed: int = 0) -> LemmaReport:
     """Three-way identity ``|L + J/n| = prod of nonzero eigenvalues =
     n |L[i]|`` with the minor cross-checked against tree enumeration."""
-    def violations():
-        for t, rng in _trial_rngs(trials, seed):
-            n = int(rng.integers(2, 9))
-            logw = _random_log_weights(rng, n)
-            lap = laplacian_from_log_weights(logw)
-            via_chol = log_det_L_plus_J(lap)
-            drop = int(rng.integers(0, n))
-            via_minor = math.log(n) + log_det_minor(lap, drop)
-            via_trees = math.log(n) + spanning_tree_weight_bruteforce(logw)
-            ev = np.linalg.eigvalsh(lap.dense())
-            via_eigs = float(np.log(ev[1:]).sum())
-            worst = max(
-                abs(via_chol - via_minor),
-                abs(via_chol - via_trees),
-                abs(via_chol - via_eigs),
-            )
-            yield t, worst
+    def violation(rng):
+        n = int(rng.integers(2, 9))
+        logw = _random_log_weights(rng, n)
+        lap = laplacian_from_log_weights(logw)
+        via_chol = log_det_L_plus_J(lap)
+        drop = int(rng.integers(0, n))
+        via_minor = math.log(n) + log_det_minor(lap, drop)
+        via_trees = math.log(n) + spanning_tree_weight_bruteforce(logw)
+        ev = np.linalg.eigvalsh(lap.dense())
+        via_eigs = float(np.log(ev[1:]).sum())
+        return max(
+            abs(via_chol - via_minor),
+            abs(via_chol - via_trees),
+            abs(via_chol - via_eigs),
+        )
 
-    return _report("det-identity", trials, LOG_TOL, violations())
+    return _check("det-identity", LOG_TOL, violation, trials, seed)
 
 
 def verify_matrix_det_lemma(trials: int = DEFAULT_TRIALS, seed: int = 0) -> LemmaReport:
     """Rank-one update identity ``|M + a b^T| = |M| (1 + b^T M^-1 a)``."""
-    def violations():
-        for t, rng in _trial_rngs(trials, seed):
-            n = int(rng.integers(1, 9))
-            m = rng.uniform(-1.0, 1.0, size=(n, n)) + n * np.eye(n)
-            a = rng.uniform(-1.0, 1.0, size=n)
-            b = rng.uniform(-1.0, 1.0, size=n)
-            lhs = np.linalg.det(m + np.outer(a, b))
-            rhs = np.linalg.det(m) * (1.0 + b @ np.linalg.solve(m, a))
-            yield t, float(abs(lhs - rhs) / max(abs(lhs), 1.0))
+    def violation(rng):
+        n = int(rng.integers(1, 9))
+        m = rng.uniform(-1.0, 1.0, size=(n, n)) + n * np.eye(n)
+        a = rng.uniform(-1.0, 1.0, size=n)
+        b = rng.uniform(-1.0, 1.0, size=n)
+        lhs = np.linalg.det(m + np.outer(a, b))
+        rhs = np.linalg.det(m) * (1.0 + b @ np.linalg.solve(m, a))
+        return float(abs(lhs - rhs) / max(abs(lhs), 1.0))
 
-    return _report("matrix-det", trials, DET_TOL, violations())
+    return _check("matrix-det", DET_TOL, violation, trials, seed)
 
 
 def verify_ratio_bound_coarse(trials: int = DEFAULT_TRIALS, seed: int = 0) -> LemmaReport:
     """With every weight at least gamma, the block-determinant product over
     any K-block partition is at most ``(n gamma)^-(K-1)`` times the full
     determinant (log-domain inequality)."""
-    def violations():
-        for t, rng in _trial_rngs(trials, seed):
-            n = int(rng.integers(2, 11))
-            k = int(rng.integers(1, min(4, n) + 1))
-            gamma = float(rng.uniform(0.05, 0.5))
-            w = gamma + rng.uniform(0.0, 1.5, size=(n, n))
-            w = np.triu(w, 1)
-            logw = np.log(w + w.T + np.eye(n))
-            np.fill_diagonal(logw, 0.0)
-            part = canonicalize(_random_partition_labels(rng, n, k))
-            blocks = 0.0  # left to right: sum() compensates floats on Python >= 3.12
-            for block in part.blocks():
-                blocks += subset_log_det(logw, block)
-            lhs = blocks - log_det_L_plus_J(laplacian_from_log_weights(logw))
-            rhs = -(part.K - 1) * math.log(n * gamma)
-            yield t, float(lhs - rhs)
+    def violation(rng):
+        n = int(rng.integers(2, 11))
+        k = int(rng.integers(1, min(4, n) + 1))
+        gamma = float(rng.uniform(0.05, 0.5))
+        w = gamma + rng.uniform(0.0, 1.5, size=(n, n))
+        w = np.triu(w, 1)
+        logw = np.log(w + w.T + np.eye(n))
+        np.fill_diagonal(logw, 0.0)
+        part = canonicalize(_random_partition_labels(rng, n, k))
+        blocks = sum_in_order(subset_log_det(logw, block) for block in part.blocks())
+        lhs = blocks - log_det_L_plus_J(laplacian_from_log_weights(logw))
+        rhs = -(part.K - 1) * math.log(n * gamma)
+        return float(lhs - rhs)
 
-    return _report("ratio-coarse", trials, LOG_TOL, violations())
+    return _check("ratio-coarse", LOG_TOL, violation, trials, seed)
 
 
 def verify_ratio_bound_fine(trials: int = DEFAULT_TRIALS, seed: int = 0) -> LemmaReport:
@@ -327,40 +319,37 @@ def verify_ratio_bound_fine(trials: int = DEFAULT_TRIALS, seed: int = 0) -> Lemm
     full determinant is at most ``(n eps)^(K-1)`` times the block product
     inflated by the per-block eigenvalue factors ``1 + (n - n_i) eps /
     lambda_ij``."""
-    def violations():
-        for t, rng in _trial_rngs(trials, seed):
-            n = int(rng.integers(2, 11))
-            k = int(rng.integers(1, min(4, n) + 1))
-            eps = float(rng.uniform(0.05, 0.5))
-            spread = float(rng.uniform(0.0, 1.0))
-            part = canonicalize(_random_partition_labels(rng, n, k))
-            labels = np.asarray(part.labels)
-            same = labels[:, None] == labels[None, :]
-            within = rng.uniform(eps, 2.0 * eps + spread, size=(n, n))
-            cross = rng.uniform(0.01 * eps, eps, size=(n, n))
-            w = np.where(same, within, cross)
-            w = np.triu(w, 1)
-            w = w + w.T
-            logw = np.log(w + np.eye(n))
-            np.fill_diagonal(logw, 0.0)
-            blocks = 0.0  # left to right: sum() compensates floats on Python >= 3.12
-            for block in part.blocks():
-                blocks += subset_log_det(logw, block)
-            lhs = log_det_L_plus_J(laplacian_from_log_weights(logw)) - blocks
-            rhs = (part.K - 1) * math.log(n * eps)
-            for block in part.blocks():
-                if len(block) < 2:
-                    continue
-                sub = np.exp(logw[np.ix_(block, block)])
-                np.fill_diagonal(sub, 0.0)
-                lap_block = np.diag(sub.sum(axis=1)) - sub
-                ev = np.sort(np.linalg.eigvalsh(lap_block))
-                rhs += float(
-                    np.log1p((n - len(block)) * eps / ev[1:]).sum()
-                )
-            yield t, float(lhs - rhs)
+    def violation(rng):
+        n = int(rng.integers(2, 11))
+        k = int(rng.integers(1, min(4, n) + 1))
+        eps = float(rng.uniform(0.05, 0.5))
+        spread = float(rng.uniform(0.0, 1.0))
+        part = canonicalize(_random_partition_labels(rng, n, k))
+        labels = np.asarray(part.labels)
+        same = labels[:, None] == labels[None, :]
+        within = rng.uniform(eps, 2.0 * eps + spread, size=(n, n))
+        cross = rng.uniform(0.01 * eps, eps, size=(n, n))
+        w = np.where(same, within, cross)
+        w = np.triu(w, 1)
+        w = w + w.T
+        logw = np.log(w + np.eye(n))
+        np.fill_diagonal(logw, 0.0)
+        blocks = sum_in_order(subset_log_det(logw, block) for block in part.blocks())
+        lhs = log_det_L_plus_J(laplacian_from_log_weights(logw)) - blocks
+        rhs = (part.K - 1) * math.log(n * eps)
+        for block in part.blocks():
+            if len(block) < 2:
+                continue
+            sub = np.exp(logw[np.ix_(block, block)])
+            np.fill_diagonal(sub, 0.0)
+            lap_block = np.diag(sub.sum(axis=1)) - sub
+            ev = np.sort(np.linalg.eigvalsh(lap_block))
+            rhs += float(
+                np.log1p((n - len(block)) * eps / ev[1:]).sum()
+            )
+        return float(lhs - rhs)
 
-    return _report("ratio-fine", trials, LOG_TOL, violations())
+    return _check("ratio-fine", LOG_TOL, violation, trials, seed)
 
 
 def verify_forest_factorization(trials: int = DEFAULT_TRIALS, seed: int = 0) -> LemmaReport:
@@ -368,39 +357,35 @@ def verify_forest_factorization(trials: int = DEFAULT_TRIALS, seed: int = 0) -> 
     minor of the coarsened Laplacian; for small n the concatenated-forest
     subfamily is enumerated outright and its weight equals that product
     exactly."""
-    def violations():
-        for t, rng in _trial_rngs(trials, seed):
-            n = int(rng.integers(2, 10))
-            k = int(rng.integers(1, min(4, n) + 1))
-            logw = _random_log_weights(rng, n)
-            part = canonicalize(_random_partition_labels(rng, n, k))
-            lap = laplacian_from_log_weights(logw)
-            lhs = log_det_minor(lap)
-            rhs = _concat_forest_log_weight(logw, part)
-            worst = rhs - lhs  # violated when the product exceeds the minor
-            if n <= IDENTITY_CAP:
-                direct = _concat_forest_bruteforce(logw, part)
-                if direct is not None:
-                    worst = max(worst, abs(direct - rhs))
-            yield t, float(worst)
+    def violation(rng):
+        n = int(rng.integers(2, 10))
+        k = int(rng.integers(1, min(4, n) + 1))
+        logw = _random_log_weights(rng, n)
+        part = canonicalize(_random_partition_labels(rng, n, k))
+        lap = laplacian_from_log_weights(logw)
+        lhs = log_det_minor(lap)
+        rhs = _concat_forest_log_weight(logw, part)
+        worst = rhs - lhs  # violated when the product exceeds the minor
+        if n <= IDENTITY_CAP:
+            worst = max(worst, abs(_concat_forest_bruteforce(logw, part) - rhs))
+        return float(worst)
 
-    return _report("forest-factorization", trials, LOG_TOL, violations())
+    return _check("forest-factorization", LOG_TOL, violation, trials, seed)
 
 
 def _concat_forest_log_weight(logw: np.ndarray, part) -> float:
-    total = 0.0
-    for block in part.blocks():
-        total += subset_log_det(logw, block) - math.log(len(block))
+    total = sum_in_order(subset_log_det(logw, block) - math.log(len(block))
+                         for block in part.blocks())
     coarse = coarsened_laplacian(logw, part)
     if coarse.n >= 2:
         total += log_det_minor(coarse)
     return total
 
 
-def _concat_forest_bruteforce(logw: np.ndarray, part) -> float | None:
+def _concat_forest_bruteforce(logw: np.ndarray, part) -> float:
     """Sum tree weights over spanning trees whose within-block edges form a
-    spanning tree of every block (log domain); None when no tree qualifies
-    in exact arithmetic terms (cannot happen for positive weights)."""
+    spanning tree of every block (log domain).  Such trees always exist: a
+    spanning tree of each block joined by a tree over the blocks."""
     n = logw.shape[0]
     edges = all_spanning_tree_edges(n)
     tree_logs = spanning_tree_log_weights(logw)
@@ -413,8 +398,6 @@ def _concat_forest_bruteforce(logw: np.ndarray, part) -> float | None:
     for b in range(part.K):
         within_counts[:, b] = (same & (lab_u == b)).sum(axis=1)
     qualifies = (within_counts == (sizes - 1)[None, :]).all(axis=1)
-    if not qualifies.any():
-        return None
     return logsumexp(tree_logs[qualifies])
 
 

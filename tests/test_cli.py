@@ -622,6 +622,43 @@ def test_experiment_zero_replicates_rejected(tmp_path):
     assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+_HARNESS_FILES = {
+    "experiment": (
+        {"schedule": {"kind": "geometric", "sigma2": 1.0, "base": 3.0}, "n_grid": [5]},
+        "n,replicate,sigma2,log_delta_lambda,in_separation_set,cross_min_sq_threshold,"
+        "within_max_sq_threshold,min_cross_sq,max_within_sq,log_kernel_ratio,prob_truth,"
+        "prob_k_true,map_hamming",
+        "n,replicates,prob_truth_q1,prob_truth_median,prob_truth_q3,prob_k_true_q1,"
+        "prob_k_true_median,prob_k_true_q3,membership_rate,map_hamming_median",
+        "5",
+    ),
+    "misclass": (
+        {"snr_grid": [2.5], "n": 5},
+        "snr,replicate,sigma2,expected_hamming,map_hamming,log_kernel_ratio,log_bound,"
+        "bound_below_n,estimate_within_bound",
+        "snr,replicates,expected_hamming_q1,expected_hamming_median,expected_hamming_q3,"
+        "map_hamming_median,bound_below_n_rate,within_bound_rate",
+        "2.5",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_HARNESS_FILES))
+def test_harness_files_keep_their_columns(tmp_path, command):
+    # a harness row's dict keys are the only schema of its files
+    design, replicates_head, aggregate_head, grid_point = _HARNESS_FILES[command]
+    cfg = tmp_path / "harness.json"
+    write_json(cfg, {"oracle": _ORACLE, "replicates": 2, **design})
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
+    replicates = (out / "replicates.csv").read_text().splitlines()
+    aggregate = (out / "aggregate.csv").read_text().splitlines()
+    assert (replicates[0], aggregate[0]) == (replicates_head, aggregate_head)
+    # and every value sits under its own column
+    assert replicates[2].startswith(f"{grid_point},1,")
+    assert aggregate[1].startswith(f"{grid_point},2,")
+
+
 def test_mcmc_outputs_and_determinism(tmp_path, toy_csv, capsys):
     cfg = exact_config(tmp_path, toy_csv)
     with open(cfg) as fh:

@@ -115,6 +115,24 @@ def test_mcmc_mode_tracks_exact_mode():
         assert er["map_hamming"] == mr["map_hamming"]
 
 
+def test_both_modes_read_the_true_k_from_the_truth():
+    # the second cluster draws no point, so the truth has one block, not two
+    spec = GaussianOracleSpec(means=((0.0,), (8.0,)), covs=(((1.0,),), ((1.0,),)),
+                              counts=(4, 0))
+    schedule = FixedSchedule(sigma2=1.0, log_delta_lambda=-3.0)
+    rows = {mode: consistency_experiment(spec, schedule, [4], 3, master_seed=0, mode=mode,
+                                         mcmc=McmcSettings(3_000, 300, 1))[0]
+            for mode in ("exact", "mcmc")}
+    for mode, mode_rows in rows.items():
+        for row in mode_rows:
+            assert row["prob_truth"] <= row["prob_k_true"] + 1e-12, (mode, row)
+    cfg = BsfConfig(kernel=KernelSpec(EUCLIDEAN_GAUSSIAN, sigma=1.0), log_lambda=-3.0)
+    for rep, row in enumerate(rows["exact"]):
+        data, truth = generate_gaussian(spec, 4, experiments._replicate_seed(0, 4, rep))
+        assert truth.K == 1
+        assert row["prob_k_true"] == exact_posterior(data, cfg).prob_of_k(truth.K)
+
+
 def test_validation_errors():
     schedule = SnrSchedule()
     with pytest.raises(ConfigError):

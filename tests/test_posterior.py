@@ -1,3 +1,4 @@
+import builtins
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ from conftest import class_probabilities
 
 from bsf.data import dataset_from_euclidean
 from bsf.kernels import EUCLIDEAN_GAUSSIAN, KernelSpec, log_gaussian_kernel
-from bsf.linalg import subset_log_det
+from bsf.linalg import subset_log_det, sum_in_order
+from bsf.oracle import GaussianOracleSpec, posterior_concentration_log_bound, separation_stats
 from bsf.partitions import Partition, canonicalize, hamming_distance, rgs_chunks
 from bsf import posterior
 from bsf.posterior import (
@@ -17,8 +19,11 @@ from bsf.posterior import (
     exact_posterior,
     expected_hamming,
 )
+from bsf.theory import (verify_forest_factorization, verify_ratio_bound_coarse,
+                        verify_ratio_bound_fine)
 
 SPEC = KernelSpec(EUCLIDEAN_GAUSSIAN, sigma=1.0)
+_BUILTIN_SUM = builtins.sum
 
 
 def _partitions(n):
@@ -395,10 +400,8 @@ def test_expected_hamming_and_block_weights_consistency(monkeypatch):
         direct = sum(math.exp(lw - log_z) * hamming_distance(p, truth) for p, lw in zip(parts, lws))
         plain = expected_hamming(table, truth)
         assert plain == pytest.approx(direct, abs=1e-12), only_K
-        # the sum runs left to right, so a compensated sum() (the builtin on
-        # Python >= 3.12) cannot change its bits
         with monkeypatch.context() as patched:
-            patched.setattr(posterior, "sum", math.fsum, raising=False)
+            patched.setattr(builtins, "sum", _sum_of_no_floats)
             assert expected_hamming(table, truth) == plain, only_K
     with pytest.raises(ValueError):
         expected_hamming(exact_posterior(data, cfg), truth)
@@ -409,6 +412,30 @@ def test_expected_hamming_and_block_weights_consistency(monkeypatch):
             assert weights.block(mask) == pytest.approx(
                 cfg.log_delta_lambda + expected_det, abs=1e-12
             )
+    # every other in-order float sum, none of which calls the builtin sum()
+    assert sum_in_order([1e16, 1.0, -1e16]) == 0.0 != math.fsum([1e16, 1.0, -1e16])
+    lazy = [weights.labeled(part) for part in _partitions(5)]
+    apart = dataset_from_euclidean([[0.0], [0.1], [0.2], [20.0], [20.1]])
+    stats = separation_stats(apart, canonicalize([0, 0, 0, 1, 1]), SPEC)
+    with monkeypatch.context() as patched:
+        patched.setattr(builtins, "sum", _sum_of_no_floats)
+        assert [weights.labeled(part) for part in _partitions(5)] == lazy
+        weights.precompute()
+        assert [weights.labeled(part) for part in _partitions(5)] == lazy
+        assert math.isfinite(posterior_concentration_log_bound(stats, 2, 5, -3.0))
+        GaussianOracleSpec(means=((0.0,), (3.0,)), covs=(((1.0,),),) * 2, weights=(0.1, 0.2))
+        for check in (verify_ratio_bound_coarse, verify_ratio_bound_fine,
+                      verify_forest_factorization):
+            assert check(trials=20).passed, check
+
+
+def _sum_of_no_floats(values, start=0):
+    """The builtin sum(), refusing floats: Python >= 3.12 compensates them,
+    which would change the bits of a sum that must run left to right."""
+    values = list(values)
+    if any(isinstance(v, float) for v in [start, *values]):
+        raise AssertionError("builtin sum() of floats")
+    return _BUILTIN_SUM(values, start)
 
 
 def _logsumexp(values):
