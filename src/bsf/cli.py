@@ -97,8 +97,6 @@ EXIT_CAP = 4
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)

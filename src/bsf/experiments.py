@@ -16,7 +16,8 @@ first failing task in task order.
 Aggregates use medians and quartiles, which are robust to the occasional
 replicate that lands outside the separation set.  A harness checks its whole
 design before any replicate: ConfigError for a design no replicate could
-run, CapError for an n past the enumeration cap.
+run or a grid that repeats an entry, CapError for an n past the enumeration
+cap.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .oracle import (
     SeparationConstants,
     check_D_membership,
     compute_thresholds,
-    corollary_schedule,
     generate_gaussian,
     misclassification_log_bound,
     scale_means_to_snr,
@@ -98,7 +98,30 @@ class SnrSchedule:
             raise ValueError("alpha must lie in (0, 1), and iota must be positive and finite")
 
     def resolve(self, spec: GaussianOracleSpec, n: int) -> tuple[float, float]:
-        return corollary_schedule(spec, n, self.alpha, self.iota)
+        """``(sigma2, log_delta_lambda)`` at n, with the prior product in the
+        log domain (it underflows raw floats at modest n).
+
+        sigma2          = [SNR / sqrt(max(p, log n))]^(2 alpha) * Lmax log(n) / [n log(K+1+iota)]
+        log(delta lam)  = -n log(K+1+iota) - (p/2) log(sigma2)
+
+        The SNR divisor has also been written ``sqrt(p v log n)``; the code
+        reads ``v`` as a maximum.  Whether the product ``p log n`` is meant
+        instead is open: the repository holds no paper text that settles it.
+        Under either reading the floor and ceiling of
+        ``oracle.compute_thresholds`` are sigma2 times constants (with a
+        Gaussian kernel, ``-(p/2) log sigma2`` cancels the sigma term of
+        ``log zeta``), so the divisor scales both and leaves their ratio
+        unchanged.
+        """
+        if spec.k_true < 2:
+            raise ValueError("the schedule needs at least 2 clusters (SNR undefined otherwise)")
+        if n < 2:
+            raise ValueError("n must be at least 2")
+        p = spec.dim
+        scale = (spec.snr / math.sqrt(max(p, math.log(n)))) ** (2.0 * self.alpha)
+        log_k = math.log(spec.k_true + 1 + self.iota)
+        sigma2 = scale * spec.max_cov_eigenvalue * math.log(n) / (n * log_k)
+        return sigma2, -n * log_k - 0.5 * p * math.log(sigma2)
 
 
 @dataclass(frozen=True)
@@ -161,6 +184,8 @@ def _replicate_seed(master_seed: int, *key: int) -> np.random.SeedSequence:
 def _check_runs(grid: list, name: str, replicates: int, enum_cap: int) -> None:
     if not grid or replicates < 1:
         raise ConfigError(f"need a non-empty {name} and at least one replicate")
+    if len(set(grid)) < len(grid):  # each entry's aggregate reads its rows by value
+        raise ConfigError(f"{name} repeats an entry")
     if enum_cap < 1:
         raise ConfigError("enum_cap must be positive")
 
@@ -170,9 +195,7 @@ def _consistency_task(args) -> dict:
     sigma2, log_dl = schedule.resolve(spec, n)
     kernel = KernelSpec(EUCLIDEAN_GAUSSIAN, sigma=math.sqrt(sigma2))
     cfg = BsfConfig(kernel=kernel, log_delta=0.0, log_lambda=log_dl, enum_cap=enum_cap)
-    thresholds = compute_thresholds(
-        sigma2, spec.k_true, phi, log_dl, kernel.log_zeta(spec.dim), n
-    )
+    thresholds = compute_thresholds(sigma2, truth.K, phi, log_dl, kernel.log_zeta(spec.dim), n)
     member, stats = check_D_membership(data, truth, kernel, thresholds)
     if mode == "exact":
         weights = BlockWeights(data, cfg)
@@ -195,11 +218,7 @@ def _consistency_task(args) -> dict:
         "sigma2": sigma2,
         "log_delta_lambda": log_dl,
         "in_separation_set": int(member),
-        # K = 1 has no cross pairs: -inf is a vacuous floor that, unlike
-        # nan, compares equal across identical runs
-        "cross_min_sq_threshold": thresholds.cross_min_sq
-        if thresholds.cross_min_sq is not None
-        else float("-inf"),
+        "cross_min_sq_threshold": thresholds.cross_min_sq,
         "within_max_sq_threshold": thresholds.within_max_sq,
         "min_cross_sq": stats.min_cross_sq,
         "max_within_sq": stats.max_within_sq,

@@ -11,7 +11,8 @@ Separation diagnostics follow the squared-distance form of the "nice set":
 cross-cluster squared distances must clear a floor and within-cluster
 squared distances must stay under a ceiling, with the floor and ceiling
 computed exactly from the bandwidth, the prior/root product, the kernel
-normalizer, and four positive constants.
+normalizer, and four positive constants.  The schedules that choose the
+bandwidth and prior product per n live with the harness, in ``experiments``.
 """
 
 from __future__ import annotations
@@ -262,14 +263,14 @@ def frechet_mean_spd(points, iters: int = 50, tol: float = 1e-12) -> np.ndarray:
 class SeparationThresholds:
     """Squared-distance floor/ceiling for the separation check.
 
-    ``cross_min_sq`` is None when there is a single true cluster (no cross
-    pairs exist, so no floor applies); experiment records report it as -inf.
-    A non-positive ``within_max_sq`` marks the configuration as infeasible
-    at this n; it is reported, not rejected, because the underlying
-    conditions are asymptotic.
+    ``cross_min_sq`` is -inf when there is a single true cluster: no cross
+    pairs exist, so no floor applies, and unlike nan, -inf compares equal
+    across identical runs.  A non-positive ``within_max_sq`` marks the
+    configuration as infeasible at this n; it is reported, not rejected,
+    because the underlying conditions are asymptotic.
     """
 
-    cross_min_sq: float | None
+    cross_min_sq: float
     within_max_sq: float
 
 
@@ -285,12 +286,9 @@ def compute_thresholds(sigma2: float, k_true: int, phi: SeparationConstants,
     if k_true < 1:
         raise ValueError("need at least one cluster")
     common = -log_delta_lambda + log_zeta
-    if k_true == 1:
-        cross = None
-    else:
-        cross = 2.0 * sigma2 * (
-            n * math.log(k_true - 1 + phi.iota1) + common - math.log(phi.c1)
-        )
+    cross = NEG_INF if k_true == 1 else 2.0 * sigma2 * (
+        n * math.log(k_true - 1 + phi.iota1) + common - math.log(phi.c1)
+    )
     within = 2.0 * sigma2 * (
         -n * math.log(k_true + 1 + phi.iota2) + common + math.log(phi.c2)
     )
@@ -303,7 +301,8 @@ class SeparationStats:
 
     Kernel extremes are carried in the log domain.  Empty pair sets take
     the neutral extremes (+inf cross distance, -inf within distance), so
-    the membership conditions they feed are vacuously true.
+    the membership conditions they feed are vacuously true and the kernel
+    extremes computed from them read -inf and +inf.
     """
 
     log_max_cross_kernel: float
@@ -331,8 +330,8 @@ def separation_stats(data: Dataset, truth: Partition, kernel: KernelSpec) -> Sep
     min_cross = float(cross.min()) if cross.size else float("inf")
     max_within = float(within.max()) if within.size else NEG_INF
     return SeparationStats(
-        log_max_cross_kernel=(log_zeta - min_cross / two_s2) if cross.size else NEG_INF,
-        log_min_within_kernel=(log_zeta - max_within / two_s2) if within.size else float("inf"),
+        log_max_cross_kernel=log_zeta - min_cross / two_s2,
+        log_min_within_kernel=log_zeta - max_within / two_s2,
         min_cross_sq=min_cross,
         max_within_sq=max_within,
     )
@@ -342,49 +341,15 @@ def check_D_membership(data: Dataset, truth: Partition, kernel: KernelSpec,
                        thresholds: SeparationThresholds) -> tuple[bool, SeparationStats]:
     """Boundary-inclusive membership in the separation set, plus the stats."""
     stats = separation_stats(data, truth, kernel)
-    cross_ok = thresholds.cross_min_sq is None or stats.min_cross_sq >= thresholds.cross_min_sq
-    within_ok = stats.max_within_sq <= thresholds.within_max_sq
-    return bool(cross_ok and within_ok), stats
+    member = (stats.min_cross_sq >= thresholds.cross_min_sq
+              and stats.max_within_sq <= thresholds.within_max_sq)
+    return member, stats
 
 
 def misclassification_log_bound(stats: SeparationStats, k_true: int, n: int) -> float:
     """Log of the conditional misclassification-count bound:
     log(kernel ratio) + n log(K + 1)."""
     return stats.log_kernel_ratio + n * math.log(k_true + 1)
-
-
-def corollary_schedule(spec: GaussianOracleSpec, n: int, alpha: float,
-                       iota: float) -> tuple[float, float]:
-    """Bandwidth and prior schedule driven by the oracle's signal-to-noise
-    ratio; returns ``(sigma2, log_delta_lambda)`` with the prior product in
-    the log domain (it underflows raw floats at modest n).
-
-    sigma2          = [SNR / sqrt(max(p, log n))]^(2 alpha) * Lmax log(n) / [n log(K+1+iota)]
-    log(delta lam)  = -n log(K+1+iota) - (p/2) log(sigma2)
-
-    The SNR divisor has also been written ``sqrt(p v log n)``; the code
-    reads ``v`` as a maximum.  Whether the product ``p log n`` is meant
-    instead is open: the repository holds no paper text that settles it.
-    Under either reading the floor and ceiling of ``compute_thresholds`` are
-    sigma2 times constants (with a Gaussian kernel, ``-(p/2) log sigma2``
-    cancels the sigma term of ``log zeta``), so the divisor scales both and
-    leaves their ratio unchanged.
-    """
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
-    if iota <= 0:
-        raise ValueError("iota must be positive")
-    if spec.k_true < 2:
-        raise ValueError("the schedule needs at least 2 clusters (SNR undefined otherwise)")
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    p = spec.dim
-    lam_max = spec.max_cov_eigenvalue
-    snr = spec.snr
-    scale = (snr / math.sqrt(max(p, math.log(n)))) ** (2.0 * alpha)
-    sigma2 = scale * lam_max * math.log(n) / (n * math.log(spec.k_true + 1 + iota))
-    log_dl = -n * math.log(spec.k_true + 1 + iota) - 0.5 * p * math.log(sigma2)
-    return sigma2, log_dl
 
 
 def chi_square_tail_log_bound(a: float, p: float) -> float:

@@ -290,10 +290,12 @@ def split_merge_move(state: ChainState) -> tuple[ChainState, str, bool]:
 
 @dataclass
 class ChainSummary:
-    """Post-burnin record of a chain."""
+    """Post-burnin record of a chain.  Every frequency it reports is a count
+    over ``n_samples``, so a class seen in every retained sample reads 1.0."""
 
     n: int
     n_samples: int
+    class_counts: dict[tuple[int, ...], int]
     k_counts: dict[int, int]
     cocluster_counts: np.ndarray
     samples: list[tuple[int, ...]]
@@ -319,11 +321,7 @@ class ChainSummary:
         }
 
     def class_frequencies(self) -> dict[tuple[int, ...], float]:
-        freqs: dict[tuple[int, ...], float] = {}
-        inc = 1.0 / self.n_samples
-        for labels in self.samples:
-            freqs[labels] = freqs.get(labels, 0.0) + inc
-        return freqs
+        return {labels: c / self.n_samples for labels, c in self.class_counts.items()}
 
 
 @dataclass(frozen=True)
@@ -371,6 +369,7 @@ def run_chain(data: Dataset, cfg: BsfConfig, settings: McmcSettings, seed: int) 
     return ChainSummary(
         n=n,
         n_samples=len(samples),
+        class_counts=tally,
         k_counts=k_counts,
         cocluster_counts=cocluster,
         samples=samples,

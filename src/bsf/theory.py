@@ -223,12 +223,17 @@ def _check(lemma_id: str, tol: float, violation, trials: int, seed: int) -> Lemm
     return LemmaReport(lemma_id, trials, worst, tol, worst_seed)
 
 
-def _random_log_weights(rng, n: int, low: float = 0.1, high: float = 2.0) -> np.ndarray:
-    w = rng.uniform(low, high, size=(n, n))
+def _symmetric_log_weights(w: np.ndarray) -> np.ndarray:
+    """Log weights of the symmetric graph whose edge {i, j}, i < j, weighs
+    ``w[i, j]``; the diagonal reads 0."""
     w = np.triu(w, 1)
-    logw = np.log(w + w.T + np.eye(n))
+    logw = np.log(w + w.T + np.eye(len(w)))
     np.fill_diagonal(logw, 0.0)
     return logw
+
+
+def _random_log_weights(rng, n: int) -> np.ndarray:
+    return _symmetric_log_weights(rng.uniform(0.1, 2.0, size=(n, n)))
 
 
 def _random_partition_labels(rng, n: int, k: int) -> list[int]:
@@ -301,10 +306,7 @@ def verify_ratio_bound_coarse(trials: int = DEFAULT_TRIALS, seed: int = 0) -> Le
         n = int(rng.integers(2, 11))
         k = int(rng.integers(1, min(4, n) + 1))
         gamma = float(rng.uniform(0.05, 0.5))
-        w = gamma + rng.uniform(0.0, 1.5, size=(n, n))
-        w = np.triu(w, 1)
-        logw = np.log(w + w.T + np.eye(n))
-        np.fill_diagonal(logw, 0.0)
+        logw = _symmetric_log_weights(gamma + rng.uniform(0.0, 1.5, size=(n, n)))
         part = canonicalize(_random_partition_labels(rng, n, k))
         blocks = sum_in_order(subset_log_det(logw, block) for block in part.blocks())
         lhs = blocks - log_det_L_plus_J(laplacian_from_log_weights(logw))
@@ -329,11 +331,7 @@ def verify_ratio_bound_fine(trials: int = DEFAULT_TRIALS, seed: int = 0) -> Lemm
         same = labels[:, None] == labels[None, :]
         within = rng.uniform(eps, 2.0 * eps + spread, size=(n, n))
         cross = rng.uniform(0.01 * eps, eps, size=(n, n))
-        w = np.where(same, within, cross)
-        w = np.triu(w, 1)
-        w = w + w.T
-        logw = np.log(w + np.eye(n))
-        np.fill_diagonal(logw, 0.0)
+        logw = _symmetric_log_weights(np.where(same, within, cross))
         blocks = sum_in_order(subset_log_det(logw, block) for block in part.blocks())
         lhs = log_det_L_plus_J(laplacian_from_log_weights(logw)) - blocks
         rhs = (part.K - 1) * math.log(n * eps)

@@ -113,9 +113,7 @@ def test_acceptance_04_sampler_exactness():
     )
     worst = 0.0
     for n in (6, 8):
-        from bsf.oracle import corollary_schedule
-
-        sigma2, log_dl = corollary_schedule(spec, n, alpha=0.5, iota=1.0)
+        sigma2, log_dl = SnrSchedule(0.5, 1.0).resolve(spec, n)
         kernel = KernelSpec(EUCLIDEAN_GAUSSIAN, sigma=math.sqrt(sigma2))
         cfg = BsfConfig(kernel=kernel, log_delta=0.0, log_lambda=log_dl)
         data, _ = generate_gaussian(spec, n, seed=100 + n)

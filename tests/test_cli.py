@@ -343,6 +343,10 @@ def test_exit_codes(tmp_path, toy_csv, capsys):
                       "enum_cap": 0}),
         ("misclass", {"oracle": two_clusters, "snr_grid": [1.0, -1], "n": 4,
                       "replicates": 1}),
+        # a repeated grid entry would count its replicates twice
+        ("experiment", {"oracle": two_clusters, "schedule": {"kind": "snr"}, "n_grid": [4, 4],
+                        "replicates": 1}),
+        ("misclass", {"oracle": two_clusters, "snr_grid": [2, 2.0], "n": 4, "replicates": 1}),
         # a non-finite value passes no range check
         ("exact", {**model, "kernel": {"family": "euclidean-gaussian", "sigma": inf}}),
         ("mcmc", {**model, "kernel": {"family": "euclidean-gaussian", "sigma": inf}}),

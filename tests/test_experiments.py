@@ -18,12 +18,12 @@ from bsf.experiments import (
 )
 from bsf.kernels import EUCLIDEAN_GAUSSIAN, KernelSpec
 from bsf.oracle import (
+    DEFAULT_PHI,
     GaussianOracleSpec,
     SeparationConstants,
     SeparationStats,
     check_D_membership,
     compute_thresholds,
-    corollary_schedule,
     generate_gaussian,
     posterior_concentration_log_bound,
 )
@@ -123,14 +123,30 @@ def test_both_modes_read_the_true_k_from_the_truth():
     rows = {mode: consistency_experiment(spec, schedule, [4], 3, master_seed=0, mode=mode,
                                          mcmc=McmcSettings(3_000, 300, 1))[0]
             for mode in ("exact", "mcmc")}
+    # the separation set is the one-block truth's: no cross-pair floor
+    kernel = KernelSpec(EUCLIDEAN_GAUSSIAN, sigma=1.0)
+    one_block = compute_thresholds(1.0, 1, DEFAULT_PHI, -3.0, kernel.log_zeta(1), 4)
     for mode, mode_rows in rows.items():
         for row in mode_rows:
             assert row["prob_truth"] <= row["prob_k_true"] + 1e-12, (mode, row)
-    cfg = BsfConfig(kernel=KernelSpec(EUCLIDEAN_GAUSSIAN, sigma=1.0), log_lambda=-3.0)
+            assert row["cross_min_sq_threshold"] == -math.inf
+            assert row["within_max_sq_threshold"] == one_block.within_max_sq
+    cfg = BsfConfig(kernel=kernel, log_lambda=-3.0)
     for rep, row in enumerate(rows["exact"]):
         data, truth = generate_gaussian(spec, 4, experiments._replicate_seed(0, 4, rep))
         assert truth.K == 1
         assert row["prob_k_true"] == exact_posterior(data, cfg).prob_of_k(truth.K)
+
+
+def test_mcmc_mode_probabilities_are_counts_over_n():
+    # the truth's class frequency and K fraction are both counts over the
+    # retained samples, so neither can pass 1 or the other
+    spec = GaussianOracleSpec(means=((0.0, 0.0), (6.0, 0.0)), covs=(np.eye(2), np.eye(2)))
+    rows, _ = consistency_experiment(spec, SnrSchedule(0.5, 1.0), [8, 14], 3, master_seed=2,
+                                     mode="mcmc", mcmc=McmcSettings(600, 100, 2), workers=2)
+    assert any(row["prob_truth"] > 0 for row in rows)
+    for row in rows:
+        assert row["prob_truth"] <= row["prob_k_true"] <= 1.0, row
 
 
 def test_validation_errors():
@@ -186,6 +202,9 @@ THREE_MEANS = {"means": ((0.0, 0.0), (8.0, 0.0), (16.0, 0.0)), "covs": (np.eye(2
      ConfigError),
     ("misclass", {"spec": GaussianOracleSpec(**THREE_MEANS, counts=(2, 0, 0)), "n": 2},
      ConfigError),
+    # a repeated entry would count its replicates twice in its aggregate
+    ("consistency", {"n_grid": [6, 6]}, ConfigError),
+    ("misclass", {"snr_grid": [2, 2.0]}, ConfigError),
 ])
 def test_harness_checks_its_design_before_any_replicate(monkeypatch, harness, design, error):
     def replicate(args):
@@ -238,7 +257,7 @@ def test_posterior_odds_respect_concentration_bound():
     # set is not part of the bound's domain and is not required here.
     spec = TWO_CLUSTERS
     n = 10
-    sigma2, log_dl = corollary_schedule(spec, n, alpha=0.5, iota=1.0)
+    sigma2, log_dl = SnrSchedule(0.5, 1.0).resolve(spec, n)
     kernel = KernelSpec(EUCLIDEAN_GAUSSIAN, sigma=math.sqrt(sigma2))
     cfg = BsfConfig(kernel=kernel, log_delta=0.0, log_lambda=log_dl)
     phi = SeparationConstants(1.0, math.exp(8.0), 1.0, 0.5)

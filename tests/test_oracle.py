@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bsf.data import validate_spd
+from bsf.experiments import SnrSchedule
 from bsf.kernels import (
     EUCLIDEAN_GAUSSIAN,
     RIEMANNIAN_GAUSSIAN_SPD,
@@ -15,10 +16,10 @@ from bsf.oracle import (
     GaussianOracleSpec,
     ObjectOracleSpec,
     SeparationConstants,
+    _labels_for,
     check_D_membership,
     chi_square_tail_log_bound,
     compute_thresholds,
-    corollary_schedule,
     frechet_mean_spd,
     generate_gaussian,
     generate_spd,
@@ -135,6 +136,21 @@ def test_frechet_mean_approaches_truth_at_small_noise():
         assert spd_geodesic_distance(est, mean) < tol
 
 
+def test_weighted_labels_draw_each_cluster_by_its_weight():
+    weights = (0.7, 0.3, 0.0)
+    spec = GaussianOracleSpec(means=((0.0,), (5.0,), (10.0,)), covs=(((1.0,),),) * 3,
+                              weights=weights)
+    n = 2_000
+    labels = _labels_for(spec, n, np.random.default_rng(11))
+    assert np.array_equal(labels, _labels_for(spec, n, np.random.default_rng(11)))
+    sizes = np.bincount(labels, minlength=3)
+    assert sizes[2] == 0  # the zero-weight cluster draws no point
+    for size, w in zip(sizes, weights):
+        assert abs(size - n * w) <= 4 * math.sqrt(n * w * (1 - w))
+    # so the truth has fewer blocks than the oracle has clusters
+    assert generate_gaussian(spec, n, seed=11)[1].K == 2
+
+
 def test_thresholds_hand_formula():
     th = compute_thresholds(
         sigma2=1.0, k_true=2, phi=SeparationConstants(1.0, 1.0, 1.0, 0.5),
@@ -152,7 +168,7 @@ def test_thresholds_hand_formula():
         sigma2=1.0, k_true=1, phi=DEFAULT_PHI, log_delta_lambda=0.0,
         log_zeta=0.0, n=9,
     )
-    assert single.cross_min_sq is None
+    assert single.cross_min_sq == -math.inf
 
 
 def test_thresholds_affine_in_log_constants():
@@ -222,21 +238,32 @@ def test_misclassification_bound_forms():
 
 def test_corollary_schedule_scalings():
     spec = two_cluster_spec(dist=10.0, var=1.0)
-    sigma2, log_dl = corollary_schedule(spec, n=12, alpha=0.5, iota=1.0)
+    sigma2, log_dl = SnrSchedule(0.5, 1.0).resolve(spec, 12)
     # doubling the spread at fixed snr doubles the bandwidth
     spec2 = two_cluster_spec(dist=10.0 * math.sqrt(2), var=2.0)
-    sigma2_2, _ = corollary_schedule(spec2, n=12, alpha=0.5, iota=1.0)
+    sigma2_2, _ = SnrSchedule(0.5, 1.0).resolve(spec2, 12)
     assert sigma2_2 == pytest.approx(2 * sigma2, rel=1e-12)
     # prior product identity
     p = spec.dim
     expect = -12 * math.log(2 + 1 + 1.0) - (p / 2) * math.log(sigma2)
     assert log_dl == pytest.approx(expect, abs=1e-12)
     with pytest.raises(ValueError):
-        corollary_schedule(spec, n=12, alpha=1.5, iota=1.0)
+        SnrSchedule(1.5, 1.0).resolve(spec, 12)
     with pytest.raises(ValueError):
-        corollary_schedule(
-            GaussianOracleSpec(means=((0.0,),), covs=(((1.0,),),)), 12, 0.5, 1.0
+        SnrSchedule(0.5, 1.0).resolve(
+            GaussianOracleSpec(means=((0.0,),), covs=(((1.0,),),)), 12
         )
+
+
+def test_snr_schedule_hand_values():
+    # SNR 10 in p = 2, alpha 1/2: sigma2 = 10 / sqrt(max(p, log n)) log n / (n log 4),
+    # where max(p, log n) is log n at n = 12 and p at n = 5; p log n would be
+    # 4.97 and 3.22
+    spec = two_cluster_spec(dist=10.0, var=1.0)
+    for n, divisor in ((12, math.log(12)), (5, 2.0)):
+        sigma2, _ = SnrSchedule(0.5, 1.0).resolve(spec, n)
+        assert sigma2 == pytest.approx(
+            10.0 / math.sqrt(divisor) * math.log(n) / (n * math.log(4)), rel=1e-12)
 
 
 def test_miller_toy_schedule_values():
@@ -266,7 +293,7 @@ def test_membership_rate_monotone_in_snr():
     rates = []
     for snr in (2.0, 6.0, 18.0):
         scaled = scale_means_to_snr(spec, snr)
-        sigma2, log_dl = corollary_schedule(scaled, n=8, alpha=0.5, iota=1.0)
+        sigma2, log_dl = SnrSchedule(0.5, 1.0).resolve(scaled, 8)
         kernel = KernelSpec(EUCLIDEAN_GAUSSIAN, sigma=math.sqrt(sigma2))
         phi = SeparationConstants(1.0, math.exp(8.0), 1.0, 0.5)
         th = compute_thresholds(sigma2, 2, phi, log_dl, kernel.log_zeta(2), 8)

@@ -37,6 +37,9 @@ def test_single_point_chain_is_absorbing():
     cfg = BsfConfig(SPEC, log_lambda=math.log(0.5))
     summary = run_chain(data, cfg, McmcSettings(50, 0, 1), seed=0)
     assert all(labels == (0,) for labels in summary.samples)
+    # frequencies are counts over N: 50 adds of 1/50 would sum past 1
+    assert summary.class_frequencies() == {(0,): 1.0}
+    assert summary.k_histogram == {1: 1.0}
 
 
 def test_seed_determinism():
