@@ -6,10 +6,12 @@ the master seed with ``SeedSequence(master, spawn_key=...)``.  The calling
 process draws every replicate's data from its stream, in task order, before
 any task runs, so an exact-mode pool process never starts a random
 generator or factors a covariance, and stays smaller; an mcmc-mode task
-seeds its chain from the same stream itself.  With ``workers`` N > 1, a
-pool of N - 1 processes and the calling process share the tasks: each takes
-the next task not yet taken from the back of the list (the largest n
-first), so a run uses at most N processes in all and N = 1 starts no pool.
+seeds its chain from the same stream itself.  A task carries its grid
+entry's resolved settings, the data and the truth, never the oracle, so it
+reads the cluster count from the truth.  With ``workers`` N > 1, a pool of
+N - 1 processes and the calling process share the tasks: each takes the
+next task not yet taken from the back of the list (the largest n first), so
+a run uses at most N processes in all and N = 1 starts no pool.
 Results are reduced in task order whoever ran them, so outputs are
 identical for any worker count, and a failing run raises the error of the
 first failing task in task order.
@@ -191,11 +193,10 @@ def _check_runs(grid: list, name: str, replicates: int, enum_cap: int) -> None:
 
 
 def _consistency_task(args) -> dict:
-    (spec, schedule, phi, n, rep, master_seed, mode, enum_cap, mcmc, data, truth) = args
-    sigma2, log_dl = schedule.resolve(spec, n)
+    (phi, n, rep, master_seed, mode, enum_cap, mcmc, sigma2, log_dl, data, truth) = args
     kernel = KernelSpec(EUCLIDEAN_GAUSSIAN, sigma=math.sqrt(sigma2))
     cfg = BsfConfig(kernel=kernel, log_delta=0.0, log_lambda=log_dl, enum_cap=enum_cap)
-    thresholds = compute_thresholds(sigma2, truth.K, phi, log_dl, kernel.log_zeta(spec.dim), n)
+    thresholds = compute_thresholds(sigma2, truth.K, phi, log_dl, kernel.log_zeta(data.dim), n)
     member, stats = check_D_membership(data, truth, kernel, thresholds)
     if mode == "exact":
         weights = BlockWeights(data, cfg)
@@ -239,13 +240,14 @@ def consistency_experiment(spec: GaussianOracleSpec, schedule, n_grid, replicate
     _check_runs(n_grid, "n_grid", replicates, enum_cap)
     if mode not in ("exact", "mcmc"):
         raise ConfigError(f"unknown mode {mode!r}")
+    settings = {}
     for n in n_grid:
         with config_check(f"n_grid entry {n}"):
             spec.check_size(n)
-            schedule.resolve(spec, n)
+            settings[n] = schedule.resolve(spec, n)
     if mode == "exact":
         check_cap(max(n_grid), enum_cap, enumerates=False)
-    tasks = [(spec, schedule, phi, n, rep, master_seed, mode, enum_cap, mcmc,
+    tasks = [(phi, n, rep, master_seed, mode, enum_cap, mcmc, *settings[n],
               *generate_gaussian(spec, n, _replicate_seed(master_seed, n, rep)))
              for n in n_grid for rep in range(replicates)]
     rows = _run_parallel(_consistency_task, tasks, workers)
@@ -271,15 +273,14 @@ def _consistency_aggregate(rows: list[dict], n: int) -> dict:
 
 
 def _misclass_task(args) -> dict:
-    (spec, spec_snr, snr, rule, n, rep, enum_cap, data, truth) = args
-    sigma2 = rule.resolve(spec_snr, n) if snr > 0 else rule.resolve(spec, n)
+    (snr, sigma2, n, rep, enum_cap, data, truth) = args
     kernel = KernelSpec(EUCLIDEAN_GAUSSIAN, sigma=math.sqrt(sigma2))
-    # the prior product cancels in the known-K restricted posterior
+    # the prior product cancels in the posterior restricted to the truth's K
     cfg = BsfConfig(kernel=kernel, log_delta=0.0, log_lambda=0.0, enum_cap=enum_cap)
-    table = exact_posterior(data, cfg, only_K=spec.k_true, retain=True)
+    table = exact_posterior(data, cfg, only_K=truth.K, retain=True)
     est = expected_hamming(table, truth)
     stats = separation_stats(data, truth, kernel)
-    log_bound = misclassification_log_bound(stats, spec.k_true, n)
+    log_bound = misclassification_log_bound(stats, truth.K, n)
     bound_below_n = log_bound < math.log(n)
     within = est <= math.exp(log_bound) if bound_below_n else True
     return {
@@ -311,17 +312,18 @@ def misclassification_experiment(spec: GaussianOracleSpec, rule: BandwidthRule,
     with config_check("oracle"):
         spec.check_size(n)
         rule.resolve(spec, n)
-        if n < spec.k_true:  # the known-K posterior needs a point per cluster
+        if n < spec.k_true:  # such a design leaves a cluster empty in every replicate
             raise ValueError(f"n = {n} is below the {spec.k_true} clusters")
-    spec_snrs = []
+    settings = []
     for snr in snr_grid:
         with config_check(f"snr_grid entry {snr}"):
-            spec_snrs.append(scale_means_to_snr(spec, snr))
+            spec_snr = scale_means_to_snr(spec, snr)  # at snr 0 the means coincide
+            settings.append((spec_snr, rule.resolve(spec_snr if snr > 0 else spec, n)))
     check_cap(n, enum_cap, enumerates=True)
     # replicate seeds are shared across the snr grid
-    tasks = [(spec, spec_snr, snr, rule, n, rep, enum_cap,
+    tasks = [(snr, sigma2, n, rep, enum_cap,
               *generate_gaussian(spec_snr, n, _replicate_seed(master_seed, rep)))
-             for snr, spec_snr in zip(snr_grid, spec_snrs) for rep in range(replicates)]
+             for snr, (spec_snr, sigma2) in zip(snr_grid, settings) for rep in range(replicates)]
     rows = _run_parallel(_misclass_task, tasks, workers)
     return rows, [_misclass_aggregate([row for row in rows if row["snr"] == snr], snr)
                   for snr in snr_grid]

@@ -34,12 +34,11 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import reduce
+from functools import cache, reduce
+from itertools import combinations
 
 import numpy as np
 
-# per-size subset masks and their members for the block table, keyed by n
-_MASK_CACHE: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
 # most blocks the block table prices in one stack: a whole size at n = 16 is
 # up to C(16, 8) = 12,870 blocks, 6.6 MB a temporary, while every size up to
 # n = 13 (at most C(13, 6) = 1,716 blocks) still fits in one stack
@@ -142,18 +141,15 @@ def subset_log_det(logw: np.ndarray, indices) -> float:
     return float(block_log_dets(np.asarray(logw, dtype=float), np.array([indices]))[0])
 
 
+@cache
 def _masks_by_size(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """For each popcount m in 2..n, all bitmasks of m of n bits and their
-    member indices; cached per n."""
-    if n not in _MASK_CACHE:
-        from itertools import combinations
-
-        tables = []
-        for m in range(2, n + 1):
-            idx = np.array(list(combinations(range(n), m)), dtype=np.intp)
-            tables.append(((1 << idx).sum(axis=1), idx))
-        _MASK_CACHE[n] = tables
-    return _MASK_CACHE[n]
+    member indices (data independent, so kept for the process's life)."""
+    tables = []
+    for m in range(2, n + 1):
+        idx = np.array(list(combinations(range(n), m)), dtype=np.intp)
+        tables.append(((1 << idx).sum(axis=1), idx))
+    return tables
 
 
 def all_block_log_dets(logw: np.ndarray) -> np.ndarray:

@@ -24,10 +24,8 @@ import numpy as np
 
 from .data import EUCLIDEAN, SPD, Dataset
 from .kernels import KernelSpec, pairwise_sq_distances
-from .linalg import sum_in_order
+from .linalg import logsumexp, sum_in_order
 from .partitions import Partition, canonicalize
-
-NEG_INF = float("-inf")
 
 
 @dataclass(frozen=True)
@@ -286,7 +284,7 @@ def compute_thresholds(sigma2: float, k_true: int, phi: SeparationConstants,
     if k_true < 1:
         raise ValueError("need at least one cluster")
     common = -log_delta_lambda + log_zeta
-    cross = NEG_INF if k_true == 1 else 2.0 * sigma2 * (
+    cross = -math.inf if k_true == 1 else 2.0 * sigma2 * (
         n * math.log(k_true - 1 + phi.iota1) + common - math.log(phi.c1)
     )
     within = 2.0 * sigma2 * (
@@ -328,7 +326,7 @@ def separation_stats(data: Dataset, truth: Partition, kernel: KernelSpec) -> Sep
     log_zeta = kernel.log_zeta(data.dim)
     two_s2 = 2.0 * kernel.sigma**2
     min_cross = float(cross.min()) if cross.size else float("inf")
-    max_within = float(within.max()) if within.size else NEG_INF
+    max_within = float(within.max()) if within.size else -math.inf
     return SeparationStats(
         log_max_cross_kernel=log_zeta - min_cross / two_s2,
         log_min_within_kernel=log_zeta - max_within / two_s2,
@@ -393,10 +391,6 @@ def posterior_concentration_log_bound(stats: SeparationStats, k_true: int, n: in
     terms.append(n * math.log(k_true) + log_n_eps_over_gamma)
     for k in range(k_true + 1, n + 1):
         terms.append(n * math.log(k) + (k - k_true) * (log_delta_lambda - log_gamma))
-    finite = [t for t in terms if t > NEG_INF]
-    if not finite:
-        return NEG_INF
-    peak = max(finite)
-    total = peak + math.log(sum_in_order(math.exp(t - peak) for t in finite))
+    total = logsumexp(np.array(terms))
     inflation = (k_true - 1) * math.exp(log_n_eps_over_gamma)
     return total + inflation - math.lgamma(k_true + 1)

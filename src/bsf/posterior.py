@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import islice
 
 import numpy as np
@@ -66,7 +67,6 @@ DEFAULT_ENUM_CAP = 12
 # the dense table is an array outside the dict
 LOG_DET_CACHE_CAP = 1 << 20
 
-NEG_INF = float("-inf")
 # largest n the forward DP runs at: its pull tables hold about 22 MB at n = 16.
 # A sampler chain reads the dense 2^n block table up to the same n.
 DP_MAX_N = 16
@@ -228,10 +228,7 @@ class BlockWeights:
         return math.lgamma(partition.K + 1) + self.labeled(partition)
 
 
-# pull tables of the forward DP, keyed by universe size (data independent)
-_PULL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@cache  # data independent, so kept for the process's life
 def _pull_table(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Every transition ``(R, T, Q = R \\ T)`` over an m-point universe with
     ``min R`` in ``T``, grouped by ``Q`` for ``reduceat``.
@@ -249,31 +246,28 @@ def _pull_table(m: int) -> tuple[np.ndarray, np.ndarray]:
     The old rows with b added are staged in the new table's tail, which the
     segments ``Q | b`` overwrite last, so the only temporary is a mask.
     """
-    if m not in _PULL_CACHE:
-        if m == 1:
-            _PULL_CACHE[m] = (np.array([0, 1]), np.ones(1, dtype=np.uint16))
-        else:
-            bounds, old = _pull_table(m - 1)
-            bit = 1 << (m - 1)
-            rows = len(old)
-            counts = np.diff(bounds)
-            added = counts.copy()
-            added[0] += 1
-            # marks the rows that segments without b copy unchanged from table m - 1
-            kept = np.repeat(np.tile([True, False], len(counts)),
-                             np.column_stack([counts, added]).ravel())
-            table = np.empty(3 * rows + 1, dtype=np.uint16)
-            head, tail = table[:2 * rows + 1], table[2 * rows + 1:]
-            head[kept] = old
-            # then the other rows, but for T = {b}, which follows segment 0's old rows
-            kept[counts[0]] = True
-            np.bitwise_or(old, bit, out=tail)
-            head[np.logical_not(kept, out=kept)] = tail
-            head[counts[0]] = bit
-            tail[:] = old
-            segments = np.concatenate((counts + added, counts))
-            _PULL_CACHE[m] = (np.concatenate(([0], np.cumsum(segments))), table)
-    return _PULL_CACHE[m]
+    if m == 1:
+        return np.array([0, 1]), np.ones(1, dtype=np.uint16)
+    bounds, old = _pull_table(m - 1)
+    bit = 1 << (m - 1)
+    rows = len(old)
+    counts = np.diff(bounds)
+    added = counts.copy()
+    added[0] += 1
+    # marks the rows that segments without b copy unchanged from table m - 1
+    kept = np.repeat(np.tile([True, False], len(counts)),
+                     np.column_stack([counts, added]).ravel())
+    table = np.empty(3 * rows + 1, dtype=np.uint16)
+    head, tail = table[:2 * rows + 1], table[2 * rows + 1:]
+    head[kept] = old
+    # then the other rows, but for T = {b}, which follows segment 0's old rows
+    kept[counts[0]] = True
+    np.bitwise_or(old, bit, out=tail)
+    head[np.logical_not(kept, out=kept)] = tail
+    head[counts[0]] = bit
+    tail[:] = old
+    segments = np.concatenate((counts + added, counts))
+    return np.concatenate(([0], np.cumsum(segments))), table
 
 
 def _forward_dp(block_table: np.ndarray, n: int, k_max: int) -> tuple[list, list]:
@@ -426,7 +420,7 @@ class PosteriorTable:
         return {k: math.exp(lw - self.log_normalizer) for k, lw in self.k_log_weights.items()}
 
     def prob_of_k(self, k: int) -> float:
-        return math.exp(self.k_log_weights.get(k, NEG_INF) - self.log_normalizer)
+        return math.exp(self.k_log_weights.get(k, -math.inf) - self.log_normalizer)
 
     def probability_of_log_weight(self, log_class_weight: float) -> float:
         return math.exp(log_class_weight - self.log_normalizer)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -34,9 +35,6 @@ DEFAULT_TRIALS = 1000
 # largest n whose concatenated forests are enumerated outright
 IDENTITY_CAP = 6
 BRUTE_FORCE_CAP = 9  # n^(n-2) labeled trees; 9 -> 4.8e6
-
-# all-spanning-trees edge tables, keyed by node count (data independent)
-_TREE_CACHE: dict[int, np.ndarray] = {}
 
 
 @dataclass(frozen=True)
@@ -116,12 +114,18 @@ def shifted_spectrum(lap: WeightedLaplacian, a: float, b: float) -> np.ndarray:
     return np.sort(predicted)
 
 
-def _all_tree_edges(n: int) -> np.ndarray:
-    """Edge lists of all n^(n-2) labeled spanning trees on [n].
+@cache
+def all_spanning_tree_edges(n: int) -> np.ndarray:
+    """Edge lists of all n^(n-2) labeled spanning trees on [n], 2 <= n <=
+    ``BRUTE_FORCE_CAP``; data independent, so kept for the process's life.
 
     Decodes every Prufer sequence at once with vectorized bookkeeping.
     Returns an int array of shape ``(n^(n-2), n-1, 2)``.
     """
+    if n < 2:
+        raise ValueError("spanning trees need at least 2 nodes")
+    if n > BRUTE_FORCE_CAP:
+        raise ValueError(f"brute-force enumeration capped at n <= {BRUTE_FORCE_CAP}")
     if n == 2:
         return np.array([[[0, 1]]], dtype=np.int8)
     count = n ** (n - 2)
@@ -143,16 +147,6 @@ def _all_tree_edges(n: int) -> np.ndarray:
     edges[:, n - 2, 0] = first
     edges[:, n - 2, 1] = second
     return edges
-
-
-def all_spanning_tree_edges(n: int) -> np.ndarray:
-    if n < 2:
-        raise ValueError("spanning trees need at least 2 nodes")
-    if n > BRUTE_FORCE_CAP:
-        raise ValueError(f"brute-force enumeration capped at n <= {BRUTE_FORCE_CAP}")
-    if n not in _TREE_CACHE:
-        _TREE_CACHE[n] = _all_tree_edges(n)
-    return _TREE_CACHE[n]
 
 
 def spanning_tree_log_weights(logw: np.ndarray) -> np.ndarray:

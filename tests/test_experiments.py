@@ -25,7 +25,10 @@ from bsf.oracle import (
     check_D_membership,
     compute_thresholds,
     generate_gaussian,
+    misclassification_log_bound,
     posterior_concentration_log_bound,
+    scale_means_to_snr,
+    separation_stats,
 )
 from bsf.posterior import BlockWeights, BsfConfig, CapError, exact_posterior
 from bsf.sampler import run_chain
@@ -248,6 +251,50 @@ def test_inapplicable_bound_aggregates_as_satisfied():
     assert first == second
     agg = first[1][0]
     assert agg["bound_below_n_rate"] == 0.0 and agg["within_bound_rate"] == 1.0
+
+
+def test_misclass_restricts_to_the_truths_k():
+    # the third cluster has no weight, so every truth has 2 blocks, not the
+    # oracle's 3; the known-K posterior and the bound read the truth's K
+    spec = GaussianOracleSpec(means=((0.0, 0.0), (6.0, 0.0), (3.0, 5.0)),
+                              covs=(np.eye(2),) * 3, weights=(1, 1, 0))
+    rows, agg = misclassification_experiment(spec, BandwidthRule(), [6.0], n=8,
+                                             replicates=3, master_seed=0)
+    for rep, row in enumerate(rows):
+        data, truth = generate_gaussian(scale_means_to_snr(spec, 6.0), 8,
+                                        experiments._replicate_seed(0, rep))
+        assert truth.K == 2
+        kernel = KernelSpec(EUCLIDEAN_GAUSSIAN, sigma=math.sqrt(row["sigma2"]))
+        stats = separation_stats(data, truth, kernel)
+        assert row["log_bound"] == misclassification_log_bound(stats, 2, 8)
+        assert row["expected_hamming"] < 1e-6, row
+        assert (row["map_hamming"], row["estimate_within_bound"]) == (0, 1), row
+    assert agg[0]["within_bound_rate"] == 1.0
+
+
+def test_tasks_carry_settings_and_the_truth_not_the_oracle(monkeypatch):
+    tasks, run_parallel = [], experiments._run_parallel
+
+    def recording(fn, fn_tasks, workers):
+        tasks.extend(fn_tasks)
+        return run_parallel(fn, fn_tasks, workers)
+
+    monkeypatch.setattr(experiments, "_run_parallel", recording)
+    schedule, rule = SnrSchedule(), BandwidthRule(0.2)
+    rows, _ = consistency_experiment(TWO_CLUSTERS, schedule, [5, 6], 2, master_seed=1)
+    # below snr 2.6 the rule's separation budget, not the covariance, sets sigma2
+    misclass_rows, _ = misclassification_experiment(TWO_CLUSTERS, rule, [0.0, 1.0, 2.0], 6, 2,
+                                                    master_seed=1)
+    assert len(tasks) == 10 and len({row["sigma2"] for row in misclass_rows}) == 3
+    oracle_like = (GaussianOracleSpec, FixedSchedule, SnrSchedule, BandwidthRule)
+    for task in tasks:
+        assert not any(isinstance(item, oracle_like) for item in task), task
+    # each task holds its own grid entry's settings, not another entry's
+    for row in rows:
+        assert (row["sigma2"], row["log_delta_lambda"]) == schedule.resolve(TWO_CLUSTERS, row["n"])
+    for row in misclass_rows:
+        scaled = scale_means_to_snr(TWO_CLUSTERS, row["snr"]) if row["snr"] else TWO_CLUSTERS
+        assert row["sigma2"] == rule.resolve(scaled, 6)
 
 
 def test_posterior_odds_respect_concentration_bound():

@@ -155,6 +155,20 @@ def test_bruteforce_tree_sums():
 def test_tree_enumeration_counts():
     for n in range(2, 8):
         assert all_spanning_tree_edges(n).shape == (n ** (n - 2), n - 1, 2)
+    # the table is cached, but a refused size is refused on every call
+    for bad in (1, 10, 1, 10):
+        with pytest.raises(ValueError):
+            all_spanning_tree_edges(bad)
+
+
+@pytest.mark.parametrize("values, expected", [
+    ([], -math.inf),
+    ([-math.inf, -math.inf], -math.inf),
+    ([-math.inf, 0.0, -math.inf, math.log(3.0)], math.log(4.0)),
+])
+def test_logsumexp_edge_cases(values, expected):
+    # an infinite expected value is approximately equal only to itself
+    assert linalg.logsumexp(np.array(values, dtype=float)) == pytest.approx(expected, abs=1e-15)
 
 
 def test_coarsened_laplacian():
