@@ -21,6 +21,14 @@ range) are handed to the same elimination done in the log domain.  A
 block's value does not depend on the stack it rides in, so every caller
 gets the same bits for it.
 
+The elimination only reads weights above the diagonal, so the kernel
+keeps each block's pairs i < j, row-major in one ``(B, m(m-1)/2)`` array,
+and never builds full ``(B, m, m)`` matrices on the linear route.  Its
+bits depend on each pivot row staying contiguous in memory: numpy sums a
+contiguous row of 9 or more elements in 8 partial sums but a strided one
+left to right, so a Fortran-ordered stack, such as fancy indexing can
+return, would change the last bits of its pivots.
+
 The matrix-tree identity ``|L + J/n| = n |L[i]| = n * (sum over spanning
 trees of edge-weight products)`` is the correctness anchor.  The reference
 legs that check the kernel against it (dense Cholesky determinants, the
@@ -40,7 +48,7 @@ from itertools import combinations
 import numpy as np
 
 # most blocks the block table prices in one stack: a whole size at n = 16 is
-# up to C(16, 8) = 12,870 blocks, 6.6 MB a temporary, while every size up to
+# up to C(16, 8) = 12,870 blocks, 2.9 MB a packed temporary, while every size up to
 # n = 13 (at most C(13, 6) = 1,716 blocks) still fits in one stack
 TABLE_STACK_MAX = 1 << 11
 
@@ -86,21 +94,37 @@ def _star_mesh_batch(sub: np.ndarray) -> np.ndarray:
     return total
 
 
-def _gth_batch(w: np.ndarray) -> np.ndarray:
-    """``log |L[last]|`` for a stack of positive weight matrices ``(B, m, m)``.
+@cache
+def _pairs(s: int) -> np.ndarray:
+    """The pairs i < j of s points in row-major order, as ``(2, s(s-1)/2)``
+    rows and columns."""
+    return np.array(list(combinations(range(s), 2)), dtype=np.intp).reshape(-1, 2).T.copy()
+
+
+def _gth_batch(w: np.ndarray, m: int) -> np.ndarray:
+    """``log |L[last]|`` for a stack of m-point positive weight matrices,
+    given as their upper triangles packed row-major, ``(B, m(m-1)/2)``.
 
     Eliminating a node is a star-mesh transform: its pivot is its current
     degree, taken as a sum of its weights, and every remaining weight gains
     ``w_ik * w_jk / d_k``.  Nothing is ever subtracted, so each entry stays
     accurate to rounding whatever the weights' range (Grassmann, Taksar and
-    Heyman 1985; O'Cinneide 1993).  The diagonal is never read.
+    Heyman 1985; O'Cinneide 1993).  The pivot row is the first entries of
+    the triangle and the entries after it are already the triangle of the
+    nodes left, so a step only adds the rank-one term, gathered at that
+    triangle's pairs.
     """
-    b, m, _ = w.shape
-    pivots = np.empty((b, m - 1))
+    pivots = np.empty((w.shape[0], m - 1))
     for k in range(m - 1):
-        row = w[:, 0, 1:]
+        s = m - 1 - k  # nodes left after this step
+        row = w[:, :s]
         pivots[:, k] = d = row.sum(axis=1)
-        w = w[:, 1:, 1:] + (row / d[:, None])[:, :, None] * row[:, None, :]
+        i, j = _pairs(s)
+        # take() returns C order, where row[:, i] would come back Fortran-ordered
+        nxt = (row / d[:, None]).take(i, axis=1)
+        nxt *= row.take(j, axis=1)
+        nxt += w[:, s:]
+        w = nxt
     return np.log(pivots).sum(axis=1)
 
 
@@ -108,25 +132,26 @@ def block_log_dets(logw: np.ndarray, members: np.ndarray) -> np.ndarray:
     """``log |L_T + J/m|`` for a stack of blocks of m >= 2 points each, given
     as a ``(B, m)`` array of member indices into the float matrix ``logw``.
 
-    Each block is scaled by its largest off-diagonal weight, which is
-    restored as ``(m - 1) * peak``; ``log m`` turns the minor ``|L[last]|``
-    into ``|L + J/m|`` by the matrix-tree theorem.  The diagonal of
-    ``logw`` is ignored.
+    ``logw`` must be exactly symmetric: the linear route reads only its
+    entries i < j.  The diagonal is ignored.  Each block is scaled by its largest
+    off-diagonal weight, which is restored as ``(m - 1) * peak``; ``log m``
+    turns the minor ``|L[last]|`` into ``|L + J/m|`` by the matrix-tree
+    theorem.
     """
-    sub = logw[members[:, :, None], members[:, None, :]]
     b, m = members.shape
-    diag = np.arange(m)
-    sub[:, diag, diag] = -np.inf
-    peak = sub.max(axis=(1, 2))
-    sub -= peak[:, None, None]
-    sub[:, diag, diag] = 0.0  # not below any off-diagonal entry, so the min ignores it
-    deep = sub.min(axis=(1, 2)) < _LOG_TINY
+    rows, cols = _pairs(m)
+    sub = logw[members.take(rows, axis=1), members.take(cols, axis=1)]
+    peak = sub.max(axis=1)
+    sub -= peak[:, None]
+    deep = sub.min(axis=1) < _LOG_TINY
     if deep.any():
         minors = np.empty(b)
-        minors[deep] = _star_mesh_batch(sub[deep])
-        minors[~deep] = _gth_batch(np.exp(sub[~deep]))
+        sq = members[deep]
+        square = logw[sq[:, :, None], sq[:, None, :]] - peak[deep, None, None]
+        minors[deep] = _star_mesh_batch(square)
+        minors[~deep] = _gth_batch(np.exp(sub[~deep]), m)
     else:
-        minors = _gth_batch(np.exp(sub))
+        minors = _gth_batch(np.exp(sub), m)
     return math.log(m) + minors + (m - 1) * peak
 
 

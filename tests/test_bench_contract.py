@@ -109,10 +109,12 @@ def test_traced_chain_reports_the_sampler_layer(tmp_path):
 def test_traced_exact_reports_the_csv_layer(tmp_path):
     # tracer.py times the table and counts its bytes by wrapping
     # bsf.cli.write_csv; a table written by any other function would zero
-    # cli.write_csv.bytes and move its time to another layer without a word
+    # cli.write_csv.bytes and move its time to another layer without a word;
+    # the block table's masks are counted the same way, from its argument
     spanned, counts, out_dir = _traced_operation("exact-table", tmp_path)
     assert "cli.write_csv" in spanned
     assert counts.get("cli.write_csv.bytes", 0) >= os.path.getsize(out_dir / "posterior_table.csv")
+    assert counts.get("linalg.all_block_log_dets.masks", 0) == 1 << 10
 
 
 def test_tracer_targets_the_program_lacks_are_pinned():

@@ -124,7 +124,18 @@ def test_symmetry_euclidean_exact_and_manifold_tol(rng):
     spd_data = Dataset("spd", mats)
     spec = KernelSpec(RIEMANNIAN_GAUSSIAN_SPD, sigma=1.1)
     logw2 = log_weight_matrix(spd_data, spec)
-    assert np.abs(logw2 - logw2.T).max() < 1e-10
+    # the block kernel reads only one triangle, so every family mirrors it
+    assert np.array_equal(logw2, logw2.T)
+    laps = []
+    for _ in range(4):
+        adj = np.triu(rng.uniform(0.0, 1.0, (3, 3)), 1)
+        adj += adj.T
+        laps.append(np.diag(adj.sum(1)) - adj)
+    graph_data = Dataset("graph-laplacian", tuple(laps))
+    for mode, eta in (("geodesic", 0.1), ("frobenius", 0.0)):
+        graph = KernelSpec(GRAPH_LAPLACIAN_GAUSSIAN, sigma=0.9, eta=eta, graph_mode=mode)
+        logw3 = log_weight_matrix(graph_data, graph)
+        assert np.array_equal(logw3, logw3.T), mode
     for i in range(4):
         for j in range(i + 1, 4):
             a = log_gaussian_kernel(mats[i], mats[j], spec)

@@ -258,6 +258,19 @@ def test_block_table_chunks_keep_every_entry(rng, monkeypatch):
         assert np.array_equal(chunked, whole), scale
 
 
+def test_pivot_rows_stay_contiguous_for_any_member_order(rng):
+    # numpy sums a contiguous pivot row pairwise and a strided one left to
+    # right, so a member array in Fortran order must not reach the
+    # elimination in that order; m = 12 makes rows of 9 and more
+    n, m, b = 16, 12, 32
+    logw = random_logw(rng, n)
+    members = np.sort(np.argsort(rng.random((b, n)), axis=1)[:, :m], axis=1)
+    transposed = np.ascontiguousarray(members.T).T  # a view, not C-contiguous
+    assert not transposed.flags.c_contiguous
+    assert np.array_equal(linalg.block_log_dets(logw, transposed),
+                          linalg.block_log_dets(logw, members))
+
+
 @pytest.mark.parametrize("deep", [False, True])
 def test_stacked_pricing_equals_single_blocks(deep, monkeypatch):
     # one price() call over mixed sizes, repeats, singletons, mask 0 and
